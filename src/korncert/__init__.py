@@ -32,7 +32,6 @@ from .geometry import (
     line_points,
     outward_normal,
     sample_grid,
-    tangential_project,
 )
 from .kernel import (
     DimProfile,
@@ -43,7 +42,6 @@ from .kernel import (
     kernel_to_json,
 )
 from .normtest import (
-    ConstraintMatrix,
     Diagnostics,
     NullspaceResult,
     TraceKind,
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexRational",
-    "ConstraintMatrix",
     "Diagnostics",
     "DiffOperator",
     "DimProfile",
@@ -116,6 +113,5 @@ __all__ = [
     "point_measure_test",
     "sample_grid",
     "symbol_matrix",
-    "tangential_project",
     "__version__",
 ]

@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -40,239 +41,40 @@ from .geometry import (
     GeometryError,
     SampleGrid,
     StarDomain,
-    boundary_point,
+    grid_frame,
     interior_points,
     line_points,
-    outward_normal,
     sample_grid,
 )
 from .kernel import kernel_basis, kernel_dim_profile, kernel_to_json
-from .normtest import TraceKind, Verdict, classify, point_measure_test
-from .polyalg import eval_poly, format_poly
+from .normtest import TraceKind, Verdict, classify, point_measure_test, trace_magnitudes
+from .polyalg import format_poly
 
 _DENSE_FACTOR_DEFAULT = 8
 _SEED_ENV = "KORNCERT_SEED"
 _FLOAT_FMT = "%.17g"
 
-_BUILTIN_NAMES = ["grad", "div", "sym_grad", "dev_grad", "dev_sym_grad", "grad_k"]
-
-_RATIONAL_SCHEMA = {"type": ["number", "string"]}
-
-_DOMAIN_SCHEMA = {
-    "type": "object",
-    "required": ["n", "radial"],
-    "additionalProperties": False,
-    "properties": {
-        "n": {"enum": [2, 3]},
-        "radial": {
-            "type": "object",
-            "required": ["family"],
-            "additionalProperties": False,
-            "properties": {
-                "family": {"enum": ["constant", "ball", "sine2d", "sine3d"]},
-                "c": _RATIONAL_SCHEMA,
-                "a": _RATIONAL_SCHEMA,
-                "m": {"type": "integer", "minimum": 1},
-                "m1": {"type": "integer", "minimum": 1},
-                "m2": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
-
-_GRID_SCHEMA = {
-    "type": "object",
-    "required": ["counts"],
-    "additionalProperties": False,
-    "properties": {
-        "counts": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-            "maxItems": 2,
-        },
-        "range": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "minItems": 1,
-            "maxItems": 2,
-        },
-    },
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "$id": "https://example.org/korncert/run-config.json",
-    "title": "korncert run configuration",
-    "type": "object",
-    "required": ["operator", "K", "test"],
-    "additionalProperties": False,
-    "properties": {
-        "operator": {
-            "type": "object",
-            "oneOf": [
-                {
-                    "required": ["builtin", "n"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "builtin": {"enum": _BUILTIN_NAMES},
-                        "n": {"type": "integer", "minimum": 1},
-                        "order": {"type": "integer", "minimum": 1},
-                    },
-                },
-                {
-                    "required": ["terms"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "order": {"type": "integer", "minimum": 1},
-                        "dimV": {"type": "integer", "minimum": 1},
-                        "dimW": {"type": "integer", "minimum": 1},
-                        "terms": {
-                            "type": "array",
-                            "minItems": 1,
-                            "items": {
-                                "type": "object",
-                                "required": ["alpha", "matrix"],
-                                "additionalProperties": False,
-                                "properties": {
-                                    "alpha": {
-                                        "type": "array",
-                                        "items": {"type": "integer", "minimum": 0},
-                                        "minItems": 1,
-                                    },
-                                    "matrix": {
-                                        "type": "array",
-                                        "minItems": 1,
-                                        "items": {
-                                            "type": "array",
-                                            "minItems": 1,
-                                            "items": _RATIONAL_SCHEMA,
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-                {
-                    "required": ["tensor4"],
-                    "additionalProperties": False,
-                    "properties": {"tensor4": {"type": "array"}},
-                },
-            ],
-        },
-        "K": {"type": "integer", "minimum": 0},
-        "allow_low_degree": {"type": "boolean"},
-        "test": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {"kind": {"enum": ["boundary", "points"]}},
-        },
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sigma_rel": {"type": "number", "exclusiveMinimum": 0},
-                "tol_dense": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "probe": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"trials": {"type": "integer", "minimum": 1}},
-        },
-        "seed": {"type": "integer"},
-        "expected": {"enum": ["A1", "A2", "A3"]},
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "report": {"type": "string"},
-                "plots": {"type": "string"},
-            },
-        },
-    },
-}
-
-_BOUNDARY_TEST_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "trace", "domain", "coarse"],
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"const": "boundary"},
-        "trace": {"enum": ["full", "normal", "tangential"]},
-        "domain": _DOMAIN_SCHEMA,
-        "coarse": _GRID_SCHEMA,
-        "dense": _GRID_SCHEMA,
-    },
-}
-
-_POINTS_TEST_SCHEMA = {
-    "type": "object",
-    "required": ["kind"],
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"const": "points"},
-        "domain": _DOMAIN_SCHEMA,
-        "points": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 3},
-        },
-        "lines": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["p0", "dir", "count", "extent"],
-                "additionalProperties": False,
-                "properties": {
-                    "p0": {"type": "array", "items": {"type": "number"}},
-                    "dir": {"type": "array", "items": {"type": "number"}},
-                    "count": {"type": "integer", "minimum": 2},
-                    "extent": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-        },
-        "interior": {
-            "type": "object",
-            "required": ["count"],
-            "additionalProperties": False,
-            "properties": {
-                "count": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-            },
-        },
-    },
-}
+CONFIG_SCHEMA = json.loads(
+    resources.files(__package__).joinpath("config-schema.json").read_text(encoding="utf-8")
+)
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_BUILTIN_NAMES = CONFIG_SCHEMA["properties"]["operator"]["oneOf"][0]["properties"]["builtin"]["enum"]
 
 
 class ConfigError(Exception):
     """Invalid run configuration; maps to exit code 2."""
 
 
-def _schema_check(instance, schema, prefix: str = "") -> None:
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        path = ".".join(str(p) for p in err.absolute_path)
-        field = ".".join(x for x in (prefix, path) if x) or "<root>"
-        raise ConfigError(f"config field {field}: {err.message}")
-
-
 def validate_config(cfg: dict) -> None:
     """Structural and semantic validation; raises ConfigError naming the
     offending field."""
-    _schema_check(cfg, CONFIG_SCHEMA)
+    errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    if errors:
+        err = jsonschema.exceptions.best_match(errors)
+        field = ".".join(str(p) for p in err.absolute_path) or "<root>"
+        raise ConfigError(f"config field {field}: {err.message}")
     test = cfg["test"]
-    if test["kind"] == "boundary":
-        _schema_check(test, _BOUNDARY_TEST_SCHEMA, prefix="test")
-    else:
-        _schema_check(test, _POINTS_TEST_SCHEMA, prefix="test")
+    if test["kind"] == "points":
         if not any(k in test for k in ("points", "lines", "interior")):
             raise ConfigError(
                 "config field test: points test needs at least one of points, lines, interior"
@@ -499,12 +301,11 @@ def emit_plot_data(
     theta_cols = ["theta1"] if n == 2 else ["theta1", "theta2"]
 
     boundary_path = outdir / "boundary.csv"
+    xs, nus = grid_frame(dom, coarse)
     with open(boundary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(theta_cols + [f"x{i+1}" for i in range(n)] + [f"nu{i+1}" for i in range(n)])
-        for theta in coarse.thetas:
-            x = boundary_point(dom, theta)
-            nu = outward_normal(dom, theta)
+        for theta, x, nu in zip(coarse.thetas, xs, nus):
             writer.writerow([_FLOAT_FMT % v for v in (*theta, *x, *nu)])
 
     info: dict = {"boundary": str(boundary_path), "residual": None}
@@ -513,23 +314,12 @@ def emit_plot_data(
         return info
 
     residual_path = outdir / "residual.csv"
+    mags = trace_magnitudes(verdict.certificates, kind, *grid_frame(dom, dense))
     with open(residual_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(theta_cols + [f"res_{i+1}" for i in range(len(verdict.certificates))])
-        for theta in dense.thetas:
-            x = boundary_point(dom, theta)
-            nu = outward_normal(dom, theta)
-            row = list(theta)
-            for cert in verdict.certificates:
-                v = np.array(eval_poly(cert, x))
-                if kind is TraceKind.NORMAL:
-                    mag = abs(float(v @ nu))
-                elif kind is TraceKind.TANGENTIAL:
-                    mag = float(np.max(np.abs(v - float(v @ nu) * nu)))
-                else:
-                    mag = float(np.max(np.abs(v)))
-                row.append(mag)
-            writer.writerow([_FLOAT_FMT % v for v in row])
+        for theta, row in zip(dense.thetas, mags):
+            writer.writerow([_FLOAT_FMT % v for v in (*theta, *row)])
     info["residual"] = str(residual_path)
     return info
 

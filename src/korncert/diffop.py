@@ -104,14 +104,8 @@ class ComplexRational:
     def __rtruediv__(self, other) -> "ComplexRational":
         return ComplexRational.of(other) / self
 
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -373,11 +367,6 @@ class SymbolMatrix:
             [list(row) for row in self.matrix], self.shape[1], zero=CR_ZERO, one=CR_ONE
         )
         return [tuple(v) for v in vecs]
-
-    def to_complex(self):
-        import numpy as np
-
-        return np.array([[v.to_complex() for v in row] for row in self.matrix])
 
 
 def symbol_matrix(A: DiffOperator, xi: Sequence) -> SymbolMatrix:

@@ -31,7 +31,6 @@ TWO_PI = 2.0 * math.pi
 
 _VALIDATION_SAMPLES = 10**4
 _FRAME_TOL = 1e-14
-_UNIT_TOL = 1e-10
 
 
 class GeometryError(RuntimeError):
@@ -206,17 +205,6 @@ def outward_normal(dom: StarDomain, theta) -> np.ndarray:
     return normal
 
 
-def tangential_project(v: Sequence[float], nu: Sequence[float]) -> np.ndarray:
-    """Component of v orthogonal to the unit vector nu."""
-    v = np.asarray(v, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if v.shape != nu.shape:
-        raise ValueError("vector and normal have different shapes")
-    if abs(float(np.linalg.norm(nu)) - 1.0) > _UNIT_TOL:
-        raise ValueError("normal is not unit length")
-    return v - float(v @ nu) * nu
-
-
 @dataclass(frozen=True)
 class SampleGrid:
     """Deterministic boundary sample angles, one tuple per point."""
@@ -273,6 +261,16 @@ def sample_grid(
     else:
         thetas = tuple((t1, t2) for t1 in axes[0] for t2 in axes[1])
     return SampleGrid(thetas=thetas, counts=counts_t, ranges=ranges_t)
+
+
+def grid_frame(dom: StarDomain, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary points and unit outward normals at every grid sample,
+    each as an (npoints, n) array in grid order."""
+    if len(grid) == 0:
+        raise ValueError("empty sample grid")
+    xs = np.array([boundary_point(dom, t) for t in grid.thetas])
+    nus = np.array([outward_normal(dom, t) for t in grid.thetas])
+    return xs, nus
 
 
 def interior_points(dom: StarDomain, count: int, seed: int = 0) -> list[np.ndarray]:

@@ -84,27 +84,3 @@ def nullspace(
         basis.append(v)
     return basis
 
-
-def solve_in_span(
-    vectors: Sequence[Sequence[T]],
-    target: Sequence[T],
-    zero: T = Fraction(0),
-) -> list[T] | None:
-    """Exact coordinates of target in span(vectors), or None if outside.
-
-    Solves V^T c = target by eliminating the augmented system.
-    """
-    if not vectors:
-        return None if any(t != 0 for t in target) else []
-    ncols = len(vectors)
-    nrows = len(target)
-    if any(len(v) != nrows for v in vectors):
-        raise ValueError("vector length mismatch")
-    aug = [[vectors[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    reduced, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    coords = [zero] * ncols
-    for r, p in enumerate(pivots):
-        coords[p] = reduced[r][ncols]
-    return coords

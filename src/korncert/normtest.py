@@ -31,9 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import SampleGrid, StarDomain, boundary_point, outward_normal
+from .geometry import SampleGrid, StarDomain, grid_frame
 from .kernel import KernelBasis
-from .polyalg import PolyVec, eval_poly, format_poly
+from .polyalg import MonomialBasis, PolyVec, format_poly
 
 _SIGMA_REL_DEFAULT = 1e-10
 _TOL_DENSE_DEFAULT = 1e-8
@@ -53,21 +53,6 @@ class TraceKind(enum.Enum):
             return cls(value.lower())
         except ValueError:
             raise ValueError(f"unknown trace kind: {value!r}") from None
-
-
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """Float constraint rows against kernel basis columns, with the
-    provenance needed to rebuild them."""
-
-    matrix: np.ndarray
-    kind: TraceKind
-    domain: StarDomain
-    grid: SampleGrid
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 @dataclass(frozen=True)
@@ -131,58 +116,84 @@ class Verdict:
         }
 
 
+def _coefficient_columns(polys: Sequence[PolyVec]) -> np.ndarray:
+    """Float coefficient matrix, one column per polynomial."""
+    return np.array([[float(c) for c in p.coeffs] for p in polys], dtype=float).T
+
+
 def _basis_columns(basis: KernelBasis) -> np.ndarray:
     """Float coefficient matrix, one unit-normalized column per element."""
-    cols = np.array([[float(c) for c in p.coeffs] for p in basis.basis], dtype=float).T
+    cols = _coefficient_columns(basis.basis)
     norms = np.linalg.norm(cols, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("kernel basis contains a zero element")
     return cols / norms
 
 
-def _trace_values(
-    basis: KernelBasis, columns: np.ndarray, xs: np.ndarray
+def trace_values(
+    basis: MonomialBasis,
+    columns: np.ndarray,
+    xs: np.ndarray,
+    kind: TraceKind,
+    nus: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Values of every basis column at every point: (npoints, dimV, d)."""
-    exponents = np.array(
-        [mi.entries for mi in basis.basis[0].basis.exponents], dtype=float
-    )
+    """Trace of every column at every point: (npoints, ncomp, ncols).
+
+    columns holds one polynomial per column in the PolyVec coefficient
+    layout over basis; xs is (npoints, n), and nus the unit normals at
+    xs, which NORMAL and TANGENTIAL need.  ncomp is 1 for NORMAL and
+    dimV for FULL and TANGENTIAL.
+    """
+    dim_v = columns.shape[0] // basis.size
+    exponents = np.array([mi.entries for mi in basis.exponents], dtype=float)
     # mono_values[p, j] = prod_i xs[p, i] ** exponents[j, i]
     mono_values = np.prod(xs[:, None, :] ** exponents[None, :, :], axis=2)
-    dim_v = basis.basis[0].dimV
     b3 = columns.reshape(-1, dim_v, columns.shape[1])
-    return np.einsum("ps,svd->pvd", mono_values, b3)
+    values = np.einsum("ps,svd->pvd", mono_values, b3)
+    if kind is TraceKind.FULL:
+        return values
+    if dim_v != xs.shape[1]:
+        raise ValueError(
+            f"{kind.value} trace needs dimV == n, got dimV={dim_v}, n={xs.shape[1]}"
+        )
+    normal_part = np.einsum("pv,pvd->pd", nus, values)
+    if kind is TraceKind.NORMAL:
+        return normal_part[:, None, :]
+    return values - nus[:, :, None] * normal_part[:, None, :]
 
 
-def _assemble(
+def trace_magnitudes(
+    polys: Sequence[PolyVec],
+    kind: TraceKind,
+    xs: np.ndarray,
+    nus: np.ndarray | None = None,
+) -> np.ndarray:
+    """|trace| of each polynomial at each point, max over components:
+    (npoints, npolys)."""
+    values = trace_values(polys[0].basis, _coefficient_columns(polys), xs, kind, nus)
+    return np.max(np.abs(values), axis=1)
+
+
+def _constraint_rows(values: np.ndarray) -> np.ndarray:
+    """Rows in point order, then output component."""
+    rows = values.reshape(-1, values.shape[2])
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("non-finite constraint entries")
+    return rows
+
+
+def _grid_rows(
     basis: KernelBasis,
     columns: np.ndarray,
     dom: StarDomain,
     kind: TraceKind,
     grid: SampleGrid,
-) -> np.ndarray:
-    if len(grid) == 0:
-        raise ValueError("empty sample grid")
-    dim_v = basis.basis[0].dimV
-    if kind is not TraceKind.FULL and dim_v != dom.n:
-        raise ValueError(
-            f"{kind.value} trace needs dimV == n, got dimV={dim_v}, n={dom.n}"
-        )
-    xs = np.array([boundary_point(dom, t) for t in grid.thetas])
-    nus = np.array([outward_normal(dom, t) for t in grid.thetas])
-    values = _trace_values(basis, columns, xs)
-    if kind is TraceKind.NORMAL:
-        rows = np.einsum("pv,pvd->pd", nus, values)
-    elif kind is TraceKind.TANGENTIAL:
-        normal_part = np.einsum("pv,pvd->pd", nus, values)
-        rows = (values - nus[:, :, None] * normal_part[:, None, :]).reshape(
-            -1, values.shape[2]
-        )
-    else:
-        rows = values.reshape(-1, values.shape[2])
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("non-finite constraint entries")
-    return rows
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Constraint rows of the columns on a boundary grid, and the grid's
+    frame (points, normals) for reuse."""
+    frame = grid_frame(dom, grid)
+    values = trace_values(basis.basis[0].basis, columns, frame[0], kind, frame[1])
+    return _constraint_rows(values), frame
 
 
 def assemble_constraints(
@@ -190,7 +201,7 @@ def assemble_constraints(
     dom: StarDomain,
     kind: TraceKind | str,
     grid: SampleGrid,
-) -> ConstraintMatrix:
+) -> np.ndarray:
     """Trace constraint rows for the raw (un-normalized) kernel basis.
 
     Row order is deterministic: grid order, then output component for
@@ -202,22 +213,21 @@ def assemble_constraints(
         raise ValueError("empty kernel basis; nothing to constrain")
     if basis.operator.n != dom.n:
         raise ValueError("operator and domain dimensions differ")
-    cols = np.array([[float(c) for c in p.coeffs] for p in basis.basis], dtype=float).T
-    matrix = _assemble(basis, cols, dom, kind, grid)
-    return ConstraintMatrix(matrix=matrix, kind=kind, domain=dom, grid=grid)
+    return _grid_rows(basis, _coefficient_columns(basis.basis), dom, kind, grid)[0]
 
 
 def numeric_nullspace(
-    constraints: ConstraintMatrix | np.ndarray, sigma_rel: float = _SIGMA_REL_DEFAULT
+    matrix: np.ndarray, sigma_rel: float = _SIGMA_REL_DEFAULT
 ) -> NullspaceResult:
     """SVD nullspace with the relative threshold
     sigma_i <= sigma_rel * max(sigma_max, 1)."""
-    matrix = constraints.matrix if isinstance(constraints, ConstraintMatrix) else constraints
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise ValueError("empty constraint matrix")
     q, d = matrix.shape
-    _, s, vh = np.linalg.svd(matrix, full_matrices=True)
+    # Only a wide matrix needs the full V: its extra rows span the
+    # directions no constraint touches.
+    _, s, vh = np.linalg.svd(matrix, full_matrices=q < d)
     spectrum = np.concatenate([s, np.zeros(max(d - len(s), 0))])
     threshold = sigma_rel * max(float(spectrum[0]), 1.0)
     mask = spectrum <= threshold
@@ -250,21 +260,17 @@ def certificate_residual(
 ) -> float:
     """Sup over the grid of the trace magnitude of rho (max over
     components for the vector-valued kinds)."""
-    kind = TraceKind.of(kind)
-    worst = 0.0
-    for theta in grid.thetas:
-        x = boundary_point(dom, theta)
-        v = np.array(eval_poly(rho, x))
-        if kind is TraceKind.NORMAL:
-            nu = outward_normal(dom, theta)
-            mag = abs(float(v @ nu))
-        elif kind is TraceKind.TANGENTIAL:
-            nu = outward_normal(dom, theta)
-            mag = float(np.max(np.abs(v - float(v @ nu) * nu)))
-        else:
-            mag = float(np.max(np.abs(v)))
-        worst = max(worst, mag)
-    return worst
+    return _residuals([rho], TraceKind.of(kind), *grid_frame(dom, grid))[0]
+
+
+def _residuals(
+    certificates: Sequence[PolyVec],
+    kind: TraceKind,
+    xs: np.ndarray,
+    nus: np.ndarray | None = None,
+) -> tuple[float, ...]:
+    """Per certificate, the max trace magnitude over the points."""
+    return tuple(float(r) for r in np.max(trace_magnitudes(certificates, kind, xs, nus), axis=0))
 
 
 def classify(
@@ -299,7 +305,7 @@ def classify(
         raise ValueError("dense grid must be strictly finer than coarse in every coordinate")
 
     columns = _basis_columns(basis)
-    coarse_matrix = _assemble(basis, columns, dom, kind, coarse)
+    coarse_matrix, _ = _grid_rows(basis, columns, dom, kind, coarse)
     stage1 = numeric_nullspace(coarse_matrix, sigma_rel)
     coarse_sv = tuple(float(s) for s in stage1.singular_values)
     if stage1.dim == 0:
@@ -314,7 +320,7 @@ def classify(
             ),
         )
 
-    dense_matrix = _assemble(basis, columns, dom, kind, dense)
+    dense_matrix, dense_frame = _grid_rows(basis, columns, dom, kind, dense)
     restricted = dense_matrix @ stage1.vectors
     stage2 = numeric_nullspace(restricted, sigma_rel)
     dense_sv = tuple(float(s) for s in stage2.singular_values)
@@ -334,9 +340,7 @@ def classify(
 
     ambient = columns @ (stage1.vectors @ stage2.vectors)
     certificates = _to_certificates(basis, ambient)
-    residuals = tuple(
-        certificate_residual(cert, dom, kind, dense) for cert in certificates
-    )
+    residuals = _residuals(certificates, kind, *dense_frame)
     for res in residuals:
         if not res < tol_dense:
             raise RuntimeError(
@@ -386,8 +390,7 @@ def point_measure_test(
     if xs.shape[1] != basis.operator.n:
         raise ValueError(f"points must have {basis.operator.n} coordinates")
     columns = _basis_columns(basis)
-    values = _trace_values(basis, columns, xs)
-    matrix = values.reshape(-1, values.shape[2])
+    matrix = _constraint_rows(trace_values(basis.basis[0].basis, columns, xs, TraceKind.FULL))
     stage = numeric_nullspace(matrix, sigma_rel)
     spectrum = tuple(float(s) for s in stage.singular_values)
     if stage.dim == 0:
@@ -401,12 +404,7 @@ def point_measure_test(
             ),
         )
     certificates = _to_certificates(basis, columns @ stage.vectors)
-    residuals = []
-    for cert in certificates:
-        worst = 0.0
-        for x in xs:
-            worst = max(worst, float(np.max(np.abs(eval_poly(cert, x)))))
-        residuals.append(worst)
+    residuals = _residuals(certificates, TraceKind.FULL, xs)
     for res in residuals:
         if not res < tol:
             raise RuntimeError(
@@ -417,7 +415,7 @@ def point_measure_test(
         certificates=certificates,
         diagnostics=Diagnostics(
             coarse_sv=spectrum,
-            residuals=tuple(residuals),
+            residuals=residuals,
             sigma_rel=sigma_rel,
             tol_dense=tol,
             coarse_points=len(points),

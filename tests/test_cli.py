@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from korncert.cli import CONFIG_SCHEMA, main, run_config
+from korncert.cli import CONFIG_SCHEMA, ConfigError, main, run_config, validate_config
 
 _CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-_SCHEMA_FILE = Path(__file__).resolve().parent.parent / "docs" / "config-schema.json"
+_SCHEMA_FILE = Path(__file__).resolve().parent.parent / "src" / "korncert" / "config-schema.json"
 
 
 def _base_config(**overrides):
@@ -245,5 +245,10 @@ class TestShippedConfigs:
         assert report["expected_match"] is True
 
     def test_schema_file_matches_embedded_schema(self):
-        on_disk = json.loads(_SCHEMA_FILE.read_text())
-        assert on_disk == CONFIG_SCHEMA
+        # The packaged schema file is the one CONFIG_SCHEMA loads, and it
+        # constrains the test block itself, not only its kind.
+        assert json.loads(_SCHEMA_FILE.read_text()) == CONFIG_SCHEMA
+        cfg = _base_config()
+        cfg["test"]["bogus"] = 1
+        with pytest.raises(ConfigError, match=r"^config field test: .*'bogus'"):
+            validate_config(cfg)

@@ -22,7 +22,6 @@ from korncert.geometry import (
     line_points,
     outward_normal,
     sample_grid,
-    tangential_project,
 )
 
 _FD_STEP = 1e-6
@@ -157,13 +156,6 @@ class TestNormals:
         dom = StarDomain.ball(3)
         with pytest.raises(GeometryError):
             outward_normal(dom, (0.0, 0.3))
-
-    def test_tangential_project(self):
-        nu = np.array([1.0, 0.0])
-        v = np.array([2.0, 3.0])
-        assert tangential_project(v, nu) == pytest.approx([0.0, 3.0])
-        with pytest.raises(ValueError):
-            tangential_project(v, np.array([2.0, 0.0]))
 
 
 class TestSampleGrids:

@@ -6,7 +6,9 @@ traces vanish identically, so residual assertions can be tightened far
 below the working tolerance.
 """
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korncert.diffop import builtin_operator
-from korncert.geometry import StarDomain, outward_normal, sample_grid
+from korncert import geometry
+from korncert.geometry import StarDomain, boundary_point, grid_frame, outward_normal, sample_grid
 from korncert.kernel import kernel_basis
 from korncert.normtest import (
     TraceKind,
@@ -23,8 +26,9 @@ from korncert.normtest import (
     classify,
     numeric_nullspace,
     point_measure_test,
+    trace_magnitudes,
 )
-from korncert.polyalg import PolyVec, monomial_basis
+from korncert.polyalg import PolyVec, eval_poly, monomial_basis
 
 
 def _span_projector(polys, ambient_basis, dimV):
@@ -67,7 +71,7 @@ class TestAssemble:
         col = next(
             j for j, p in enumerate(kb.basis) if p == dil
         )
-        assert cm.matrix[:, col] == pytest.approx(np.ones(5))
+        assert cm[:, col] == pytest.approx(np.ones(5))
 
     def test_translation_columns_have_rank_two(self):
         op = builtin_operator("sym_grad", 2)
@@ -75,7 +79,7 @@ class TestAssemble:
         grid = sample_grid(_BALL2, [4])
         cm = assemble_constraints(kb, _BALL2, TraceKind.NORMAL, grid)
         assert cm.shape == (4, 2)
-        assert np.linalg.matrix_rank(cm.matrix) == 2
+        assert np.linalg.matrix_rank(cm) == 2
 
     def test_row_counts_per_kind(self):
         op = builtin_operator("sym_grad", 2)
@@ -89,9 +93,9 @@ class TestAssemble:
         op = builtin_operator("sym_grad", 2)
         kb = kernel_basis(op, 1)
         grid = sample_grid(_WAVY2, [7])
-        full = assemble_constraints(kb, _WAVY2, TraceKind.FULL, grid).matrix
-        normal = assemble_constraints(kb, _WAVY2, TraceKind.NORMAL, grid).matrix
-        tang = assemble_constraints(kb, _WAVY2, TraceKind.TANGENTIAL, grid).matrix
+        full = assemble_constraints(kb, _WAVY2, TraceKind.FULL, grid)
+        normal = assemble_constraints(kb, _WAVY2, TraceKind.NORMAL, grid)
+        tang = assemble_constraints(kb, _WAVY2, TraceKind.TANGENTIAL, grid)
         rebuilt = np.empty_like(full)
         for i, theta in enumerate(grid.thetas):
             nu = outward_normal(_WAVY2, theta)
@@ -118,6 +122,14 @@ class TestNumericNullspace:
         result = numeric_nullspace(np.zeros((4, 3)))
         assert result.dim == 3
         assert result.singular_values == pytest.approx([0.0, 0.0, 0.0])
+
+    def test_wide_matrix_pads_null_directions(self):
+        # One row against three columns: the two directions the row does
+        # not touch come from the full V, with zeros padding the spectrum.
+        result = numeric_nullspace(np.array([[1.0, 2.0, 3.0]]))
+        assert result.dim == 2
+        assert len(result.singular_values) == 3
+        assert np.abs(np.array([1.0, 2.0, 3.0]) @ result.vectors).max() < 1e-12
 
     def test_identity_gives_trivial_nullspace(self):
         result = numeric_nullspace(np.eye(3))
@@ -218,6 +230,23 @@ class TestClassifyVerdicts:
         verdict = classify(kb, _WAVY2, TraceKind.NORMAL, coarse, dense)
         assert verdict.tag == "A3"
         assert "coarse" in verdict.diagnostics.note
+
+    def test_a1_builds_no_dense_geometry(self, monkeypatch):
+        # A coarse A1 verdict never reaches the dense grid, so the only
+        # normals computed are the coarse ones.
+        calls = []
+        real = geometry.outward_normal
+
+        def counting(dom, theta):
+            calls.append(theta)
+            return real(dom, theta)
+
+        monkeypatch.setattr(geometry, "outward_normal", counting)
+        kb = kernel_basis(builtin_operator("dev_grad", 2), 1)
+        coarse, dense = _grids(_BALL2, [6])
+        verdict = classify(kb, _BALL2, TraceKind.NORMAL, coarse, dense)
+        assert verdict.tag == "A1"
+        assert len(calls) == len(coarse)
 
     def test_dense_grid_must_be_strictly_finer(self):
         op = builtin_operator("sym_grad", 2)
@@ -446,3 +475,61 @@ def test_rotation_survives_any_circle_grid(count, phase):
     cm = assemble_constraints(kb, _BALL2, TraceKind.NORMAL, grid)
     result = numeric_nullspace(cm)
     assert result.dim >= 1
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(name, n):
+    return kernel_basis(builtin_operator(name, n), 2)
+
+
+def _reference_magnitudes(rho, dom, kind, grid):
+    """Per-sample trace magnitudes, one point at a time through eval_poly."""
+    out = []
+    for theta in grid.thetas:
+        x = boundary_point(dom, theta)
+        v = np.array(eval_poly(rho, x))
+        nu = outward_normal(dom, theta)
+        if kind is TraceKind.NORMAL:
+            out.append(abs(float(v @ nu)))
+        elif kind is TraceKind.TANGENTIAL:
+            out.append(float(np.max(np.abs(v - float(v @ nu) * nu))))
+        else:
+            out.append(float(np.max(np.abs(v))))
+    return np.array(out)
+
+
+_DOMAINS = {
+    "disk": lambda c, a, m1, m2: StarDomain.ball(2, c),
+    "sine2d": lambda c, a, m1, m2: StarDomain.sine2d(c, a, m1),
+    "ball3": lambda c, a, m1, m2: StarDomain.ball(3, c),
+    "sine3d": lambda c, a, m1, m2: StarDomain.sine3d(c, a, m1, m2),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    operator=st.sampled_from(["sym_grad", "dev_sym_grad", "dev_grad"]),
+    family=st.sampled_from(sorted(_DOMAINS)),
+    kind=st.sampled_from(list(TraceKind)),
+    c=st.fractions(min_value=1, max_value=2, max_denominator=8),
+    a=st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=8),
+    m1=st.integers(min_value=1, max_value=4),
+    m2=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_trace_magnitudes_match_pointwise_reference(operator, family, kind, c, a, m1, m2, data):
+    """The batched evaluator agrees with evaluating each sample on its own."""
+    dom = _DOMAINS[family](c, a, m1, m2)
+    kb = _kernel(operator, dom.n)
+    weight = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    polys = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        rho = PolyVec.zero(kb.basis[0].basis, kb.basis[0].dimV)
+        for p in kb.basis:
+            rho = rho + p * data.draw(weight)
+        polys.append(rho)
+    grid = sample_grid(dom, [7] if dom.n == 2 else [4, 5])
+    got = trace_magnitudes(polys, kind, *grid_frame(dom, grid))
+    for j, rho in enumerate(polys):
+        ref = _reference_magnitudes(rho, dom, kind, grid)
+        assert np.max(np.abs(got[:, j] - ref)) <= 1e-13
