@@ -99,6 +99,16 @@ def build_operator(spec: dict) -> DiffOperator:
         raise ConfigError(f"config field operator: {exc}") from exc
 
 
+def _build_domain(spec: dict, n: int) -> StarDomain:
+    try:
+        dom = StarDomain.from_json(spec)
+    except (ValueError, OverflowError) as exc:  # OverflowError: exact value beyond float range
+        raise ConfigError(f"config field test.domain: {exc}") from exc
+    if dom.n != n:
+        raise ConfigError(f"config field test.domain.n: domain is in R^{dom.n}, operator in R^{n}")
+    return dom
+
+
 def _build_grids(test: dict, dom: StarDomain) -> tuple[SampleGrid, SampleGrid]:
     coarse_spec = test["coarse"]
     try:
@@ -204,11 +214,7 @@ def run_config(
     t0 = time.perf_counter()
     plots_info = None
     if test["kind"] == "boundary":
-        dom = StarDomain.from_json(test["domain"])
-        if dom.n != op.n:
-            raise ConfigError(
-                f"config field test.domain.n: domain is in R^{dom.n}, operator in R^{op.n}"
-            )
+        dom = _build_domain(test["domain"], op.n)
         kind = TraceKind.of(test["trace"])
         if kind is not TraceKind.FULL and op.dimV != dom.n:
             raise ConfigError(
@@ -225,11 +231,7 @@ def run_config(
             "dense_points": len(dense),
         }
     else:
-        dom = StarDomain.from_json(test["domain"]) if "domain" in test else None
-        if dom is not None and dom.n != op.n:
-            raise ConfigError(
-                f"config field test.domain.n: domain is in R^{dom.n}, operator in R^{op.n}"
-            )
+        dom = _build_domain(test["domain"], op.n) if "domain" in test else None
         points = _gather_points(test, op.n, dom, seed)
         verdict = point_measure_test(kb, points, sigma_rel=sigma_rel, tol=tol_dense)
         test_info = {

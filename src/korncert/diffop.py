@@ -16,6 +16,7 @@ rank drop produces an exact witness pair (xi, v) with A[xi] v = 0.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -276,25 +277,19 @@ def builtin_operator(name: str, n: int, order: int | None = None) -> DiffOperato
     if name == "grad_k":
         if order is None or order < 1:
             raise ValueError("grad_k needs an order >= 1")
-        basis_k = monomial_basis(n, order)
-        alphas = [mi for mi in basis_k.exponents if mi.order == order]
-        dim_w = n ** (order + 1)
+        # Output row (i, j_1..j_k), row-major, holds d_{j_1}..d_{j_k} u_i,
+        # so it belongs to the term whose alpha counts the j's.
+        rows = [
+            (i, tuple(js.count(l) for l in range(n)))
+            for i, *js in itertools.product(range(n), repeat=order + 1)
+        ]
+        alphas = [mi for mi in monomial_basis(n, order).exponents if mi.order == order]
         terms = []
         for alpha in alphas:
-            rows = [[Fraction(0)] * n for _ in range(dim_w)]
-            for row in range(dim_w):
-                digits = []
-                rest, i_comp = row, row // (n**order)
-                rest -= i_comp * (n**order)
-                for _ in range(order):
-                    rest, d = divmod(rest, n)
-                    digits.append(d)
-                counts = [0] * n
-                for d in digits:
-                    counts[d] += 1
-                if tuple(counts) == alpha.entries:
-                    rows[row][i_comp] = Fraction(1)
-            terms.append((alpha, rows))
+            matrix = [
+                [Fraction(int(k == i and c == alpha.entries)) for k in range(n)] for i, c in rows
+            ]
+            terms.append((alpha, matrix))
         return custom_operator(terms, name=f"grad_{order}")
     raise ValueError(f"unknown operator name: {name}")
 
@@ -447,50 +442,38 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
 
-    def rand_fraction() -> Fraction:
-        return Fraction(
-            rng.randint(-_PROBE_COEFF_BOUND, _PROBE_COEFF_BOUND),
-            rng.randint(1, _PROBE_COEFF_BOUND),
-        )
-
-    def rand_real_xi() -> list[ComplexRational]:
+    def rand_xi(parts: int) -> list[ComplexRational]:
+        # parts = 1 draws a real frequency, 2 a complex one (re, then im).
+        bound = _PROBE_COEFF_BOUND
         while True:
-            xi = [ComplexRational(rand_fraction()) for _ in range(A.n)]
+            draws = [
+                Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                for _ in range(parts * A.n)
+            ]
+            xi = [ComplexRational(*draws[c * parts : (c + 1) * parts]) for c in range(A.n)]
             if any(xi):
                 return xi
 
-    def rand_complex_xi() -> list[ComplexRational]:
-        while True:
-            xi = [ComplexRational(rand_fraction(), rand_fraction()) for _ in range(A.n)]
-            if any(xi):
-                return xi
-
+    i_unit = ComplexRational(Fraction(0), Fraction(1))
+    # (real?, xi) in a fixed order: every frequency is drawn and checked,
+    # so the random stream, and with it the witness, never depends on
+    # which earlier checks failed.
+    frequencies = [
+        (False, [CR_ONE if m == 0 else i_unit if m == j else CR_ZERO for m in range(A.n)])
+        for j in range(1, A.n)
+    ]
+    frequencies += [(False, rand_xi(2)) for _ in range(trials)]
+    frequencies += [(True, rand_xi(1)) for _ in range(trials)]
+    elliptic = c_elliptic = True
     witness: Witness | None = None
-    c_elliptic = True
-    for j in range(1, A.n):
-        xi = [CR_ZERO] * A.n
-        xi[0] = CR_ONE
-        xi[j] = ComplexRational(Fraction(0), Fraction(1))
+    for real, xi in frequencies:
         symbol = symbol_matrix(A, xi)
         if symbol.rank() < A.dimV:
+            # A real rank drop is also a complex one.
             c_elliptic = False
+            elliptic = elliptic and not real
             if witness is None:
                 witness = _witness_from(symbol)
-    for _ in range(trials):
-        symbol = symbol_matrix(A, rand_complex_xi())
-        if symbol.rank() < A.dimV:
-            c_elliptic = False
-            if witness is None:
-                witness = _witness_from(symbol)
-    elliptic = True
-    for _ in range(trials):
-        symbol = symbol_matrix(A, rand_real_xi())
-        if symbol.rank() < A.dimV:
-            elliptic = False
-            if witness is None:
-                witness = _witness_from(symbol)
-    if not elliptic:
-        c_elliptic = False
     return EllipticityReport(
         elliptic=elliptic,
         elliptic_trials=trials,

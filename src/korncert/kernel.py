@@ -3,7 +3,8 @@
 For an operator A of order k and a degree bound K, the space
 S = ker(A) intersected with degree-<= K polynomial fields is computed
 exactly: A acts linearly on coefficient vectors, the matrix of that
-action is assembled column by column over the graded-lex bases, and its
+action over the graded-lex bases has a closed form (each monomial
+derivative is a falling factorial times a lower monomial), and its
 rational nullspace is the kernel basis.  No sampling is involved, so the
 result is a certificate, not evidence.
 
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm, prod
 
 from . import linalg
-from .diffop import DiffOperator, apply_operator
-from .polyalg import PolyVec, format_poly, format_rational, monomial_basis
+from .diffop import DiffOperator
+from .polyalg import MultiIndex, PolyVec, format_poly, format_rational, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -58,43 +60,46 @@ def coefficient_matrix(A: DiffOperator, K: int) -> list[list[Fraction]]:
     """Matrix of p -> A p between coefficient spaces at degree bound K.
 
     Rows index output coefficients (dimW * |P_{K-k}|), columns input
-    coefficients (dimV * |P_K|), both in the PolyVec layout.
+    coefficients (dimV * |P_K|), both in the PolyVec layout.  Because
+
+        d^alpha x^beta = beta!/(beta - alpha)! x^(beta - alpha)   (beta >= alpha)
+
+    and 0 otherwise, the entry joining component v of x^beta to component
+    w of x^(beta - alpha) is beta!/(beta - alpha)! * A_alpha[w][v]; every
+    other entry is zero.  No entry is set twice: beta and beta - alpha
+    determine alpha.
     """
     source = monomial_basis(A.n, K)
-    m = A.dimV * source.size
-    target_size = A.dimW * monomial_basis(A.n, max(K - A.order, 0)).size
-    columns = []
+    target = monomial_basis(A.n, max(K - A.order, 0))
     zero = Fraction(0)
-    one = Fraction(1)
-    for col in range(m):
-        coeffs = [zero] * m
-        coeffs[col] = one
-        image = apply_operator(A, PolyVec(source, A.dimV, tuple(coeffs)))
-        columns.append(image.coeffs)
-    return [[columns[c][r] for c in range(m)] for r in range(target_size)]
+    rows = [[zero] * (A.dimV * source.size) for _ in range(A.dimW * target.size)]
+    for j, beta in enumerate(source.exponents):
+        for alpha, matrix in A.terms:
+            if not beta.dominates(alpha):
+                continue
+            factor = prod(perm(b, a) for b, a in zip(beta.entries, alpha.entries))
+            gamma = MultiIndex(tuple(b - a for b, a in zip(beta.entries, alpha.entries)))
+            t = target.index_of(gamma)
+            for w in range(A.dimW):
+                for v in range(A.dimV):
+                    if matrix[w][v] != 0:
+                        rows[t * A.dimW + w][j * A.dimV + v] = factor * matrix[w][v]
+    return rows
 
 
 def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
     """Exact basis of the degree-<= K polynomial kernel of A.
 
-    For K below the operator order every field is annihilated, so the
-    full coefficient space comes back.  Basis vectors follow the echelon
-    convention (first nonzero coefficient equal to one) and are uniquely
-    determined by A and K.
+    For K below the operator order every field is annihilated (the
+    coefficient matrix is zero), so the full coefficient space comes back.
+    Basis vectors follow the echelon convention (first nonzero coefficient
+    equal to one) and are uniquely determined by A and K.
     """
     if K < 0:
         raise ValueError(f"need K >= 0, got {K}")
     source = monomial_basis(A.n, K)
     m = A.dimV * source.size
-    if K < A.order:
-        eye = []
-        for col in range(m):
-            coeffs = [Fraction(0)] * m
-            coeffs[col] = Fraction(1)
-            eye.append(PolyVec(source, A.dimV, tuple(coeffs)))
-        return KernelBasis(operator=A, K=K, basis=tuple(eye), m=m, rank=0)
-    matrix = coefficient_matrix(A, K)
-    vectors = linalg.nullspace(matrix, m)
+    vectors = linalg.nullspace(coefficient_matrix(A, K), m)
     basis = tuple(PolyVec(source, A.dimV, tuple(v)) for v in vectors)
     return KernelBasis(operator=A, K=K, basis=basis, m=m, rank=m - len(basis))
 

@@ -80,7 +80,7 @@ def nullspace(
                 v[p] = zero - coeff
         lead = next(x for x in v if x != 0)
         if lead != one:
-            v = [x / lead for x in v]
+            v = [x / lead if x != 0 else zero for x in v]
         basis.append(v)
     return basis
 

@@ -35,25 +35,22 @@ _FACTOR_RE = re.compile(r"\*x(\d+)(?:\^(\d+))?")
 def parse_rational(value: int | str | Fraction | float) -> Fraction:
     """Coerce a config-level scalar to an exact Fraction.
 
-    Strings may be integers ("3"), ratios ("-3/2"), or decimals
-    ("0.25", "1e-3"); decimals go through float and keep that float's
-    exact binary value.
+    Strings may be integers ("3"), ratios ("-3/2"), or decimals ("0.1",
+    "1e-3"), and are read exactly: "0.1" is 1/10.  Floats keep their
+    exact binary value.  An unparseable string, a zero denominator
+    included, raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("boolean is not a rational scalar")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            return Fraction(text)
-        if any(ch in text for ch in ".eE"):
-            return Fraction(float(text))
-        return Fraction(int(text))
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
 
 

@@ -72,6 +72,38 @@ class TestExitCodes:
         assert code == 2
         assert "K" in capsys.readouterr().err
 
+    def test_low_degree_allowed_with_flag(self):
+        cfg = _base_config(K=0, allow_low_degree=True)
+        report, code = run_config(cfg)
+        assert code == 0
+        assert report["kernel"]["dim"] == report["kernel"]["ambient_dim"]
+        assert report["kernel"]["rank"] == 0
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("test.domain", "abc"),
+            ("test.domain", "1/0"),
+            ("test.domain", "1e999"),
+            ("operator", "1/0"),
+        ],
+    )
+    def test_unparseable_scalar_names_field(self, tmp_path, capsys, field, value):
+        cfg = _base_config()
+        if field == "operator":
+            cfg["operator"] = {
+                "terms": [
+                    {"alpha": [1, 0], "matrix": [[value]]},
+                    {"alpha": [0, 1], "matrix": [[1]]},
+                ]
+            }
+            cfg["test"]["trace"] = "full"
+        else:
+            cfg["test"]["domain"]["radial"]["c"] = value
+        code = main(["check", "--config", _write(tmp_path, cfg)])
+        assert code == 2
+        assert f"config field {field}:" in capsys.readouterr().err
+
     def test_degenerate_geometry(self, tmp_path, capsys):
         cfg = _base_config()
         cfg["test"]["domain"] = {"n": 2, "radial": {"family": "sine2d", "c": 1, "a": 2, "m": 2}}

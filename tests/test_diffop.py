@@ -20,7 +20,7 @@ from korncert.diffop import (
     operator_from_tensor4,
     symbol_matrix,
 )
-from korncert.polyalg import MultiIndex, PolyVec, eval_poly, monomial_basis
+from korncert.polyalg import MultiIndex, PolyVec, differentiate, eval_poly, monomial_basis
 
 
 class TestComplexRational:
@@ -85,6 +85,22 @@ class TestBuiltins:
         op = builtin_operator("grad_k", 2, order=3)
         assert (op.order, op.dimV, op.dimW) == (3, 2, 16)
         assert op.name == "grad_3"
+
+    def test_grad_k_rows_are_iterated_partials(self):
+        # Row i * n^k + (j_1..j_k read in base n) holds d_{j_1}..d_{j_k} u_i.
+        for n in (1, 2, 3):
+            for k in (1, 2, 3):
+                op = builtin_operator("grad_k", n, order=k)
+                basis = monomial_basis(n, k)
+                u = PolyVec(basis, n, tuple(Fraction(c + 1, 7) for c in range(n * basis.size)))
+                du = apply_operator(op, u)
+                for row in range(op.dimW):
+                    i, rest = divmod(row, n**k)
+                    alpha = [0] * n
+                    for _ in range(k):
+                        rest, j = divmod(rest, n)
+                        alpha[j] += 1
+                    assert du.coeffs[row] == differentiate(u, tuple(alpha)).coeffs[i]
 
     def test_sym_variants_need_n_at_least_2(self):
         for name in ("sym_grad", "dev_grad", "dev_sym_grad"):

@@ -6,14 +6,23 @@ and counts free parameters, so the two implementations share nothing
 but the operator definition.
 """
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from korncert.diffop import apply_operator, builtin_operator
+from korncert.cli import build_operator
+from korncert.diffop import (
+    apply_operator,
+    builtin_operator,
+    ellipticity_probe,
+    operator_from_tensor4,
+)
 from korncert.kernel import (
     coefficient_matrix,
     kernel_basis,
@@ -21,7 +30,9 @@ from korncert.kernel import (
     kernel_to_json,
 )
 from korncert.linalg import nullspace, rank, rref
-from korncert.polyalg import PolyVec, monomial_basis
+from korncert.polyalg import PolyVec, format_rational, monomial_basis
+
+_CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _in_span(vectors, v) -> bool:
@@ -79,6 +90,8 @@ class TestLinalg:
             first = next(c for c in v if c != 0)
             assert first == 1
             assert sum(m[0][j] * v[j] for j in range(3)) == 0
+        # Normalising keeps zero entries as one shared object.
+        assert len({id(c) for v in vecs for c in v if c == 0}) == 1
 
     def test_nullspace_of_empty_system(self):
         vecs = nullspace([], 2)
@@ -123,6 +136,10 @@ class TestKernelDimensions:
         kb = kernel_basis(op, 1)
         assert kb.dim == kb.m
         assert kb.rank == 0
+        # The echelon basis of the whole space is the unit vectors, in order.
+        assert [p.coeffs for p in kb.basis] == [
+            tuple(Fraction(int(c == col)) for c in range(kb.m)) for col in range(kb.m)
+        ]
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -204,12 +221,33 @@ class TestDimProfiles:
         assert profile.stabilized
 
 
+def _unit_vector_matrix(op, K: int) -> list[list[Fraction]]:
+    """Reference: column c is A applied to the c-th unit coefficient vector."""
+    source = monomial_basis(op.n, K)
+    m = op.dimV * source.size
+    units = [tuple(Fraction(int(c == col)) for c in range(m)) for col in range(m)]
+    columns = [apply_operator(op, PolyVec(source, op.dimV, u)).coeffs for u in units]
+    return [list(row) for row in zip(*columns)]
+
+
 class TestSerialization:
     def test_coefficient_matrix_shape(self):
-        op = builtin_operator("sym_grad", 2)
-        basis = monomial_basis(2, 1)
-        m = coefficient_matrix(op, 1)
-        assert len(m[0]) == 2 * basis.size
+        # A generic first-order operator on R^2: no symmetry, rational entries.
+        r = range(2)
+        tensor = [[[[Fraction(i + 2 * j - k, 1 + l) for l in r] for k in r] for j in r] for i in r]
+        ops = [operator_from_tensor4(tensor)]
+        for n in (2, 3):
+            for name in ("grad", "div", "sym_grad", "dev_grad", "dev_sym_grad"):
+                ops.append(builtin_operator(name, n))
+            ops += [builtin_operator("grad_k", n, order=k) for k in (2, 3)]
+        for op in ops:
+            for K in range(op.order + 3):
+                m = coefficient_matrix(op, K)
+                source = monomial_basis(op.n, K)
+                target = monomial_basis(op.n, max(K - op.order, 0))
+                assert len(m) == op.dimW * target.size
+                assert all(len(row) == op.dimV * source.size for row in m)
+                assert m == _unit_vector_matrix(op, K), (op.name, op.n, K)
 
     def test_kernel_to_json(self):
         kb = kernel_basis(builtin_operator("sym_grad", 2), 1)
@@ -219,6 +257,36 @@ class TestSerialization:
         for entry in obj["basis"]:
             assert isinstance(entry["pretty"], str)
             assert all(isinstance(c, str) for c in entry["coeffs"])
+
+
+# The exact layer's outputs, hashed: the ellipticity probe report and the
+# kernel_basis coefficients of every shipped config's operator at its K,
+# and of the benchmark's kernel-sweep operators at their degrees.  Any
+# change to a coefficient, a witness or the random stream moves the hash.
+_EXACT_LAYER_SHA256 = "a6c3dbad05cc08a71671182b17bd92a49d4b1e9df03a11deb4870e469b6f772a"
+_KERNEL_SWEEP = [
+    ("sym_grad", 3, None, (2, 3, 4)),
+    ("dev_sym_grad", 3, None, (2, 3, 4)),
+    ("dev_sym_grad", 2, None, (2, 4, 6, 8)),
+    ("div", 3, None, (1, 3, 5)),
+    ("grad_k", 2, 3, (3, 5, 7)),
+]
+
+
+def test_exact_layer_pin():
+    cases = []
+    for path in sorted(_CONFIG_DIR.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        cases.append((build_operator(cfg["operator"]), cfg["K"]))
+    for name, n, order, degrees in _KERNEL_SWEEP:
+        cases.extend((builtin_operator(name, n, order), K) for K in degrees)
+    h = hashlib.sha256()
+    for op, K in cases:
+        probe = ellipticity_probe(op).to_json()
+        h.update(json.dumps([op.name, op.n, K, probe], sort_keys=True).encode())
+        for p in kernel_basis(op, K).basis:
+            h.update(json.dumps([format_rational(c) for c in p.coeffs]).encode())
+    assert h.hexdigest() == _EXACT_LAYER_SHA256
 
 
 # -- property suite ----------------------------------------------------

@@ -30,9 +30,18 @@ class TestRationals:
         assert parse_rational(Fraction(9, 4)) == Fraction(9, 4)
         assert parse_rational(0.5) == Fraction(1, 2)
 
+    def test_decimal_strings_are_exact(self):
+        assert parse_rational("0.1") == Fraction(1, 10)
+        assert parse_rational(" 1e-3 ") == Fraction(1, 1000)
+        assert parse_rational("-2.5E2") == Fraction(-250)
+        # Floats keep their binary value, which a decimal string rounds to.
+        assert parse_rational(0.1) == Fraction(0.1) != Fraction(1, 10)
+        assert float(parse_rational("0.1")) == 0.1
+
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_rational("two thirds")
+        for text in ("two thirds", "abc", "1/0", "0/0", ""):
+            with pytest.raises(ValueError):
+                parse_rational(text)
 
     def test_format_small_denominator(self):
         assert format_rational(Fraction(-3, 7)) == "-3/7"
