@@ -61,7 +61,6 @@ from .polyalg import (
     format_poly,
     format_rational,
     monomial_basis,
-    parse_poly,
     parse_rational,
 )
 
@@ -108,7 +107,6 @@ __all__ = [
     "operator_from_json",
     "operator_from_tensor4",
     "outward_normal",
-    "parse_poly",
     "parse_rational",
     "point_measure_test",
     "sample_grid",

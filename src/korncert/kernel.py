@@ -8,17 +8,27 @@ derivative is a falling factorial times a lower monomial), and its
 rational nullspace is the kernel basis.  No sampling is involved, so the
 result is a certificate, not evidence.
 
-C-elliptic operators have finite-dimensional polynomial kernels whose
-dimension stabilizes once K is large enough; kernel_dim_profile exposes
-that stabilization, which corroborates (or refutes) the randomized
-symbol probe from diffop.
+A is homogeneous of order k, so it maps degree-d fields to degree-(d-k)
+fields only.  In the graded-lex layout each degree is one contiguous
+column range, the coefficient matrix is block-diagonal by degree, and
+the kernel is eliminated one degree block at a time.
+
+The dimension profile is exact evidence, not a heuristic.  The kernel
+splits by degree, and each partial derivative d_i commutes with A, so it
+maps ker A into ker A.  Suppose the degree-d block has a trivial kernel.
+A homogeneous degree-(d+1) kernel field then has every d_i of it in the
+degree-d kernel, hence zero, so it is a constant of degree >= 1: zero.
+By induction there is no kernel in any degree >= d.  A stabilized
+profile (two equal consecutive entries, that is, one trivial block)
+therefore shows that the degree-<= K kernel is the whole kernel of A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm, prod
+from itertools import accumulate
+from math import comb, perm, prod
 
 from . import linalg
 from .diffop import DiffOperator
@@ -87,28 +97,56 @@ def coefficient_matrix(A: DiffOperator, K: int) -> list[list[Fraction]]:
     return rows
 
 
+def _degree_blocks(A: DiffOperator, K: int):
+    """Yield (column offset, column count, block rows) for d = 0..K.
+
+    The block of degree d joins the degree-d columns to the degree-(d-k)
+    rows of coefficient_matrix(A, K); it has no rows when d < k.  Every
+    entry outside the blocks is zero.
+    """
+    matrix = coefficient_matrix(A, K)
+    col = row = 0
+    for d in range(K + 1):
+        cols = A.dimV * comb(A.n - 1 + d, d)
+        rows = A.dimW * comb(A.n - 1 + d - A.order, d - A.order) if d >= A.order else 0
+        yield col, cols, [r[col : col + cols] for r in matrix[row : row + rows]]
+        col += cols
+        row += rows
+
+
 def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
     """Exact basis of the degree-<= K polynomial kernel of A.
 
-    For K below the operator order every field is annihilated (the
-    coefficient matrix is zero), so the full coefficient space comes back.
-    Basis vectors follow the echelon convention (first nonzero coefficient
-    equal to one) and are uniquely determined by A and K.
+    Elimination runs on each degree block of the coefficient matrix
+    separately, and each block vector is padded with zeros to the full
+    coefficient length.  The reduced echelon form is unique, so this is
+    the nullspace of the whole matrix, in the same order.  For K below
+    the operator order every field is annihilated (the blocks have no
+    rows), so the full coefficient space comes back.  Basis vectors
+    follow the echelon convention (first nonzero coefficient equal to
+    one) and are uniquely determined by A and K.
     """
     if K < 0:
         raise ValueError(f"need K >= 0, got {K}")
     source = monomial_basis(A.n, K)
     m = A.dimV * source.size
-    vectors = linalg.nullspace(coefficient_matrix(A, K), m)
-    basis = tuple(PolyVec(source, A.dimV, tuple(v)) for v in vectors)
-    return KernelBasis(operator=A, K=K, basis=basis, m=m, rank=m - len(basis))
+    zero = Fraction(0)
+    basis = []
+    for col, cols, block in _degree_blocks(A, K):
+        for v in linalg.nullspace(block, cols, zero=zero):
+            coeffs = [zero] * m
+            coeffs[col : col + cols] = v
+            basis.append(PolyVec(source, A.dimV, tuple(coeffs)))
+    return KernelBasis(operator=A, K=K, basis=tuple(basis), m=m, rank=m - len(basis))
 
 
 def kernel_dim_profile(A: DiffOperator, K_max: int) -> DimProfile:
-    """Kernel dimension at each degree bound K = 0..K_max."""
+    """Kernel dimension at each degree bound K = 0..K_max: a running sum
+    of the nullities of the degree blocks, from one coefficient matrix."""
     if K_max < 0:
         raise ValueError(f"need K_max >= 0, got {K_max}")
-    return DimProfile(dims=tuple(kernel_basis(A, K).dim for K in range(K_max + 1)))
+    nullities = (cols - linalg.rank(block, cols) for _, cols, block in _degree_blocks(A, K_max))
+    return DimProfile(dims=tuple(accumulate(nullities)))
 
 
 def kernel_to_json(kb: KernelBasis) -> dict:

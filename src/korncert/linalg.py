@@ -3,9 +3,13 @@
 Routines accept any scalar type closed under +, -, *, / with exact
 equality against 0; Fraction and ComplexRational both qualify.  Pivots
 are chosen by largest magnitude (abs for orderable scalars, a norm2()
-method otherwise).  Inputs are never mutated and results are fully
-deterministic: the reduced echelon form is unique, and nullspace vectors
-are normalised so their first nonzero entry is one.
+method otherwise).  Row updates skip zero entries: a zero stays the
+object it was, and a pivot row's zero leaves the other row's entry as it
+is.  The values are those of the plain loop, at a cost that follows the
+nonzeros, which suits the sparse coefficient blocks kernel.kernel_basis
+eliminates one degree at a time.  Inputs are never mutated and results
+are fully deterministic: the reduced echelon form is unique, and
+nullspace vectors are normalised so their first nonzero entry is one.
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ def rref(matrix: Sequence[Sequence[T]], ncols: int) -> tuple[list[list[T]], list
             continue
         rows[rank], rows[best] = rows[best], rows[rank]
         piv = rows[rank][col]
-        rows[rank] = [v / piv for v in rows[rank]]
+        rows[rank] = [v / piv if v != 0 else v for v in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col] != 0:
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+                rows[i] = [a - f * b if b != 0 else a for a, b in zip(rows[i], rows[rank])]
         pivots.append(col)
         rank += 1
         if rank == len(rows):

@@ -14,7 +14,6 @@ a polynomial is evaluated at a float point.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,9 +26,6 @@ Rational = Fraction
 # rationals stay exact in text; float-derived coefficients (huge binary
 # denominators) print as shortest round-tripping decimals.
 _PRETTY_DENOMINATOR_LIMIT = 10**12
-
-_TERM_RE = re.compile(r"^\(([^()]+)\)((?:\*x\d+(?:\^\d+)?)*) e_(\d+)$")
-_FACTOR_RE = re.compile(r"\*x(\d+)(?:\^(\d+))?")
 
 
 def parse_rational(value: int | str | Fraction | float) -> Fraction:
@@ -323,27 +319,3 @@ def format_poly(p: PolyVec) -> str:
             )
             parts.append(f"({format_rational(q)}){factors} e_{c + 1}")
     return " + ".join(parts) if parts else "0"
-
-
-def parse_poly(text: str, basis: MonomialBasis, dimV: int) -> PolyVec:
-    """Inverse of format_poly over the given basis."""
-    text = text.strip()
-    if text == "0":
-        return PolyVec.zero(basis, dimV)
-    coeffs = [Fraction(0)] * (dimV * basis.size)
-    for chunk in text.split(" + "):
-        m = _TERM_RE.match(chunk.strip())
-        if m is None:
-            raise ValueError(f"unparseable term: {chunk!r}")
-        coeff = parse_rational(m.group(1))
-        entries = [0] * basis.n
-        for var, power in _FACTOR_RE.findall(m.group(2)):
-            i = int(var) - 1
-            if not 0 <= i < basis.n:
-                raise ValueError(f"variable x{var} outside 1..{basis.n}")
-            entries[i] += int(power) if power else 1
-        comp = int(m.group(3)) - 1
-        if not 0 <= comp < dimV:
-            raise ValueError(f"component e_{m.group(3)} outside 1..{dimV}")
-        coeffs[basis.index_of(MultiIndex(tuple(entries))) * dimV + comp] += coeff
-    return PolyVec(basis, dimV, tuple(coeffs))

@@ -16,10 +16,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import korncert.kernel
 from korncert.cli import build_operator
 from korncert.diffop import (
+    CR_ONE,
+    CR_ZERO,
+    ComplexRational,
     apply_operator,
     builtin_operator,
+    custom_operator,
     ellipticity_probe,
     operator_from_tensor4,
 )
@@ -33,6 +38,29 @@ from korncert.linalg import nullspace, rank, rref
 from korncert.polyalg import PolyVec, format_rational, monomial_basis
 
 _CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _operator_grid():
+    """Every builtin at n = 2, 3 (grad_k at orders 1-3), a non-symmetric
+    first-order tensor4 operator and a second-order custom operator."""
+    r = range(2)
+    tensor = [[[[Fraction(i + 2 * j - k, 1 + l) for l in r] for k in r] for j in r] for i in r]
+    ops = [
+        operator_from_tensor4(tensor),
+        custom_operator(
+            [
+                ((2, 0), [[1, 0], [0, Fraction(1, 2)]]),
+                ((1, 1), [[0, 1], [-1, 0]]),
+                ((0, 2), [[1, 0], [0, 1]]),
+            ],
+            name="custom2",
+        ),
+    ]
+    for n in (2, 3):
+        for name in ("grad", "div", "sym_grad", "dev_grad", "dev_sym_grad"):
+            ops.append(builtin_operator(name, n))
+        ops += [builtin_operator("grad_k", n, order=k) for k in (1, 2, 3)]
+    return ops
 
 
 def _in_span(vectors, v) -> bool:
@@ -188,6 +216,18 @@ class TestKernelContents:
         assert apply_operator(op, rho).is_zero
         assert _in_span([b.coeffs for b in kb.basis], rho.coeffs)
 
+    def test_block_elimination_matches_whole_matrix(self):
+        # Reference: the nullspace of the whole coefficient matrix.
+        for op in _operator_grid():
+            for K in range(op.order + 4):
+                m = op.dimV * monomial_basis(op.n, K).size
+                whole = nullspace(coefficient_matrix(op, K), m)
+                kb = kernel_basis(op, K)
+                assert (kb.m, kb.rank) == (m, m - len(whole)), (op.name, op.n, K)
+                assert [[format_rational(c) for c in p.coeffs] for p in kb.basis] == [
+                    [format_rational(c) for c in v] for v in whole
+                ], (op.name, op.n, K)
+
     def test_kernel_inclusion_across_degrees(self):
         op = builtin_operator("sym_grad", 2)
         kb1 = kernel_basis(op, 1)
@@ -215,6 +255,18 @@ class TestDimProfiles:
         for K, dim in enumerate(profile.dims):
             assert dim == sympy_kernel_dim(op, K)
 
+    def test_profile_is_the_running_kernel_dimension(self, monkeypatch):
+        real = korncert.kernel.kernel_basis
+        calls = []
+        monkeypatch.setattr(
+            korncert.kernel, "kernel_basis", lambda *args: calls.append(args) or real(*args)
+        )
+        for op in _operator_grid():
+            K = op.order + 3
+            profile = kernel_dim_profile(op, K)
+            assert calls == [], "kernel_dim_profile called kernel_basis"
+            assert list(profile.dims) == [real(op, k).dim for k in range(K + 1)], (op.name, op.n)
+
     def test_dev_sym_grad_3d_profile(self):
         profile = kernel_dim_profile(builtin_operator("dev_sym_grad", 3), 3)
         assert profile.dims == (3, 7, 10, 10)
@@ -232,15 +284,7 @@ def _unit_vector_matrix(op, K: int) -> list[list[Fraction]]:
 
 class TestSerialization:
     def test_coefficient_matrix_shape(self):
-        # A generic first-order operator on R^2: no symmetry, rational entries.
-        r = range(2)
-        tensor = [[[[Fraction(i + 2 * j - k, 1 + l) for l in r] for k in r] for j in r] for i in r]
-        ops = [operator_from_tensor4(tensor)]
-        for n in (2, 3):
-            for name in ("grad", "div", "sym_grad", "dev_grad", "dev_sym_grad"):
-                ops.append(builtin_operator(name, n))
-            ops += [builtin_operator("grad_k", n, order=k) for k in (2, 3)]
-        for op in ops:
+        for op in _operator_grid():
             for K in range(op.order + 3):
                 m = coefficient_matrix(op, K)
                 source = monomial_basis(op.n, K)
@@ -305,3 +349,53 @@ def test_kernel_is_closed_under_combinations(data):
         term = w * p
         acc = term if acc is None else acc + term
     assert apply_operator(op, acc).is_zero
+
+
+def _dense_rref(matrix, ncols):
+    """Reference: the elimination loop that updates every entry."""
+    rows = [list(r) for r in matrix]
+    pivots = []
+    rank_ = 0
+    for col in range(ncols):
+        best, best_size = None, None
+        for i in range(rank_, len(rows)):
+            if rows[i][col] != 0:
+                x = rows[i][col]
+                size = x.norm2() if isinstance(x, ComplexRational) else abs(x)
+                if best is None or size > best_size:
+                    best, best_size = i, size
+        if best is None:
+            continue
+        rows[rank_], rows[best] = rows[best], rows[rank_]
+        piv = rows[rank_][col]
+        rows[rank_] = [v / piv for v in rows[rank_]]
+        for i in range(len(rows)):
+            if i != rank_ and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank_])]
+        pivots.append(col)
+        rank_ += 1
+        if rank_ == len(rows):
+            break
+    return rows, pivots
+
+
+# Mostly zeros, as in the coefficient blocks.
+_sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), _coords)
+_complex = st.builds(ComplexRational, _sparse, _sparse)
+
+
+@pytest.mark.parametrize(
+    "entries,zero,one",
+    [(_sparse, Fraction(0), Fraction(1)), (_complex, CR_ZERO, CR_ONE)],
+    ids=["fraction", "complex"],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rref_skipping_zeros_matches_dense_loop(entries, zero, one, data):
+    ncols = data.draw(st.integers(1, 7))
+    matrix = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=6))
+    assert rref(matrix, ncols) == _dense_rref(matrix, ncols)
+    for v in nullspace(matrix, ncols, zero=zero, one=one):
+        for row in matrix:
+            assert sum((a * b for a, b in zip(row, v)), zero) == 0

@@ -1,6 +1,7 @@
 """Exact polynomial algebra: bases, arithmetic, differentiation,
 formatting round trips."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -16,9 +17,29 @@ from korncert.polyalg import (
     format_poly,
     format_rational,
     monomial_basis,
-    parse_poly,
     parse_rational,
 )
+
+_TERM_RE = re.compile(r"^\(([^()]+)\)((?:\*x\d+(?:\^\d+)?)*) e_(\d+)$")
+_FACTOR_RE = re.compile(r"\*x(\d+)(?:\^(\d+))?")
+
+
+def parse_poly(text: str, basis, dimV: int) -> PolyVec:
+    """Inverse of format_poly over the given basis."""
+    text = text.strip()
+    if text == "0":
+        return PolyVec.zero(basis, dimV)
+    coeffs = [Fraction(0)] * (dimV * basis.size)
+    for chunk in text.split(" + "):
+        m = _TERM_RE.match(chunk.strip())
+        if m is None:
+            raise ValueError(f"unparseable term: {chunk!r}")
+        entries = [0] * basis.n
+        for var, power in _FACTOR_RE.findall(m.group(2)):
+            entries[int(var) - 1] += int(power) if power else 1
+        comp = int(m.group(3)) - 1
+        coeffs[basis.index_of(MultiIndex(tuple(entries))) * dimV + comp] += parse_rational(m.group(1))
+    return PolyVec(basis, dimV, tuple(coeffs))
 
 
 class TestRationals:
