@@ -9,11 +9,15 @@ positive x3-axis and azimuth theta2 in 3D).  Radial families:
     sine2d          r = c + a*sin(m*theta)
     sine3d          r = c + a*sin(m1*theta1)*sin(m2*theta2)
 
-Construction validates strict positivity of r on a dense angular grid
-(10^4 samples per coordinate).  Outward unit normals come from analytic
-tangent frames, never finite differences; 3D sample grids offset the
-polar angle by half a step so the poles (where the frame degenerates)
-are never hit.
+Construction checks that r is strictly positive through its exact
+minimum: c for balls and for a zero frequency, else c - |a|, since a
+nonzero frequency makes the sine factor (or the product of the two)
+cover [-1, 1].  Points and outward unit normals come from analytic
+tangent frames, never finite differences, computed for a whole sample
+grid at once in numpy array operations; boundary_point and
+outward_normal are one-row calls of the same code.  3D sample grids
+offset the polar angle by half a step so the poles (where the frame
+degenerates) are never hit.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .polyalg import parse_rational
 
 TWO_PI = 2.0 * math.pi
 
-_VALIDATION_SAMPLES = 10**4
 _FRAME_TOL = 1e-14
 
 
@@ -60,50 +63,20 @@ class StarDomain:
             raise GeometryError(f"unknown radial family: {self.family}")
         if expected_n != self.n:
             raise GeometryError(f"family {self.family} requires n = {expected_n}")
-        rmin = self._min_radius_on_validation_grid()
+        # The exact minimum of r.  A nonzero frequency m makes sin(m theta)
+        # cover [-1, 1] over [0, 2 pi); in 3D the polar factor over [0, pi]
+        # reaches 1 or -1 as well, so a*s1*s2 covers [-|a|, |a|].  A zero
+        # frequency leaves r = c.
+        if self.family == "constant" or self.m1 == 0 or (self.n == 3 and self.m2 == 0):
+            rmin = self.c
+        else:
+            rmin = self.c - abs(self.a)
         if not rmin > 0.0:
-            raise GeometryError(
-                f"radial function reaches {rmin:.6g} <= 0 on the validation grid"
-            )
-
-    # -- radial function and derivatives -------------------------------
+            raise GeometryError(f"radial function reaches its minimum {rmin:.6g} <= 0")
 
     def radius(self, theta: Sequence[float]) -> float:
-        if self.family == "constant":
-            return self.c
-        if self.family == "sine2d":
-            return self.c + self.a * math.sin(self.m1 * theta[0])
-        return self.c + self.a * math.sin(self.m1 * theta[0]) * math.sin(self.m2 * theta[1])
-
-    def radius_gradient(self, theta: Sequence[float]) -> tuple[float, ...]:
-        """Partial derivatives of r with respect to each angle."""
-        if self.family == "constant":
-            return (0.0,) * (self.n - 1)
-        if self.family == "sine2d":
-            return (self.a * self.m1 * math.cos(self.m1 * theta[0]),)
-        t1, t2 = theta[0], theta[1]
-        return (
-            self.a * self.m1 * math.cos(self.m1 * t1) * math.sin(self.m2 * t2),
-            self.a * self.m2 * math.sin(self.m1 * t1) * math.cos(self.m2 * t2),
-        )
-
-    def _min_radius_on_validation_grid(self) -> float:
-        if self.family == "constant":
-            return self.c
-        if self.family == "sine2d":
-            grid = np.linspace(0.0, TWO_PI, _VALIDATION_SAMPLES, endpoint=False)
-            return float(np.min(self.c + self.a * np.sin(self.m1 * grid)))
-        # The product grid has 10^8 points, but min(a*s1*s2) over a product
-        # of grids is attained at extreme factor pairs, so four candidates
-        # reproduce the exact grid minimum.
-        g1 = np.sin(self.m1 * np.linspace(0.0, math.pi, _VALIDATION_SAMPLES))
-        g2 = np.sin(self.m2 * np.linspace(0.0, TWO_PI, _VALIDATION_SAMPLES, endpoint=False))
-        corners = [
-            self.a * s1 * s2
-            for s1 in (float(g1.min()), float(g1.max()))
-            for s2 in (float(g2.min()), float(g2.max()))
-        ]
-        return self.c + min(corners)
+        """r at one angle tuple."""
+        return float(_polar(self, _as_angles(self, theta))[0][0])
 
     # -- constructors ---------------------------------------------------
 
@@ -144,65 +117,80 @@ class StarDomain:
         return {"n": self.n, "radial": radial}
 
 
-def _as_angles(dom: StarDomain, theta) -> tuple[float, ...]:
+def _as_angles(dom: StarDomain, theta) -> np.ndarray:
+    """One angle tuple as a (1, n - 1) row for the array code."""
     if isinstance(theta, (int, float)):
         angles = (float(theta),)
     else:
         angles = tuple(float(t) for t in theta)
     if len(angles) != dom.n - 1:
         raise ValueError(f"expected {dom.n - 1} angles for n = {dom.n}, got {len(angles)}")
-    return angles
+    return np.array([angles])
 
 
-def _direction(dom: StarDomain, angles: tuple[float, ...]) -> np.ndarray:
+def _polar(dom: StarDomain, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """r, the unit direction u, and per angle k the partials (dr/dtheta_k,
+    du/dtheta_k), at every row of an (npoints, n - 1) angle array."""
+    # A ball is the zero perturbation: r = c + 0.0 and dr = 0.0 exactly.
+    a, m1, m2 = (0.0, 0, 0) if dom.family == "constant" else (dom.a, dom.m1, dom.m2)
     if dom.n == 2:
-        t = angles[0]
-        return np.array([math.cos(t), math.sin(t)])
-    t1, t2 = angles
-    return np.array(
-        [math.sin(t1) * math.cos(t2), math.sin(t1) * math.sin(t2), math.cos(t1)]
-    )
+        t = angles[:, 0]
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        u = np.stack([cos_t, sin_t], axis=1)
+        du = np.stack([-sin_t, cos_t], axis=1)
+        return dom.c + a * np.sin(m1 * t), u, [(a * m1 * np.cos(m1 * t), du)]
+    t1, t2 = angles[:, 0], angles[:, 1]
+    s1, c1 = np.sin(t1), np.cos(t1)
+    s2, c2 = np.sin(t2), np.cos(t2)
+    u = np.stack([s1 * c2, s1 * s2, c1], axis=1)
+    du1 = np.stack([c1 * c2, c1 * s2, -s1], axis=1)
+    du2 = np.stack([-s1 * s2, s1 * c2, np.zeros(len(t1))], axis=1)
+    sin_m1, sin_m2 = np.sin(m1 * t1), np.sin(m2 * t2)
+    r = dom.c + a * sin_m1 * sin_m2
+    dr1 = a * m1 * np.cos(m1 * t1) * sin_m2
+    dr2 = a * m2 * sin_m1 * np.cos(m2 * t2)
+    return r, u, [(dr1, du1), (dr2, du2)]
 
 
-def boundary_point(dom: StarDomain, theta) -> np.ndarray:
-    """x(theta) = r(theta) * u(theta) on the boundary."""
-    angles = _as_angles(dom, theta)
-    return dom.radius(angles) * _direction(dom, angles)
+def _row_dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p[i] @ q[i] for every row, through the same dot routine as the
+    1-D product (np.linalg.norm of a row, ``row @ row``), so the bits match."""
+    return (p[:, None, :] @ q[:, :, None])[:, 0, 0]
 
 
-def outward_normal(dom: StarDomain, theta) -> np.ndarray:
-    """Unit outward normal from the analytic tangent frame.
+def _frame(dom: StarDomain, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary points x = r u and unit outward normals from the analytic
+    tangent frame, at every row of an (npoints, n - 1) angle array.
 
     Raises GeometryError when the frame degenerates (e.g. at the 3D
     poles); grids built by sample_grid never hit those angles.
     """
-    angles = _as_angles(dom, theta)
-    r = dom.radius(angles)
-    dr = dom.radius_gradient(angles)
-    x = r * _direction(dom, angles)
+    r, u, partials = _polar(dom, angles)
+    xs = r[:, None] * u
+    tangents = [dr[:, None] * u + r[:, None] * du for dr, du in partials]
     if dom.n == 2:
-        t = angles[0]
-        u = np.array([math.cos(t), math.sin(t)])
-        du = np.array([-math.sin(t), math.cos(t)])
-        tangent = dr[0] * u + r * du
-        normal = np.array([tangent[1], -tangent[0]])
+        normals = np.stack([tangents[0][:, 1], -tangents[0][:, 0]], axis=1)
     else:
-        t1, t2 = angles
-        s1, c1 = math.sin(t1), math.cos(t1)
-        s2, c2 = math.sin(t2), math.cos(t2)
-        u = np.array([s1 * c2, s1 * s2, c1])
-        du1 = np.array([c1 * c2, c1 * s2, -s1])
-        du2 = np.array([-s1 * s2, s1 * c2, 0.0])
-        tangent1 = dr[0] * u + r * du1
-        tangent2 = dr[1] * u + r * du2
-        normal = np.cross(tangent1, tangent2)
-    length = float(np.linalg.norm(normal))
-    if length < _FRAME_TOL:
-        raise GeometryError(f"degenerate tangent frame at theta = {angles}")
-    normal = normal / length
-    if float(normal @ x) < 0.0:
-        normal = -normal
-    return normal
+        normals = np.cross(tangents[0], tangents[1])
+    lengths = np.sqrt(_row_dots(normals, normals))
+    degenerate = lengths < _FRAME_TOL
+    if degenerate.any():
+        at = tuple(float(t) for t in angles[np.argmax(degenerate)])
+        raise GeometryError(f"degenerate tangent frame at theta = {at}")
+    normals = normals / lengths[:, None]
+    inward = _row_dots(normals, xs) < 0.0
+    return xs, np.where(inward[:, None], -normals, normals)
+
+
+def boundary_point(dom: StarDomain, theta) -> np.ndarray:
+    """x(theta) = r(theta) * u(theta) on the boundary."""
+    r, u, _ = _polar(dom, _as_angles(dom, theta))
+    return r[0] * u[0]
+
+
+def outward_normal(dom: StarDomain, theta) -> np.ndarray:
+    """Unit outward normal at one angle tuple: a one-row grid_frame."""
+    return _frame(dom, _as_angles(dom, theta))[1][0]
 
 
 @dataclass(frozen=True)
@@ -265,12 +253,10 @@ def sample_grid(
 
 def grid_frame(dom: StarDomain, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
     """Boundary points and unit outward normals at every grid sample,
-    each as an (npoints, n) array in grid order."""
+    each as an (npoints, n) array in grid order, in one array pass."""
     if len(grid) == 0:
         raise ValueError("empty sample grid")
-    xs = np.array([boundary_point(dom, t) for t in grid.thetas])
-    nus = np.array([outward_normal(dom, t) for t in grid.thetas])
-    return xs, nus
+    return _frame(dom, np.array(grid.thetas, dtype=float))
 
 
 def interior_points(dom: StarDomain, count: int, seed: int = 0) -> list[np.ndarray]:
@@ -278,15 +264,16 @@ def interior_points(dom: StarDomain, count: int, seed: int = 0) -> list[np.ndarr
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = random.Random(seed)
-    points = []
+    draws = []
     for _ in range(count):
         if dom.n == 2:
             angles = (rng.uniform(0.0, TWO_PI),)
         else:
             angles = (rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI))
-        rho = rng.random()
-        points.append(rho * dom.radius(angles) * _direction(dom, angles))
-    return points
+        draws.append((*angles, rng.random()))
+    table = np.array(draws, dtype=float).reshape(count, dom.n)
+    r, u, _ = _polar(dom, table[:, :-1])
+    return list((table[:, -1] * r)[:, None] * u)
 
 
 def line_points(p0: Sequence[float], direction: Sequence[float], count: int, extent: float) -> list[np.ndarray]:

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from korncert.geometry import (
     GeometryError,
     StarDomain,
+    SampleGrid,
     boundary_point,
+    grid_frame,
     interior_points,
     line_points,
     outward_normal,
@@ -61,6 +63,17 @@ class TestDomains:
             StarDomain.sine2d(1, 2, 2)
         with pytest.raises(GeometryError):
             StarDomain.sine3d(1, 2, 2, 3)
+        # min r = c - |a| = 0: the boundary touches the origin.
+        with pytest.raises(GeometryError):
+            StarDomain.sine3d(1, 1, 3, 5)
+        with pytest.raises(GeometryError):
+            StarDomain.sine2d(1, 1, 7)
+        # r(pi/2, 3 pi/2) = -5e-9.
+        with pytest.raises(GeometryError):
+            StarDomain.sine3d(1, 1.000000005, 1, 1)
+        StarDomain.sine2d(1, 0.999, 7)
+        StarDomain.sine3d(1, 0.999, 3, 5)
+        StarDomain.sine3d(1, -0.999, 1, 1)
 
     def test_json_round_trip(self):
         for dom in (
@@ -156,6 +169,16 @@ class TestNormals:
         dom = StarDomain.ball(3)
         with pytest.raises(GeometryError):
             outward_normal(dom, (0.0, 0.3))
+
+    def test_grid_with_a_pole_sample_degenerates(self):
+        dom = StarDomain.ball(3)
+        grid = SampleGrid(
+            thetas=((0.5, 0.3), (0.0, 0.3), (1.0, 0.3)),
+            counts=(3, 1),
+            ranges=((0.0, math.pi), (0.0, 2 * math.pi)),
+        )
+        with pytest.raises(GeometryError):
+            grid_frame(dom, grid)
 
 
 class TestSampleGrids:
@@ -263,3 +286,106 @@ def test_normal_invariants_3d_property(theta1, theta2):
     x = boundary_point(dom, (theta1, theta2))
     assert abs(float(np.linalg.norm(nu)) - 1.0) < 1e-12
     assert float(nu @ x) > 0.0
+
+
+# -- the array frame against the per-sample formulas -------------------
+
+
+def _reference_polar(dom, theta):
+    """r, its angular partials and u at one angle tuple, with math trig."""
+    if dom.family == "constant":
+        r = dom.c
+        dr = (0.0,) * len(theta)
+    elif dom.n == 2:
+        r = dom.c + dom.a * math.sin(dom.m1 * theta[0])
+        dr = (dom.a * dom.m1 * math.cos(dom.m1 * theta[0]),)
+    else:
+        t1, t2 = theta
+        r = dom.c + dom.a * math.sin(dom.m1 * t1) * math.sin(dom.m2 * t2)
+        dr = (
+            dom.a * dom.m1 * math.cos(dom.m1 * t1) * math.sin(dom.m2 * t2),
+            dom.a * dom.m2 * math.sin(dom.m1 * t1) * math.cos(dom.m2 * t2),
+        )
+    if dom.n == 2:
+        u = np.array([math.cos(theta[0]), math.sin(theta[0])])
+    else:
+        s1, c1 = math.sin(theta[0]), math.cos(theta[0])
+        u = np.array([s1 * math.cos(theta[1]), s1 * math.sin(theta[1]), c1])
+    return r, dr, u
+
+
+def _reference_frame(dom, theta):
+    """The per-sample frame with math trig, per-row np.cross and
+    np.linalg.norm: the formulas grid_frame evaluates on whole arrays."""
+    r, dr, u = _reference_polar(dom, theta)
+    if dom.n == 2:
+        t = theta[0]
+        tangent = dr[0] * u + r * np.array([-math.sin(t), math.cos(t)])
+        normal = np.array([tangent[1], -tangent[0]])
+    else:
+        s1, c1 = math.sin(theta[0]), math.cos(theta[0])
+        s2, c2 = math.sin(theta[1]), math.cos(theta[1])
+        tangent1 = dr[0] * u + r * np.array([c1 * c2, c1 * s2, -s1])
+        tangent2 = dr[1] * u + r * np.array([-s1 * s2, s1 * c2, 0.0])
+        normal = np.cross(tangent1, tangent2)
+    x = r * u
+    normal = normal / float(np.linalg.norm(normal))
+    if float(normal @ x) < 0.0:
+        normal = -normal
+    return x, normal
+
+
+@st.composite
+def _domains(draw):
+    n = draw(st.sampled_from([2, 3]))
+    c = draw(st.floats(min_value=0.5, max_value=3.0))
+    family = draw(st.sampled_from(["constant", "sine2d" if n == 2 else "sine3d"]))
+    if family == "constant":
+        return StarDomain.ball(n, c)
+    a = draw(st.floats(min_value=-0.95, max_value=0.95)) * c
+    m = [draw(st.integers(min_value=1, max_value=6)) for _ in range(n - 1)]
+    return StarDomain.sine2d(c, a, *m) if n == 2 else StarDomain.sine3d(c, a, *m)
+
+
+@st.composite
+def _grids(draw, dom):
+    counts = [draw(st.integers(min_value=1, max_value=40)) for _ in range(dom.n - 1)]
+    if not draw(st.booleans()):
+        return sample_grid(dom, counts)
+    ranges = []
+    for top in [2 * math.pi] if dom.n == 2 else [math.pi, 2 * math.pi]:
+        lo = draw(st.floats(min_value=0.0, max_value=top * 0.9))
+        ranges.append((lo, draw(st.floats(min_value=lo + 1e-3, max_value=top))))
+    return sample_grid(dom, counts, ranges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_grid_frame_matches_per_sample_reference_bit_for_bit(data):
+    dom = data.draw(_domains())
+    grid = data.draw(_grids(dom))
+    xs, nus = grid_frame(dom, grid)
+    ref = [_reference_frame(dom, theta) for theta in grid.thetas]
+    assert np.array_equal(xs, np.array([x for x, _ in ref]))
+    assert np.array_equal(nus, np.array([nu for _, nu in ref]))
+    for theta, x, nu in zip(grid.thetas[:3], xs, nus):
+        assert np.array_equal(boundary_point(dom, theta), x)
+        assert np.array_equal(outward_normal(dom, theta), nu)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dom=_domains(), count=st.integers(min_value=0, max_value=60), seed=st.integers(0, 2**32))
+def test_interior_points_match_per_point_reference(dom, count, seed):
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(count):
+        if dom.n == 2:
+            theta = (rng.uniform(0.0, 2 * math.pi),)
+        else:
+            theta = (rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi))
+        rho = rng.random()
+        r, _, u = _reference_polar(dom, theta)
+        expected.append(rho * r * u)
+    got = interior_points(dom, count, seed)
+    assert len(got) == count
+    assert all(np.array_equal(p, q) for p, q in zip(got, expected))

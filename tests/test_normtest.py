@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korncert.diffop import builtin_operator
-from korncert import geometry
+from korncert import normtest
 from korncert.geometry import StarDomain, boundary_point, grid_frame, outward_normal, sample_grid
 from korncert.kernel import kernel_basis
 from korncert.normtest import (
@@ -233,20 +233,20 @@ class TestClassifyVerdicts:
 
     def test_a1_builds_no_dense_geometry(self, monkeypatch):
         # A coarse A1 verdict never reaches the dense grid, so the only
-        # normals computed are the coarse ones.
-        calls = []
-        real = geometry.outward_normal
+        # frame built is the coarse one.
+        framed = []
+        real = normtest.grid_frame
 
-        def counting(dom, theta):
-            calls.append(theta)
-            return real(dom, theta)
+        def counting(dom, grid):
+            framed.append(len(grid))
+            return real(dom, grid)
 
-        monkeypatch.setattr(geometry, "outward_normal", counting)
+        monkeypatch.setattr(normtest, "grid_frame", counting)
         kb = kernel_basis(builtin_operator("dev_grad", 2), 1)
         coarse, dense = _grids(_BALL2, [6])
         verdict = classify(kb, _BALL2, TraceKind.NORMAL, coarse, dense)
         assert verdict.tag == "A1"
-        assert len(calls) == len(coarse)
+        assert sum(framed) == len(coarse)
 
     def test_dense_grid_must_be_strictly_finer(self):
         op = builtin_operator("sym_grad", 2)
