@@ -303,12 +303,11 @@ def emit_plot_data(
     theta_cols = ["theta1"] if n == 2 else ["theta1", "theta2"]
 
     boundary_path = outdir / "boundary.csv"
-    xs, nus = grid_frame(dom, coarse)
-    with open(boundary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(theta_cols + [f"x{i+1}" for i in range(n)] + [f"nu{i+1}" for i in range(n)])
-        for theta, x, nu in zip(coarse.thetas, xs, nus):
-            writer.writerow([_FLOAT_FMT % v for v in (*theta, *x, *nu)])
+    _write_csv(
+        boundary_path,
+        theta_cols + [f"x{i+1}" for i in range(n)] + [f"nu{i+1}" for i in range(n)],
+        [coarse.thetas, *grid_frame(dom, coarse)],
+    )
 
     info: dict = {"boundary": str(boundary_path), "residual": None}
     if not verdict.certificates:
@@ -317,13 +316,24 @@ def emit_plot_data(
 
     residual_path = outdir / "residual.csv"
     mags = trace_magnitudes(verdict.certificates, kind, *grid_frame(dom, dense))
-    with open(residual_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(theta_cols + [f"res_{i+1}" for i in range(len(verdict.certificates))])
-        for theta, row in zip(dense.thetas, mags):
-            writer.writerow([_FLOAT_FMT % v for v in (*theta, *row)])
+    _write_csv(
+        residual_path,
+        theta_cols + [f"res_{i+1}" for i in range(len(verdict.certificates))],
+        [dense.thetas, mags],
+    )
     info["residual"] = str(residual_path)
     return info
+
+
+def _write_csv(path: Path, header: list[str], blocks: list) -> None:
+    """One header row, then the column blocks side by side, every value
+    as %.17g, with csv.writer's \r\n line ends.  The values need no
+    quoting, so each row is one format string."""
+    rows = np.column_stack([np.asarray(b, dtype=float) for b in blocks]).tolist()
+    line = ",".join([_FLOAT_FMT] * len(header)) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _print_run_summary(report: dict) -> None:
@@ -362,6 +372,22 @@ def _print_run_summary(report: dict) -> None:
     print(f"digest      : {report['digest']}")
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag >= low; a bad value exits 2 with
+    a message naming the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_operator_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--op", help=f"builtin operator name ({', '.join(_BUILTIN_NAMES)})")
     parser.add_argument("--op-file", help="JSON file with a custom operator spec")
@@ -390,14 +416,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p_kernel = sub.add_parser("kernel", help="compute an exact polynomial kernel basis")
     _add_operator_args(p_kernel)
-    p_kernel.add_argument("--K", type=int, required=True, help="degree bound")
-    p_kernel.add_argument("--profile", type=int, metavar="K_MAX",
+    p_kernel.add_argument("--K", type=_int_at_least(0), required=True, help="degree bound")
+    p_kernel.add_argument("--profile", type=_int_at_least(0), metavar="K_MAX",
                           help="also print kernel dimensions for K=0..K_MAX")
     p_kernel.add_argument("--json", help="write the basis as JSON to this path")
 
     p_probe = sub.add_parser("probe", help="randomized exact ellipticity probe")
     _add_operator_args(p_probe)
-    p_probe.add_argument("--trials", type=int, default=8)
+    p_probe.add_argument("--trials", type=_int_at_least(1), default=8)
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.add_argument("--json", help="write the report as JSON to this path")
 

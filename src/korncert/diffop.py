@@ -10,8 +10,12 @@ the complex rationals, and a randomized ellipticity probe.
 
 Ellipticity here means the symbol A[xi] is injective for all real
 xi != 0; C-ellipticity extends that to complex xi.  The probe samples
-random rational frequencies, computes symbol ranks exactly, and on a
-rank drop produces an exact witness pair (xi, v) with A[xi] v = 0.
+random rational frequencies, decides each symbol's rank exactly, and on
+a rank drop produces an exact witness pair (xi, v) with A[xi] v = 0.
+Full rank is first tried modulo a prime (linalg.residue), which proves
+it exactly; only a symbol whose residue loses rank goes through exact
+elimination, so a rank drop is always decided over the complex
+rationals.
 """
 
 from __future__ import annotations
@@ -427,6 +431,42 @@ def _witness_from(symbol: SymbolMatrix) -> Witness:
     return Witness(xi=symbol.xi, v=v)
 
 
+def _terms_mod_p(A: DiffOperator):
+    """(alpha entries, nonzero (w, v, residue) entries) per term, or None
+    when an entry has a denominator divisible by P."""
+    reduced = []
+    for alpha, matrix in A.terms:
+        entries = [
+            (w, v, linalg.residue(m))
+            for w, row in enumerate(matrix)
+            for v, m in enumerate(row)
+            if m
+        ]
+        if any(r is None for _, _, r in entries):
+            return None
+        reduced.append((alpha.entries, entries))
+    return reduced
+
+
+def _full_rank_mod_p(A: DiffOperator, reduced, xi: Sequence[ComplexRational]) -> bool:
+    """True when the residue of A[xi] has full column rank mod P, which
+    proves that A[xi] has full column rank.  False proves nothing."""
+    if reduced is None:
+        return False
+    z = [linalg.residue(c) for c in xi]
+    if None in z:
+        return False
+    rows = [[0] * A.dimV for _ in range(A.dimW)]
+    for exponents, entries in reduced:
+        power = 1
+        for c, e in zip(z, exponents):
+            power = power * pow(c, e, linalg.P) % linalg.P
+        for w, v, m in entries:
+            rows[w][v] += power * m
+    image = [[x % linalg.P for x in row] for row in rows]
+    return linalg.rank_mod_p(image, A.dimV) == A.dimV
+
+
 def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> EllipticityReport:
     """Randomized exact-rank test of the symbol.
 
@@ -435,8 +475,11 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
     additionally checks the deterministic family xi = e_1 + i e_j,
     j = 2..n, before the random complex draws; that family catches the
     classical failures (for the deviatoric symmetric gradient on R^2 it
-    produces the witness xi = (1, i), v = (1, -i)).  Rank drops yield an
-    exact witness.  Full-rank evidence is only evidence, not proof.
+    produces the witness xi = (1, i), v = (1, -i)).  Each sampled rank is
+    exact: full rank is taken from a full rank mod P or from exact
+    elimination, a rank drop only from exact elimination, and it yields
+    an exact witness.  Full rank at sampled frequencies is only evidence
+    of ellipticity, not proof.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -466,14 +509,22 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
     frequencies += [(True, rand_xi(1)) for _ in range(trials)]
     elliptic = c_elliptic = True
     witness: Witness | None = None
+    reduced = _terms_mod_p(A)
     for real, xi in frequencies:
-        symbol = symbol_matrix(A, xi)
-        if symbol.rank() < A.dimV:
-            # A real rank drop is also a complex one.
-            c_elliptic = False
-            elliptic = elliptic and not real
-            if witness is None:
-                witness = _witness_from(symbol)
+        # With fewer outputs than inputs every symbol is deficient by its
+        # shape; otherwise a full rank mod P settles the frequency.
+        symbol = None
+        if A.dimW >= A.dimV:
+            if _full_rank_mod_p(A, reduced, xi):
+                continue
+            symbol = symbol_matrix(A, xi)
+            if symbol.rank() == A.dimV:
+                continue
+        # A real rank drop is also a complex one.
+        c_elliptic = False
+        elliptic = elliptic and not real
+        if witness is None:
+            witness = _witness_from(symbol or symbol_matrix(A, xi))
     return EllipticityReport(
         elliptic=elliptic,
         elliptic_trials=trials,

@@ -21,6 +21,8 @@ degree-d kernel, hence zero, so it is a constant of degree >= 1: zero.
 By induction there is no kernel in any degree >= d.  A stabilized
 profile (two equal consecutive entries, that is, one trivial block)
 therefore shows that the degree-<= K kernel is the whole kernel of A.
+It also means that no block above the first trivial one needs
+elimination: kernel_basis and kernel_dim_profile stop there.
 """
 
 from __future__ import annotations
@@ -133,7 +135,10 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
     zero = Fraction(0)
     basis = []
     for col, cols, block in _degree_blocks(A, K):
-        for v in linalg.nullspace(block, cols, zero=zero):
+        vectors = linalg.nullspace(block, cols, zero=zero)
+        if not vectors:
+            break  # every higher block is trivial too (module docstring)
+        for v in vectors:
             coeffs = [zero] * m
             coeffs[col : col + cols] = v
             basis.append(PolyVec(source, A.dimV, tuple(coeffs)))
@@ -142,10 +147,15 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
 
 def kernel_dim_profile(A: DiffOperator, K_max: int) -> DimProfile:
     """Kernel dimension at each degree bound K = 0..K_max: a running sum
-    of the nullities of the degree blocks, from one coefficient matrix."""
+    of the nullities of the degree blocks, from one coefficient matrix.
+    The blocks above the first trivial one have nullity 0."""
     if K_max < 0:
         raise ValueError(f"need K_max >= 0, got {K_max}")
-    nullities = (cols - linalg.rank(block, cols) for _, cols, block in _degree_blocks(A, K_max))
+    nullities = [0] * (K_max + 1)
+    for d, (_, cols, block) in enumerate(_degree_blocks(A, K_max)):
+        nullities[d] = cols - linalg.rank(block, cols)
+        if not nullities[d]:
+            break
     return DimProfile(dims=tuple(accumulate(nullities)))
 
 

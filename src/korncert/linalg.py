@@ -10,6 +10,14 @@ nonzeros, which suits the sparse coefficient blocks kernel.kernel_basis
 eliminates one degree at a time.  Inputs are never mutated and results
 are fully deterministic: the reduced echelon form is unique, and
 nullspace vectors are normalised so their first nonzero entry is one.
+
+A modular helper proves full rank cheaply.  P is a prime with
+P = 1 (mod 4) and I a square root of -1 mod P, so the map
+a/b + i c/d -> a b^-1 + I c d^-1 (mod P) is a ring homomorphism from the
+complex rationals whose denominators are prime to P onto the integers
+mod P.  Minors map to minors, so a matrix whose residue has full column
+rank mod P has full column rank exactly.  A rank drop mod P proves
+nothing: only a full-rank answer may be taken from the residues.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ from fractions import Fraction
 from typing import Sequence, TypeVar
 
 T = TypeVar("T")
+
+P = 2**61 - 31
+I = 583529827753931384  # I * I = -1 (mod P)
 
 
 def _pivot_size(x):
@@ -88,3 +99,34 @@ def nullspace(
         basis.append(v)
     return basis
 
+
+def residue(x) -> int | None:
+    """Image of x mod P: n * d^-1 for an int or Fraction n/d, re + I * im
+    for a complex rational; None when a denominator is divisible by P."""
+    if hasattr(x, "im"):
+        re, im = residue(x.re), residue(x.im)
+        return None if re is None or im is None else (re + I * im) % P
+    if x.denominator % P == 0:
+        return None
+    return x.numerator * pow(x.denominator, -1, P) % P
+
+
+def rank_mod_p(matrix: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of a matrix of residues (ints in [0, P)) over the integers mod P."""
+    rows = [list(r) for r in matrix]
+    rank = 0
+    for col in range(ncols):
+        best = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if best is None:
+            continue
+        rows[rank], rows[best] = rows[best], rows[rank]
+        inv = pow(rows[rank][col], -1, P)
+        pivot_row = [v * inv % P for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], pivot_row)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank

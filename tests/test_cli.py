@@ -2,6 +2,7 @@
 emission, and the shipped example configs."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -9,7 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from korncert.cli import CONFIG_SCHEMA, ConfigError, main, run_config, validate_config
+from korncert.cli import (
+    CONFIG_SCHEMA,
+    ConfigError,
+    emit_plot_data,
+    main,
+    run_config,
+    validate_config,
+)
+from korncert.diffop import builtin_operator
+from korncert.geometry import StarDomain, grid_frame, sample_grid
+from korncert.kernel import kernel_basis
+from korncert.normtest import TraceKind, classify, trace_magnitudes
 
 _CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 _SCHEMA_FILE = Path(__file__).resolve().parent.parent / "src" / "korncert" / "config-schema.json"
@@ -120,6 +132,22 @@ class TestExitCodes:
         assert code == 2
         assert "test.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["probe", "--op", "sym_grad", "--n", "2", "--trials", "0"], "--trials"),
+            (["probe", "--op", "sym_grad", "--n", "2", "--trials", "x"], "--trials"),
+            (["kernel", "--op", "sym_grad", "--n", "2", "--K", "-1"], "--K"),
+            (["kernel", "--op", "sym_grad", "--n", "2", "--K", "1", "--profile", "-1"], "--profile"),
+        ],
+        ids=["trials-0", "trials-x", "K-negative", "profile-negative"],
+    )
+    def test_bad_flag_value_names_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
     def test_domain_operator_dimension_mismatch(self, tmp_path, capsys):
         cfg = _base_config()
         cfg["operator"]["n"] = 3
@@ -200,6 +228,43 @@ class TestPlots:
         assert len(residual) == 1 + 48
         values = [float(row[1]) for row in residual[1:]]
         assert max(values) < 1e-8
+
+    @pytest.mark.parametrize(
+        "radial,counts",
+        [
+            ({"family": "constant", "c": "3/2"}, [7]),
+            ({"family": "constant", "c": 1}, [4, 4]),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_csv_bytes_match_per_value_writer(self, tmp_path, radial, counts):
+        n = len(counts) + 1
+        dom = StarDomain.from_json({"n": n, "radial": radial})
+        coarse = sample_grid(dom, counts)
+        dense = sample_grid(dom, [8 * c for c in counts])
+        kind = TraceKind.NORMAL
+        verdict = classify(kernel_basis(builtin_operator("sym_grad", n), 1), dom, kind, coarse, dense)
+        assert verdict.certificates
+        emit_plot_data(dom, coarse, dense, kind, verdict, tmp_path)
+
+        def reference(header, thetas, *columns):
+            # csv.writer over one "%.17g" string per value.
+            fh = io.StringIO(newline="")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for theta, *rest in zip(thetas, *columns):
+                writer.writerow(["%.17g" % v for v in (*theta, *(x for r in rest for x in r))])
+            return fh.getvalue().encode()
+
+        thetas = ["theta1", "theta2"][: n - 1]
+        xs, nus = grid_frame(dom, coarse)
+        header = thetas + [f"x{i+1}" for i in range(n)] + [f"nu{i+1}" for i in range(n)]
+        expected = reference(header, coarse.thetas, xs, nus)
+        assert (tmp_path / "boundary.csv").read_bytes() == expected
+        mags = trace_magnitudes(verdict.certificates, kind, *grid_frame(dom, dense))
+        header = thetas + [f"res_{i+1}" for i in range(mags.shape[1])]
+        expected = reference(header, dense.thetas, mags)
+        assert (tmp_path / "residual.csv").read_bytes() == expected
 
     def test_no_residual_csv_for_a1(self, tmp_path):
         cfg = _base_config()

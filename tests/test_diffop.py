@@ -1,17 +1,19 @@
 """Operators: construction, application, symbols, and the randomized
 ellipticity probe."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from korncert.diffop import (
     CR_ONE,
     CR_ZERO,
     ComplexRational,
+    SymbolMatrix,
     apply_operator,
     builtin_operator,
     custom_operator,
@@ -20,6 +22,7 @@ from korncert.diffop import (
     operator_from_tensor4,
     symbol_matrix,
 )
+from korncert.linalg import P
 from korncert.polyalg import MultiIndex, PolyVec, differentiate, eval_poly, monomial_basis
 
 
@@ -295,6 +298,119 @@ class TestProbe:
         assert obj["c_elliptic"] is False
         assert obj["witness"]["xi"] == ["1", "1i"]
         assert obj["witness"]["v"] == ["1", "-1i"]
+
+    def test_full_rank_mod_p_needs_no_exact_rank(self, monkeypatch):
+        real = SymbolMatrix.rank
+        calls = []
+        monkeypatch.setattr(SymbolMatrix, "rank", lambda self: calls.append(self) or real(self))
+        report = ellipticity_probe(builtin_operator("sym_grad", 3))
+        assert report.elliptic and report.c_elliptic
+        assert calls == []
+        # A rank drop mod P still goes through exact elimination.
+        w = ellipticity_probe(builtin_operator("dev_sym_grad", 2)).witness
+        assert calls
+        assert w.to_json() == {"xi": ["1", "1i"], "v": ["1", "-1i"]}
+
+    def test_denominator_divisible_by_p_takes_the_exact_path(self, monkeypatch):
+        # det [[1/P, 1], [1, P]] = 0, so every symbol xi * A is singular;
+        # a residue that dropped the denominator would be [[1, 1], [1, 0]],
+        # which has full rank.
+        op = custom_operator([((1,), [[Fraction(1, P), 1], [1, P]])])
+        real = SymbolMatrix.rank
+        calls = []
+        monkeypatch.setattr(SymbolMatrix, "rank", lambda self: calls.append(self) or real(self))
+        report = ellipticity_probe(op, trials=3)
+        assert len(calls) == 6
+        assert not report.elliptic and not report.c_elliptic
+        assert report.to_json() == _exact_probe(op, 3, 0)
+
+
+def _exact_probe(A, trials: int, seed: int) -> dict:
+    """Reference: the probe loop that takes every symbol's exact rank."""
+    rng = random.Random(seed)
+
+    def rand_xi(parts):
+        while True:
+            draws = [
+                Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+                for _ in range(parts * A.n)
+            ]
+            xi = [ComplexRational(*draws[c * parts : (c + 1) * parts]) for c in range(A.n)]
+            if any(xi):
+                return xi
+
+    i_unit = ComplexRational(Fraction(0), Fraction(1))
+    frequencies = [
+        (False, [CR_ONE if m == 0 else i_unit if m == j else CR_ZERO for m in range(A.n)])
+        for j in range(1, A.n)
+    ]
+    frequencies += [(False, rand_xi(2)) for _ in range(trials)]
+    frequencies += [(True, rand_xi(1)) for _ in range(trials)]
+    elliptic = c_elliptic = True
+    witness = None
+    for real, xi in frequencies:
+        symbol = symbol_matrix(A, xi)
+        if symbol.rank() < A.dimV:
+            c_elliptic = False
+            elliptic = elliptic and not real
+            if witness is None:
+                v = symbol.kernel()[0]
+                witness = {"xi": [str(z) for z in symbol.xi], "v": [str(z) for z in v]}
+    return {
+        "elliptic": elliptic,
+        "elliptic_trials": trials,
+        "c_elliptic": c_elliptic,
+        "c_elliptic_trials": trials,
+        "witness": witness,
+    }
+
+
+# Mostly zeros, so that rank drops occur; P has residue 0, so it drops
+# the rank mod P but not the exact rank.
+_entries = st.sampled_from(
+    [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(P)]
+)
+# Entries with a denominator divisible by P have no residue.
+_no_residue = st.sampled_from([Fraction(1, P), Fraction(3, 2 * P)])
+
+
+@st.composite
+def _probe_operators(draw):
+    kind = draw(st.sampled_from(["builtin", "grad_k", "tensor4", "custom"]))
+    if kind == "builtin":
+        name = draw(st.sampled_from(["grad", "div", "sym_grad", "dev_grad", "dev_sym_grad"]))
+        return builtin_operator(name, draw(st.integers(2, 4)))
+    if kind == "grad_k":
+        return builtin_operator("grad_k", draw(st.integers(2, 4)), order=draw(st.integers(1, 3)))
+    if kind == "tensor4":
+        n = draw(st.integers(2, 3))
+        flat = draw(st.lists(_entries, min_size=n**4, max_size=n**4).filter(any))
+        it = iter(flat)
+        r = range(n)
+        return operator_from_tensor4([[[[next(it) for _ in r] for _ in r] for _ in r] for _ in r])
+    n, order = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    dim_v, dim_w = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    alphas = [mi for mi in monomial_basis(n, order).exponents if mi.order == order]
+    chosen = draw(st.lists(st.sampled_from(alphas), min_size=1, unique=True))
+    entries = st.one_of(_entries, _no_residue) if draw(st.booleans()) else _entries
+    row = st.lists(entries, min_size=dim_v, max_size=dim_v)
+    matrices = draw(
+        st.lists(
+            st.lists(row, min_size=dim_w, max_size=dim_w),
+            min_size=len(chosen),
+            max_size=len(chosen),
+        ).filter(lambda ms: any(v for m in ms for r in m for v in r))
+    )
+    return custom_operator(list(zip(chosen, matrices)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=_probe_operators(), seed=st.integers(0, 2**32), trials=st.integers(1, 8))
+@example(op=builtin_operator("dev_sym_grad", 2), seed=0, trials=8)
+@example(op=builtin_operator("div", 3), seed=1, trials=2)
+def test_probe_matches_exact_rank_loop(op, seed, trials):
+    report = ellipticity_probe(op, trials=trials, seed=seed)
+    assert report.to_json() == _exact_probe(op, trials, seed)
 
 
 # -- property suite ----------------------------------------------------

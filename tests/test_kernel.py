@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import korncert.kernel
+import korncert.linalg
 from korncert.cli import build_operator
 from korncert.diffop import (
     CR_ONE,
@@ -34,7 +35,7 @@ from korncert.kernel import (
     kernel_dim_profile,
     kernel_to_json,
 )
-from korncert.linalg import nullspace, rank, rref
+from korncert.linalg import I, P, nullspace, rank, rank_mod_p, residue, rref
 from korncert.polyalg import PolyVec, format_rational, monomial_basis
 
 _CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -124,6 +125,21 @@ class TestLinalg:
     def test_nullspace_of_empty_system(self):
         vecs = nullspace([], 2)
         assert vecs == [[1, 0], [0, 1]]
+
+    def test_modulus_and_square_root_of_minus_one(self):
+        assert sympy.isprime(P)
+        assert P > 10**6
+        assert P % 4 == 1
+        assert I * I % P == P - 1
+
+    def test_residue(self):
+        half = residue(Fraction(1, 2))
+        assert 2 * half % P == 1
+        assert residue(ComplexRational(Fraction(1, 2), Fraction(3))) == (half + 3 * I) % P
+        assert residue(ComplexRational(Fraction(0), Fraction(1))) == I
+        assert residue(Fraction(-1)) == P - 1
+        assert residue(Fraction(5, P)) is None
+        assert residue(ComplexRational(Fraction(1), Fraction(1, 3 * P))) is None
 
 
 _DIM_TABLE = [
@@ -272,6 +288,25 @@ class TestDimProfiles:
         assert profile.dims == (3, 7, 10, 10)
         assert profile.stabilized
 
+    def test_no_block_above_the_first_trivial_one_is_eliminated(self, monkeypatch):
+        # sym_grad on R^3: block nullities 3, 3, 0; the degree-d block has
+        # 3 * (d+1)(d+2)/2 columns, so blocks 0..2 have 3, 9 and 18.
+        eliminated = []
+        for name in ("rank", "nullspace"):
+            real = getattr(korncert.linalg, name)
+            monkeypatch.setattr(
+                korncert.linalg,
+                name,
+                lambda block, ncols, *a, _real=real, **kw: eliminated.append(ncols)
+                or _real(block, ncols, *a, **kw),
+            )
+        op = builtin_operator("sym_grad", 3)
+        assert kernel_basis(op, 4).dim == 6
+        assert eliminated == [3, 9, 18]
+        eliminated.clear()
+        assert kernel_dim_profile(op, 4).dims == (3, 6, 6, 6, 6)
+        assert eliminated == [3, 9, 18]
+
 
 def _unit_vector_matrix(op, K: int) -> list[list[Fraction]]:
     """Reference: column c is A applied to the c-th unit coefficient vector."""
@@ -383,6 +418,25 @@ def _dense_rref(matrix, ncols):
 # Mostly zeros, as in the coefficient blocks.
 _sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), _coords)
 _complex = st.builds(ComplexRational, _sparse, _sparse)
+
+
+_small = st.builds(Fraction, st.integers(-3, 3))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [_small, st.builds(ComplexRational, _small, _small)],
+    ids=["fraction", "complex"],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_mod_p_of_small_integer_matrices_is_the_exact_rank(entry, data):
+    # A nonzero minor here is a Gaussian integer of norm below P (Hadamard),
+    # and a + bi with a^2 + b^2 < P is never 0 mod P: a = -I b would give
+    # a^2 + b^2 = 0 (mod P).  So the two ranks agree exactly.
+    ncols = data.draw(st.integers(1, 7))
+    matrix = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    assert rank_mod_p([[residue(x) for x in row] for row in matrix], ncols) == rank(matrix, ncols)
 
 
 @pytest.mark.parametrize(
