@@ -14,6 +14,11 @@ or schema violation (the message names the offending field), 3 geometry
 degeneracy.  Reports are deterministic for a fixed config and seed; the
 digest field identifies the payload with timings excluded, so repeated
 runs can be compared byte for byte after dropping "timings".
+
+Configs are checked against the packaged config-schema.json by a small
+interpreter of the keywords it uses, so no JSON Schema library is
+imported.  Unlike JSON Schema, it does not count a whole-number float
+such as 2.0 as an integer.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import time
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .diffop import (
@@ -57,22 +61,111 @@ _FLOAT_FMT = "%.17g"
 CONFIG_SCHEMA = json.loads(
     resources.files(__package__).joinpath("config-schema.json").read_text(encoding="utf-8")
 )
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 _BUILTIN_NAMES = CONFIG_SCHEMA["properties"]["operator"]["oneOf"][0]["properties"]["builtin"]["enum"]
+
+# JSON types.  An "integer" is an int only: unlike JSON Schema, 2.0 is
+# not an integer.
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "boolean": bool,
+    "integer": int,
+    "number": (int, float),
+}
+_ANNOTATIONS = ("$schema", "$id", "title", "$defs", "then")
 
 
 class ConfigError(Exception):
     """Invalid run configuration; maps to exit code 2."""
 
 
+def _is_type(value, name: str) -> bool:
+    # A bool is a Python int, but neither a JSON integer nor a number.
+    return isinstance(value, _JSON_TYPES[name]) and (name == "boolean") == isinstance(value, bool)
+
+
+def _violation(value, schema: dict, root: dict, path: tuple = ()) -> tuple[tuple, str] | None:
+    """The first violation of a JSON Schema by a JSON value, as (path to
+    the offending value, message), or None.
+
+    Interprets only the keywords config-schema.json uses, with
+    jsonschema's messages; $ref must point into the root's $defs.  enum
+    and const compare with ==, which cannot tell true from 1; the schema
+    enumerates no 0 or 1.
+    """
+    for key, arg in schema.items():
+        children = ()  # (value, schema, path) to check next
+        if key == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_is_type(value, t) for t in types):
+                return path, f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum":
+            if value not in arg:
+                return path, f"{value!r} is not one of {arg!r}"
+        elif key == "const":
+            if value != arg:
+                return path, f"{arg!r} was expected"
+        elif key == "minimum":
+            if _is_type(value, "number") and value < arg:
+                return path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum":
+            if _is_type(value, "number") and value <= arg:
+                return path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                return path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "maxItems":
+            if isinstance(value, list) and len(value) > arg:
+                return path, f"{value!r} is too long"
+        elif key == "required":
+            missing = [k for k in arg if k not in value] if isinstance(value, dict) else []
+            if missing:
+                return path, f"{missing[0]!r} is a required property"
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            extras = [k for k in value if k not in known] if isinstance(value, dict) else []
+            if extras and arg is False:
+                listed = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                return path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        elif key == "oneOf":
+            valid = [sub for sub in arg if _violation(value, sub, root) is None]
+            if not valid:
+                return path, f"{value!r} is not valid under any of the given schemas"
+            if len(valid) > 1:
+                listed = ", ".join(map(repr, valid[1:] + valid[:1]))
+                return path, f"{value!r} is valid under each of {listed}"
+        elif key == "items":
+            if isinstance(value, list):
+                children = [(v, arg, (*path, i)) for i, v in enumerate(value)]
+        elif key == "properties":
+            if isinstance(value, dict):
+                children = [(value[k], sub, (*path, k)) for k, sub in arg.items() if k in value]
+        elif key == "allOf":
+            children = [(value, sub, path) for sub in arg]
+        elif key == "if":
+            if _violation(value, arg, root) is None:
+                children = [(value, schema["then"], path)]
+        elif key == "$ref":
+            children = [(value, root["$defs"][arg.removeprefix("#/$defs/")], path)]
+        elif key not in _ANNOTATIONS:
+            raise ValueError(f"schema keyword {key!r} is not supported")
+        for child_value, child_schema, child_path in children:
+            found = _violation(child_value, child_schema, root, child_path)
+            if found:
+                return found
+    return None
+
+
 def validate_config(cfg: dict) -> None:
     """Structural and semantic validation; raises ConfigError naming the
     offending field."""
-    errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        field = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config field {field}: {err.message}")
+    violation = _violation(cfg, CONFIG_SCHEMA, CONFIG_SCHEMA)
+    if violation:
+        path, message = violation
+        field = ".".join(map(str, path)) or "<root>"
+        raise ConfigError(f"config field {field}: {message}")
     test = cfg["test"]
     if test["kind"] == "points":
         if not any(k in test for k in ("points", "lines", "interior")):
@@ -176,7 +269,7 @@ def run_config(
     pure function of the config and the effective seed; wall-clock
     timings live under "timings" and are excluded from "digest".
     """
-    if not isinstance(cfg, dict):
+    if isinstance(cfg, (str, Path)):
         with open(cfg, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     validate_config(cfg)
@@ -401,7 +494,8 @@ def _operator_from_args(args) -> DiffOperator:
     if args.op:
         if args.n is None:
             raise ConfigError("--op needs --n")
-        return build_operator({"builtin": args.op, "n": args.n, **({"order": args.order} if args.order else {})})
+        order = {} if args.order is None else {"order": args.order}
+        return build_operator({"builtin": args.op, "n": args.n, **order})
     with open(args.op_file, "r", encoding="utf-8") as fh:
         return build_operator(json.load(fh))
 
@@ -456,6 +550,21 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def _read_config(path: str, kind: str | None) -> dict:
+    """Load a config file; when kind is given, its test must be of that
+    kind (checked after validation, which run_config repeats)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if kind is not None:
+        validate_config(cfg)
+        if cfg["test"]["kind"] != kind:
+            raise ConfigError(
+                f"config field test.kind: this subcommand needs kind {kind!r}, "
+                f"got {cfg['test']['kind']!r}"
+            )
+    return cfg
+
+
 def _dispatch(args) -> int:
     if args.command == "kernel":
         op = _operator_from_args(args)
@@ -490,15 +599,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command in ("check", "points"):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        if args.command == "points":
-            kind = cfg.get("test", {}).get("kind")
-            if kind != "points":
-                raise ConfigError(
-                    f"config field test.kind: the points subcommand needs kind "
-                    f"'points', got {kind!r}"
-                )
+        cfg = _read_config(args.config, "points" if args.command == "points" else None)
         report, code = run_config(cfg, expect=args.expect, emit_plots=args.emit_plots)
         if args.report:
             Path(args.report).parent.mkdir(parents=True, exist_ok=True)
@@ -509,11 +610,7 @@ def _dispatch(args) -> int:
         return code
 
     if args.command == "plot":
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        if cfg.get("test", {}).get("kind") != "boundary":
-            raise ConfigError("config field test.kind: plot needs a boundary test")
-        report, code = run_config(cfg, emit_plots=args.out)
+        report, code = run_config(_read_config(args.config, "boundary"), emit_plots=args.out)
         plots = report.get("plots", {})
         print(f"boundary data : {plots.get('boundary')}")
         print(f"residual data : {plots.get('residual') or plots.get('note')}")

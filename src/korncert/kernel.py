@@ -11,7 +11,7 @@ result is a certificate, not evidence.
 A is homogeneous of order k, so it maps degree-d fields to degree-(d-k)
 fields only.  In the graded-lex layout each degree is one contiguous
 column range, the coefficient matrix is block-diagonal by degree, and
-the kernel is eliminated one degree block at a time.
+each degree block is assembled and eliminated on its own.
 
 The dimension profile is exact evidence, not a heuristic.  The kernel
 splits by degree, and each partial derivative d_i commutes with A, so it
@@ -22,7 +22,7 @@ By induction there is no kernel in any degree >= d.  A stabilized
 profile (two equal consecutive entries, that is, one trivial block)
 therefore shows that the degree-<= K kernel is the whole kernel of A.
 It also means that no block above the first trivial one needs
-elimination: kernel_basis and kernel_dim_profile stop there.
+assembly or elimination: kernel_basis and kernel_dim_profile stop there.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from math import comb, perm, prod
 
 from . import linalg
 from .diffop import DiffOperator
-from .polyalg import MultiIndex, PolyVec, format_poly, format_rational, monomial_basis
+from .polyalg import MonomialBasis, MultiIndex, PolyVec, format_poly, format_rational, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,27 @@ def coefficient_matrix(A: DiffOperator, K: int) -> list[list[Fraction]]:
     """Matrix of p -> A p between coefficient spaces at degree bound K.
 
     Rows index output coefficients (dimW * |P_{K-k}|), columns input
-    coefficients (dimV * |P_K|), both in the PolyVec layout.  Because
+    coefficients (dimV * |P_K|), both in the PolyVec layout.  It is
+    block-diagonal by degree; every entry outside the blocks of
+    _degree_blocks is zero.
+    """
+    source = monomial_basis(A.n, K)
+    zero = Fraction(0)
+    target_size = comb(A.n + max(K - A.order, 0), A.n)
+    rows = [[zero] * (A.dimV * source.size) for _ in range(A.dimW * target_size)]
+    for row, col, cols, block in _degree_blocks(A, source):
+        for i, block_row in enumerate(block):
+            rows[row + i][col : col + cols] = block_row
+    return rows
+
+
+def _degree_block(A: DiffOperator, basis: MonomialBasis, d: int) -> list[list[Fraction]]:
+    """The degree-d block: the map from degree-d to degree-(d-k)
+    coefficients, with no rows when d < k.
+
+    Columns are the degree-d monomials of basis times the dimV
+    components, rows the degree-(d-k) monomials times the dimW
+    components, in the PolyVec layout.  Because
 
         d^alpha x^beta = beta!/(beta - alpha)! x^(beta - alpha)   (beta >= alpha)
 
@@ -81,17 +101,21 @@ def coefficient_matrix(A: DiffOperator, K: int) -> list[list[Fraction]]:
     other entry is zero.  No entry is set twice: beta and beta - alpha
     determine alpha.
     """
-    source = monomial_basis(A.n, K)
-    target = monomial_basis(A.n, max(K - A.order, 0))
+    n, k = A.n, A.order
+    if d < k:
+        return []
+    first = comb(n - 1 + d, n)  # monomials of degree < d
+    count = comb(n - 1 + d, d)  # monomials of degree d
+    below = comb(n - 1 + d - k, n)  # monomials of degree < d - k
     zero = Fraction(0)
-    rows = [[zero] * (A.dimV * source.size) for _ in range(A.dimW * target.size)]
-    for j, beta in enumerate(source.exponents):
+    rows = [[zero] * (A.dimV * count) for _ in range(A.dimW * comb(n - 1 + d - k, d - k))]
+    for j, beta in enumerate(basis.exponents[first : first + count]):
         for alpha, matrix in A.terms:
             if not beta.dominates(alpha):
                 continue
             factor = prod(perm(b, a) for b, a in zip(beta.entries, alpha.entries))
             gamma = MultiIndex(tuple(b - a for b, a in zip(beta.entries, alpha.entries)))
-            t = target.index_of(gamma)
+            t = basis.index_of(gamma) - below
             for w in range(A.dimW):
                 for v in range(A.dimV):
                     if matrix[w][v] != 0:
@@ -99,21 +123,18 @@ def coefficient_matrix(A: DiffOperator, K: int) -> list[list[Fraction]]:
     return rows
 
 
-def _degree_blocks(A: DiffOperator, K: int):
-    """Yield (column offset, column count, block rows) for d = 0..K.
+def _degree_blocks(A: DiffOperator, basis: MonomialBasis):
+    """Yield (row offset, column offset, column count, block) for the
+    degree blocks d = 0..basis.K of coefficient_matrix(A, basis.K).
 
-    The block of degree d joins the degree-d columns to the degree-(d-k)
-    rows of coefficient_matrix(A, K); it has no rows when d < k.  Every
-    entry outside the blocks is zero.
+    Each block is assembled only when the caller reaches it, so a caller
+    that stops early assembles no higher block.
     """
-    matrix = coefficient_matrix(A, K)
-    col = row = 0
-    for d in range(K + 1):
-        cols = A.dimV * comb(A.n - 1 + d, d)
-        rows = A.dimW * comb(A.n - 1 + d - A.order, d - A.order) if d >= A.order else 0
-        yield col, cols, [r[col : col + cols] for r in matrix[row : row + rows]]
-        col += cols
-        row += rows
+    n, k = A.n, A.order
+    for d in range(basis.K + 1):
+        row = A.dimW * comb(n - 1 + d - k, n) if d >= k else 0
+        col = A.dimV * comb(n - 1 + d, n)
+        yield row, col, A.dimV * comb(n - 1 + d, d), _degree_block(A, basis, d)
 
 
 def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
@@ -134,7 +155,7 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
     m = A.dimV * source.size
     zero = Fraction(0)
     basis = []
-    for col, cols, block in _degree_blocks(A, K):
+    for _, col, cols, block in _degree_blocks(A, source):
         vectors = linalg.nullspace(block, cols, zero=zero)
         if not vectors:
             break  # every higher block is trivial too (module docstring)
@@ -147,12 +168,12 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
 
 def kernel_dim_profile(A: DiffOperator, K_max: int) -> DimProfile:
     """Kernel dimension at each degree bound K = 0..K_max: a running sum
-    of the nullities of the degree blocks, from one coefficient matrix.
-    The blocks above the first trivial one have nullity 0."""
+    of the nullities of the degree blocks.  The blocks above the first
+    trivial one have nullity 0 and are never assembled."""
     if K_max < 0:
         raise ValueError(f"need K_max >= 0, got {K_max}")
     nullities = [0] * (K_max + 1)
-    for d, (_, cols, block) in enumerate(_degree_blocks(A, K_max)):
+    for d, (_, _, cols, block) in enumerate(_degree_blocks(A, monomial_basis(A.n, K_max))):
         nullities[d] = cols - linalg.rank(block, cols)
         if not nullities[d]:
             break

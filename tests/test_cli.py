@@ -1,15 +1,21 @@
 """Command-line interface: exit codes, deterministic reports, plot
 emission, and the shipped example configs."""
 
+import copy
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import korncert
 from korncert.cli import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -147,6 +153,48 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda cfg: cfg.update(K=2.0), "K: 2.0 is not of type 'integer'"),
+            (
+                lambda cfg: cfg["operator"].update(n=2.0),
+                "operator: {'builtin': 'sym_grad', 'n': 2.0} is not valid under any",
+            ),
+            (
+                lambda cfg: cfg.update(operator={"builtin": "grad_k", "n": 2, "order": 1.0}),
+                "operator: {'builtin': 'grad_k', 'n': 2, 'order': 1.0} is not valid under any",
+            ),
+            (lambda cfg: cfg.update(probe={"trials": 2.0}), "probe.trials: 2.0 is not of type 'integer'"),
+            (
+                lambda cfg: cfg["test"]["coarse"].update(counts=[6.0]),
+                "test.coarse.counts.0: 6.0 is not of type 'integer'",
+            ),
+        ],
+        ids=["K", "operator.n", "operator.order", "probe.trials", "counts"],
+    )
+    def test_whole_number_float_in_integer_field(self, tmp_path, capsys, mutate, message):
+        # JSON Schema counts 2.0 as an integer; the config validator does not.
+        cfg = _base_config()
+        mutate(cfg)
+        code = main(["check", "--config", _write(tmp_path, cfg)])
+        assert code == 2
+        assert f"error: config field {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "points", "plot"])
+    def test_non_object_config_names_root(self, tmp_path, capsys, command):
+        argv = [command, "--config", _write(tmp_path, [1, 2])]
+        code = main(argv + (["--out", str(tmp_path / "plots")] if command == "plot" else []))
+        assert code == 2
+        assert "config field <root>: [1, 2] is not of type 'object'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=r"^config field <root>: "):
+            run_config([1, 2])
+
+    def test_grad_k_order_zero_reaches_builtin_check(self, capsys):
+        code = main(["kernel", "--op", "grad_k", "--n", "2", "--order", "0", "--K", "1"])
+        assert code == 2
+        assert "needs an order >= 1" in capsys.readouterr().err
 
     def test_domain_operator_dimension_mismatch(self, tmp_path, capsys):
         cfg = _base_config()
@@ -349,3 +397,128 @@ class TestShippedConfigs:
         cfg["test"]["bogus"] = 1
         with pytest.raises(ConfigError, match=r"^config field test: .*'bogus'"):
             validate_config(cfg)
+
+
+# -- the config validator against jsonschema ----------------------------
+
+_SHIPPED = [json.loads(p.read_text()) for p in sorted(_CONFIG_DIR.glob("*.json"))]
+_STOCK_ORACLE = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_STRICT_ORACLE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
+    ),
+)(CONFIG_SCHEMA)
+_SEMANTIC_ERRORS = {
+    "config field test: points test needs at least one of points, lines, interior",
+    "config field test.domain: interior sampling needs a domain",
+}
+
+
+def _schema_words(schema):
+    """Every property name and string constant in the schema."""
+    if isinstance(schema, dict):
+        for key, value in schema.items():
+            if key in ("properties", "$defs"):
+                yield from value
+            yield from _schema_words(value)
+    elif isinstance(schema, list):
+        for value in schema:
+            yield from _schema_words(value)
+    elif isinstance(schema, str):
+        yield schema
+
+
+def _subtrees(value):
+    yield value
+    children = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    for child in children:
+        yield from _subtrees(child)
+
+
+_WORDS = sorted(set(_schema_words(CONFIG_SCHEMA)) | {"bogus", ""})
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.sampled_from([0.0, 1.0, 2.0, 3.0, -1.0, 0.5, 1e-3, 1e300])
+    | st.floats()
+    | st.sampled_from(_WORDS)
+    | st.text(max_size=4)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_WORDS), inner, max_size=3),
+    max_leaves=6,
+) | st.sampled_from([t for cfg in _SHIPPED for t in _subtrees(cfg)])
+
+
+def _mutate(cfg, data):
+    """Replace, delete or add one key or item anywhere in cfg, replace
+    the root, or turn one int into a float (whole or not)."""
+    nodes = [t for t in _subtrees(cfg) if isinstance(t, (dict, list))]
+    node = data.draw(st.sampled_from([None, *nodes]), label="node")
+    if node is None:
+        return copy.deepcopy(data.draw(_VALUES, label="root"))
+    ints = [(n, k) for n in nodes for k in (n if isinstance(n, dict) else range(len(n))) if type(n[k]) is int]
+    op = data.draw(st.sampled_from(["replace", "delete", "add", "float"]), label="op")
+    if op == "float" and ints:
+        node, key = data.draw(st.sampled_from(ints), label="int")
+        node[key] += data.draw(st.sampled_from([0.0, 0.5]), label="fraction")
+    elif op in ("add", "float") or not node:
+        value = copy.deepcopy(data.draw(_VALUES, label="value"))
+        if isinstance(node, dict):
+            node[data.draw(st.sampled_from(_WORDS), label="key")] = value
+        else:
+            node.append(value)
+    else:
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        if op == "delete":
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(data.draw(_VALUES, label="value"))
+    return cfg
+
+
+def _has_whole_number_float(value):
+    return any(isinstance(t, float) and t.is_integer() for t in _subtrees(value))
+
+
+class TestSchemaInterpreter:
+    """validate_config walks config-schema.json itself; jsonschema is the
+    oracle here and is not imported at run time."""
+
+    def test_cli_import_does_not_load_jsonschema(self):
+        src = str(Path(korncert.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import korncert.cli, sys; assert 'jsonschema' not in sys.modules"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_configs_agree_with_jsonschema(self, data):
+        cfg = copy.deepcopy(data.draw(st.sampled_from(_SHIPPED), label="config"))
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            cfg = _mutate(cfg, data)
+        oracle = {
+            (".".join(map(str, e.absolute_path)) or "<root>", e.message)
+            for e in _STRICT_ORACLE.iter_errors(cfg)
+        }
+        # The only intended difference from jsonschema: whole-number floats
+        # are not integers.
+        if _STOCK_ORACLE.is_valid(cfg) != (not oracle):
+            assert _has_whole_number_float(cfg)
+        try:
+            validate_config(cfg)
+            message = None
+        except ConfigError as exc:
+            message = str(exc)
+        if oracle:
+            assert message in {f"config field {field}: {text}" for field, text in oracle}, message
+        else:
+            assert message is None or message in _SEMANTIC_ERRORS, message

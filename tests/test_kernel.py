@@ -244,6 +244,30 @@ class TestKernelContents:
                     [format_rational(c) for c in v] for v in whole
                 ], (op.name, op.n, K)
 
+    def test_degree_blocks_are_slices_of_coefficient_matrix(self):
+        for op in _operator_grid():
+            for K in range(op.order + 3):
+                whole = coefficient_matrix(op, K)
+                for row, col, cols, block in korncert.kernel._degree_blocks(op, monomial_basis(op.n, K)):
+                    assert block == [r[col : col + cols] for r in whole[row : row + len(block)]]
+                    assert all(len(r) == cols for r in block), (op.name, op.n, K)
+
+    def test_no_block_assembled_above_first_trivial(self, monkeypatch):
+        degrees = []
+        build = korncert.kernel._degree_block
+
+        def traced(A, basis, d):
+            degrees.append(d)
+            return build(A, basis, d)
+
+        monkeypatch.setattr(korncert.kernel, "_degree_block", traced)
+        op = builtin_operator("sym_grad", 3)
+        assert kernel_basis(op, 4).dim == 6
+        assert degrees == [0, 1, 2]
+        degrees.clear()
+        assert kernel_dim_profile(op, 4).dims == (3, 6, 6, 6, 6)
+        assert degrees == [0, 1, 2]
+
     def test_kernel_inclusion_across_degrees(self):
         op = builtin_operator("sym_grad", 2)
         kb1 = kernel_basis(op, 1)
