@@ -46,7 +46,6 @@ from .normtest import (
     NullspaceResult,
     TraceKind,
     Verdict,
-    assemble_constraints,
     certificate_residual,
     classify,
     numeric_nullspace,
@@ -85,7 +84,6 @@ __all__ = [
     "Verdict",
     "Witness",
     "apply_operator",
-    "assemble_constraints",
     "boundary_point",
     "builtin_operator",
     "certificate_residual",

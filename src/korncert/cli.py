@@ -92,7 +92,10 @@ def _violation(value, schema: dict, root: dict, path: tuple = ()) -> tuple[tuple
     Interprets only the keywords config-schema.json uses, with
     jsonschema's messages; $ref must point into the root's $defs.  enum
     and const compare with ==, which cannot tell true from 1; the schema
-    enumerates no 0 or 1.
+    enumerates no 0 or 1.  A oneOf that no branch accepts reports the
+    first violation of the branch the value selects by key
+    (_keyed_branches), or the bare oneOf message when none or several
+    are selected.
     """
     for key, arg in schema.items():
         children = ()  # (value, schema, path) to check next
@@ -130,8 +133,12 @@ def _violation(value, schema: dict, root: dict, path: tuple = ()) -> tuple[tuple
                 verb = "was" if len(extras) == 1 else "were"
                 return path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
         elif key == "oneOf":
-            valid = [sub for sub in arg if _violation(value, sub, root) is None]
+            found = [_violation(value, sub, root, path) for sub in arg]
+            valid = [sub for sub, violation in zip(arg, found) if violation is None]
             if not valid:
+                keyed = _keyed_branches(value, arg)
+                if len(keyed) == 1:
+                    return found[keyed[0]]
                 return path, f"{value!r} is not valid under any of the given schemas"
             if len(valid) > 1:
                 listed = ", ".join(map(repr, valid[1:] + valid[:1]))
@@ -156,6 +163,19 @@ def _violation(value, schema: dict, root: dict, path: tuple = ()) -> tuple[tuple
             if found:
                 return found
     return None
+
+
+def _keyed_branches(value, branches: list) -> list[int]:
+    """Indices of the oneOf branches that an object selects by key: one
+    of its keys is required by that branch and named by no other."""
+    if not isinstance(value, dict):
+        return []
+    named = [{*sub.get("required", ()), *sub.get("properties", {})} for sub in branches]
+    return [
+        i
+        for i, sub in enumerate(branches)
+        if any(k in value and sum(k in keys for keys in named) == 1 for k in sub.get("required", ()))
+    ]
 
 
 def validate_config(cfg: dict) -> None:
@@ -364,15 +384,21 @@ def run_config(
 
     report_path = cfg.get("output", {}).get("report")
     if report_path:
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(report_path, report)
 
     exit_code = 0
     if expected is not None and verdict.tag != expected:
         exit_code = 1
     return report, exit_code
+
+
+def _write_json(path: str | Path, obj) -> None:
+    """Write obj as indented JSON with a final newline, creating the
+    parent directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _pretty_basis(kb) -> list[str]:
@@ -578,9 +604,7 @@ def _dispatch(args) -> int:
             print(f"dim profile K=0..{args.profile}: {list(profile.dims)} "
                   f"(stabilized: {profile.stabilized})")
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(kernel_to_json(kb), fh, indent=2)
-                fh.write("\n")
+            _write_json(args.json, kernel_to_json(kb))
         return 0
 
     if args.command == "probe":
@@ -593,19 +617,14 @@ def _dispatch(args) -> int:
             w = report.witness.to_json()
             print(f"  witness             : xi={w['xi']} v={w['v']}")
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report.to_json(), fh, indent=2)
-                fh.write("\n")
+            _write_json(args.json, report.to_json())
         return 0
 
     if args.command in ("check", "points"):
         cfg = _read_config(args.config, "points" if args.command == "points" else None)
         report, code = run_config(cfg, expect=args.expect, emit_plots=args.emit_plots)
         if args.report:
-            Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
+            _write_json(args.report, report)
         _print_run_summary(report)
         return code
 

@@ -24,7 +24,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -136,10 +135,6 @@ class DiffOperator:
     dimW: int
     terms: tuple[tuple[MultiIndex, Matrix], ...]
     name: str = "custom"
-
-    @cached_property
-    def term_map(self) -> dict[MultiIndex, Matrix]:
-        return dict(self.terms)
 
     def describe(self) -> dict:
         return {

@@ -74,10 +74,6 @@ class StarDomain:
         if not rmin > 0.0:
             raise GeometryError(f"radial function reaches its minimum {rmin:.6g} <= 0")
 
-    def radius(self, theta: Sequence[float]) -> float:
-        """r at one angle tuple."""
-        return float(_polar(self, _as_angles(self, theta))[0][0])
-
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -193,11 +189,12 @@ def outward_normal(dom: StarDomain, theta) -> np.ndarray:
     return _frame(dom, _as_angles(dom, theta))[1][0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleGrid:
-    """Deterministic boundary sample angles, one tuple per point."""
+    """Deterministic boundary sample angles: a (points, n - 1) float
+    array, one row per point."""
 
-    thetas: tuple[tuple[float, ...], ...]
+    thetas: np.ndarray
     counts: tuple[int, ...]
     ranges: tuple[tuple[float, float], ...]
 
@@ -243,11 +240,15 @@ def sample_grid(
     for coord, (count, (lo, hi)) in enumerate(zip(counts_t, ranges_t)):
         step = (hi - lo) / count
         offset = (0.5, 0.25)[coord] if dom.n == 3 else 0.0
-        axes.append([lo + (i + offset) * step for i in range(count)])
+        axes.append(lo + (np.arange(count) + offset) * step)
     if dom.n == 2:
-        thetas = tuple((t,) for t in axes[0])
+        thetas = axes[0][:, None]
     else:
-        thetas = tuple((t1, t2) for t1 in axes[0] for t2 in axes[1])
+        # The product grid, azimuth varying fastest.
+        thetas = np.empty((*counts_t, 2))
+        thetas[..., 0] = axes[0][:, None]
+        thetas[..., 1] = axes[1]
+        thetas = thetas.reshape(-1, 2)
     return SampleGrid(thetas=thetas, counts=counts_t, ranges=ranges_t)
 
 
@@ -256,7 +257,7 @@ def grid_frame(dom: StarDomain, grid: SampleGrid) -> tuple[np.ndarray, np.ndarra
     each as an (npoints, n) array in grid order, in one array pass."""
     if len(grid) == 0:
         raise ValueError("empty sample grid")
-    return _frame(dom, np.array(grid.thetas, dtype=float))
+    return _frame(dom, np.asarray(grid.thetas, dtype=float))
 
 
 def interior_points(dom: StarDomain, count: int, seed: int = 0) -> list[np.ndarray]:

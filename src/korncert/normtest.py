@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -196,26 +197,6 @@ def _grid_rows(
     return _constraint_rows(values), frame
 
 
-def assemble_constraints(
-    basis: KernelBasis,
-    dom: StarDomain,
-    kind: TraceKind | str,
-    grid: SampleGrid,
-) -> np.ndarray:
-    """Trace constraint rows for the raw (un-normalized) kernel basis.
-
-    Row order is deterministic: grid order, then output component for
-    the vector-valued kinds (FULL and TANGENTIAL contribute dimV rows
-    per sample, NORMAL one row).
-    """
-    kind = TraceKind.of(kind)
-    if basis.dim == 0:
-        raise ValueError("empty kernel basis; nothing to constrain")
-    if basis.operator.n != dom.n:
-        raise ValueError("operator and domain dimensions differ")
-    return _grid_rows(basis, _coefficient_columns(basis.basis), dom, kind, grid)[0]
-
-
 def numeric_nullspace(
     matrix: np.ndarray, sigma_rel: float = _SIGMA_REL_DEFAULT
 ) -> NullspaceResult:
@@ -273,6 +254,15 @@ def _residuals(
     return tuple(float(r) for r in np.max(trace_magnitudes(certificates, kind, xs, nus), axis=0))
 
 
+def _trivial_verdict(sigma_rel: float, tol: float) -> Verdict:
+    return Verdict(
+        tag="A1",
+        diagnostics=Diagnostics(
+            sigma_rel=sigma_rel, tol_dense=tol, note="trivial kernel; every seminorm is a norm"
+        ),
+    )
+
+
 def classify(
     basis: KernelBasis,
     dom: StarDomain,
@@ -291,34 +281,25 @@ def classify(
     """
     kind = TraceKind.of(kind)
     if basis.dim == 0:
-        return Verdict(
-            tag="A1",
-            diagnostics=Diagnostics(
-                sigma_rel=sigma_rel,
-                tol_dense=tol_dense,
-                note="trivial kernel; every seminorm is a norm",
-            ),
-        )
+        return _trivial_verdict(sigma_rel, tol_dense)
     if coarse.ranges != dense.ranges:
         raise ValueError("coarse and dense grids must cover the same angular ranges")
     if not all(dc > cc for cc, dc in zip(coarse.counts, dense.counts)):
         raise ValueError("dense grid must be strictly finer than coarse in every coordinate")
+    diagnostics = partial(
+        Diagnostics,
+        sigma_rel=sigma_rel,
+        tol_dense=tol_dense,
+        coarse_points=len(coarse),
+        dense_points=len(dense),
+    )
 
     columns = _basis_columns(basis)
     coarse_matrix, _ = _grid_rows(basis, columns, dom, kind, coarse)
     stage1 = numeric_nullspace(coarse_matrix, sigma_rel)
     coarse_sv = tuple(float(s) for s in stage1.singular_values)
     if stage1.dim == 0:
-        return Verdict(
-            tag="A1",
-            diagnostics=Diagnostics(
-                coarse_sv=coarse_sv,
-                sigma_rel=sigma_rel,
-                tol_dense=tol_dense,
-                coarse_points=len(coarse),
-                dense_points=len(dense),
-            ),
-        )
+        return Verdict(tag="A1", diagnostics=diagnostics(coarse_sv=coarse_sv))
 
     dense_matrix, dense_frame = _grid_rows(basis, columns, dom, kind, dense)
     restricted = dense_matrix @ stage1.vectors
@@ -327,13 +308,9 @@ def classify(
     if stage2.dim == 0:
         return Verdict(
             tag="A3",
-            diagnostics=Diagnostics(
+            diagnostics=diagnostics(
                 coarse_sv=coarse_sv,
                 dense_sv=dense_sv,
-                sigma_rel=sigma_rel,
-                tol_dense=tol_dense,
-                coarse_points=len(coarse),
-                dense_points=len(dense),
                 note="coarse nullspace died on the dense grid; enlarge the coarse grid",
             ),
         )
@@ -350,15 +327,7 @@ def classify(
     return Verdict(
         tag="A2",
         certificates=certificates,
-        diagnostics=Diagnostics(
-            coarse_sv=coarse_sv,
-            dense_sv=dense_sv,
-            residuals=residuals,
-            sigma_rel=sigma_rel,
-            tol_dense=tol_dense,
-            coarse_points=len(coarse),
-            dense_points=len(dense),
-        ),
+        diagnostics=diagnostics(coarse_sv=coarse_sv, dense_sv=dense_sv, residuals=residuals),
     )
 
 
@@ -376,14 +345,7 @@ def point_measure_test(
     point within tol.
     """
     if basis.dim == 0:
-        return Verdict(
-            tag="A1",
-            diagnostics=Diagnostics(
-                sigma_rel=sigma_rel,
-                tol_dense=tol,
-                note="trivial kernel; every seminorm is a norm",
-            ),
-        )
+        return _trivial_verdict(sigma_rel, tol)
     if len(points) == 0:
         raise ValueError("need at least one evaluation point")
     xs = np.array([[float(c) for c in p] for p in points])
@@ -392,17 +354,15 @@ def point_measure_test(
     columns = _basis_columns(basis)
     matrix = _constraint_rows(trace_values(basis.basis[0].basis, columns, xs, TraceKind.FULL))
     stage = numeric_nullspace(matrix, sigma_rel)
-    spectrum = tuple(float(s) for s in stage.singular_values)
+    diagnostics = partial(
+        Diagnostics,
+        coarse_sv=tuple(float(s) for s in stage.singular_values),
+        sigma_rel=sigma_rel,
+        tol_dense=tol,
+        coarse_points=len(points),
+    )
     if stage.dim == 0:
-        return Verdict(
-            tag="A1",
-            diagnostics=Diagnostics(
-                coarse_sv=spectrum,
-                sigma_rel=sigma_rel,
-                tol_dense=tol,
-                coarse_points=len(points),
-            ),
-        )
+        return Verdict(tag="A1", diagnostics=diagnostics())
     certificates = _to_certificates(basis, columns @ stage.vectors)
     residuals = _residuals(certificates, TraceKind.FULL, xs)
     for res in residuals:
@@ -410,14 +370,4 @@ def point_measure_test(
             raise RuntimeError(
                 f"certificate residual {res:.3e} exceeds tol={tol:.1e} at the input points"
             )
-    return Verdict(
-        tag="A2",
-        certificates=certificates,
-        diagnostics=Diagnostics(
-            coarse_sv=spectrum,
-            residuals=residuals,
-            sigma_rel=sigma_rel,
-            tol_dense=tol,
-            coarse_points=len(points),
-        ),
-    )
+    return Verdict(tag="A2", certificates=certificates, diagnostics=diagnostics(residuals=residuals))

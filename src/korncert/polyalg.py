@@ -8,8 +8,11 @@ within one degree, by descending exponent tuple, so for n = 2, K = 2:
     1, x1, x2, x1^2, x1*x2, x2^2
 
 The coefficient of monomial j for component c lives at index
-j * dimV + c.  Everything here is exact; floating point enters only when
-a polynomial is evaluated at a float point.
+j * dimV + c.  A PolyVec is only that coefficient record; linear
+algebra on fields happens on coefficient vectors (kernel.py, normtest.py).
+Besides the basis, the module holds exact differentiation and evaluation
+(exact at rational points, float otherwise) and the rational parsing and
+printing shared by the reports.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 Rational = Fraction
 
@@ -77,11 +80,6 @@ class MultiIndex:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        if len(self) != len(other):
-            raise ValueError("multi-index length mismatch")
-        return MultiIndex(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def dominates(self, other: "MultiIndex") -> bool:
         """True when self >= other in every coordinate."""
         return all(a >= b for a, b in zip(self.entries, other.entries))
@@ -133,10 +131,12 @@ def monomial_basis(n: int, K: int) -> MonomialBasis:
 
 @dataclass(frozen=True, eq=False)
 class PolyVec:
-    """Vector-valued polynomial with exact rational coefficients.
+    """Vector-valued polynomial: an immutable record of exact rational
+    coefficients.
 
     coeffs[j * dimV + c] is the coefficient of basis.exponents[j] in
-    component c.  Instances are immutable; arithmetic returns new ones.
+    component c.  There is no arithmetic and no value equality: callers
+    work on the coefficient tuples (or float arrays of them) directly.
     """
 
     basis: MonomialBasis
@@ -152,101 +152,10 @@ class PolyVec:
         if not all(isinstance(c, Fraction) for c in self.coeffs):
             object.__setattr__(self, "coeffs", tuple(parse_rational(c) for c in self.coeffs))
 
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def zero(cls, basis: MonomialBasis, dimV: int) -> "PolyVec":
-        return cls(basis, dimV, (Fraction(0),) * (dimV * basis.size))
-
-    @classmethod
-    def from_terms(
-        cls,
-        basis: MonomialBasis,
-        dimV: int,
-        terms: Mapping[tuple[tuple[int, ...] | MultiIndex, int], int | str | Fraction],
-    ) -> "PolyVec":
-        """Build from {(exponent tuple, component): coefficient}."""
-        coeffs = [Fraction(0)] * (dimV * basis.size)
-        for (mono, comp), value in terms.items():
-            mi = mono if isinstance(mono, MultiIndex) else MultiIndex(tuple(mono))
-            if not 0 <= comp < dimV:
-                raise ValueError(f"component {comp} outside [0, {dimV})")
-            coeffs[basis.index_of(mi) * dimV + comp] += parse_rational(value)
-        return cls(basis, dimV, tuple(coeffs))
-
     @classmethod
     def from_floats(cls, basis: MonomialBasis, dimV: int, values: Sequence[float]) -> "PolyVec":
         """Adopt float coefficients exactly (binary value, no rounding)."""
         return cls(basis, dimV, tuple(Fraction(float(v)) for v in values))
-
-    # -- queries ------------------------------------------------------
-
-    def coefficient(self, mono: MultiIndex | tuple[int, ...], comp: int) -> Fraction:
-        mi = mono if isinstance(mono, MultiIndex) else MultiIndex(tuple(mono))
-        return self.coeffs[self.basis.index_of(mi) * self.dimV + comp]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def _support(self) -> tuple[tuple[tuple[int, ...], int, Fraction], ...]:
-        # Canonical nonzero terms; embedding-invariant, used by __eq__/__hash__.
-        out = []
-        for j, mi in enumerate(self.basis.exponents):
-            for c in range(self.dimV):
-                q = self.coeffs[j * self.dimV + c]
-                if q != 0:
-                    out.append((mi.entries, c, q))
-        return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyVec):
-            return NotImplemented
-        if self.basis.n != other.basis.n or self.dimV != other.dimV:
-            return False
-        return self._support() == other._support()
-
-    def __hash__(self) -> int:
-        return hash((self.basis.n, self.dimV, self._support()))
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _aligned(self, other: "PolyVec") -> tuple["PolyVec", "PolyVec"]:
-        if self.basis.n != other.basis.n or self.dimV != other.dimV:
-            raise ValueError("polynomials live in different spaces")
-        K = max(self.basis.K, other.basis.K)
-        return self.embed(K), other.embed(K)
-
-    def __add__(self, other: "PolyVec") -> "PolyVec":
-        a, b = self._aligned(other)
-        return PolyVec(a.basis, a.dimV, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __sub__(self, other: "PolyVec") -> "PolyVec":
-        a, b = self._aligned(other)
-        return PolyVec(a.basis, a.dimV, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __neg__(self) -> "PolyVec":
-        return PolyVec(self.basis, self.dimV, tuple(-x for x in self.coeffs))
-
-    def __mul__(self, scalar: int | Fraction) -> "PolyVec":
-        q = parse_rational(scalar)
-        return PolyVec(self.basis, self.dimV, tuple(q * x for x in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def embed(self, K: int) -> "PolyVec":
-        """Reinterpret in the degree-K basis (K >= current degree bound)."""
-        if K == self.basis.K:
-            return self
-        if K < self.basis.K:
-            raise ValueError(f"cannot embed degree-{self.basis.K} poly into degree-{K} basis")
-        target = monomial_basis(self.basis.n, K)
-        coeffs = [Fraction(0)] * (self.dimV * target.size)
-        for j, mi in enumerate(self.basis.exponents):
-            tj = target.index_of(mi)
-            for c in range(self.dimV):
-                coeffs[tj * self.dimV + c] = self.coeffs[j * self.dimV + c]
-        return PolyVec(target, self.dimV, tuple(coeffs))
 
 
 def eval_poly(p: PolyVec, x: Sequence) -> tuple:

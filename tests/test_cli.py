@@ -158,13 +158,10 @@ class TestExitCodes:
         "mutate,message",
         [
             (lambda cfg: cfg.update(K=2.0), "K: 2.0 is not of type 'integer'"),
-            (
-                lambda cfg: cfg["operator"].update(n=2.0),
-                "operator: {'builtin': 'sym_grad', 'n': 2.0} is not valid under any",
-            ),
+            (lambda cfg: cfg["operator"].update(n=2.0), "operator.n: 2.0 is not of type 'integer'"),
             (
                 lambda cfg: cfg.update(operator={"builtin": "grad_k", "n": 2, "order": 1.0}),
-                "operator: {'builtin': 'grad_k', 'n': 2, 'order': 1.0} is not valid under any",
+                "operator.order: 1.0 is not of type 'integer'",
             ),
             (lambda cfg: cfg.update(probe={"trials": 2.0}), "probe.trials: 2.0 is not of type 'integer'"),
             (
@@ -179,6 +176,27 @@ class TestExitCodes:
         cfg = _base_config()
         mutate(cfg)
         code = main(["check", "--config", _write(tmp_path, cfg)])
+        assert code == 2
+        assert f"error: config field {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "operator,message",
+        [
+            ({"builtin": "sym_grad", "n": 0}, "operator.n: 0 is less than the minimum of 1"),
+            ({"builtin": "bogus", "n": 2}, "operator.builtin: 'bogus' is not one of ["),
+            ({"terms": []}, "operator.terms: [] should be non-empty"),
+            ({"tensor4": 3}, "operator.tensor4: 3 is not of type 'array'"),
+            # No key, or keys of two branches: the bare oneOf failure.
+            ({"bogus": 1}, "operator: {'bogus': 1} is not valid under any of the given schemas"),
+            (
+                {"builtin": "grad", "n": 2, "tensor4": []},
+                "operator: {'builtin': 'grad', 'n': 2, 'tensor4': []} is not valid under any",
+            ),
+        ],
+        ids=["n-0", "bad-builtin", "empty-terms", "tensor4-type", "no-key", "two-keys"],
+    )
+    def test_operator_branch_violation_names_field(self, tmp_path, capsys, operator, message):
+        code = main(["check", "--config", _write(tmp_path, _base_config(operator=operator))])
         assert code == 2
         assert f"error: config field {message}" in capsys.readouterr().err
 
@@ -480,6 +498,14 @@ def _mutate(cfg, data):
     return cfg
 
 
+def _with_context(errors):
+    """jsonschema errors together with the per-branch errors of each
+    failed oneOf (ValidationError.context), recursively."""
+    for e in errors:
+        yield e
+        yield from _with_context(e.context)
+
+
 def _has_whole_number_float(value):
     return any(isinstance(t, float) and t.is_integer() for t in _subtrees(value))
 
@@ -507,7 +533,7 @@ class TestSchemaInterpreter:
             cfg = _mutate(cfg, data)
         oracle = {
             (".".join(map(str, e.absolute_path)) or "<root>", e.message)
-            for e in _STRICT_ORACLE.iter_errors(cfg)
+            for e in _with_context(_STRICT_ORACLE.iter_errors(cfg))
         }
         # The only intended difference from jsonschema: whole-number floats
         # are not integers.

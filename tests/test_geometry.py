@@ -6,6 +6,7 @@ angles (the normal must be orthogonal to the boundary's tangent frame)
 and the exact radial identity on balls.
 """
 
+import itertools
 import math
 import random
 
@@ -46,17 +47,17 @@ def _fd_tangents(dom, theta):
 class TestDomains:
     def test_ball_radius(self):
         dom = StarDomain.ball(2)
-        assert dom.radius((0.3,)) == 1.0
+        assert np.linalg.norm(boundary_point(dom, (0.3,))) == pytest.approx(1.0)
 
     def test_sine2d_radius(self):
         dom = StarDomain.sine2d(2, 1, 2)
-        assert dom.radius((math.pi / 4,)) == pytest.approx(3.0)
+        assert np.linalg.norm(boundary_point(dom, (math.pi / 4,))) == pytest.approx(3.0)
 
     def test_sine3d_radius(self):
         dom = StarDomain.sine3d(2, 1, 2, 3)
         theta = (math.pi / 4, math.pi / 6)
         expected = 2 + math.sin(2 * theta[0]) * math.sin(3 * theta[1])
-        assert dom.radius(theta) == pytest.approx(expected)
+        assert np.linalg.norm(boundary_point(dom, theta)) == pytest.approx(expected)
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(GeometryError):
@@ -234,7 +235,7 @@ class TestPointGenerators:
         assert len(pts) == 200
         for p in pts:
             theta = math.atan2(p[1], p[0]) % (2 * math.pi)
-            assert np.linalg.norm(p) < dom.radius((theta,))
+            assert np.linalg.norm(p) < np.linalg.norm(boundary_point(dom, theta))
 
     def test_interior_points_deterministic(self):
         dom = StarDomain.ball(3)
@@ -357,6 +358,23 @@ def _grids(draw, dom):
         lo = draw(st.floats(min_value=0.0, max_value=top * 0.9))
         ranges.append((lo, draw(st.floats(min_value=lo + 1e-3, max_value=top))))
     return sample_grid(dom, counts, ranges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sample_grid_matches_per_sample_loop_bit_for_bit(data):
+    """The array-built angles equal the per-element loop over the axes,
+    then the product of the axes with the last angle varying fastest."""
+    dom = data.draw(_domains())
+    grid = data.draw(_grids(dom))
+    axes = []
+    for coord, (count, (lo, hi)) in enumerate(zip(grid.counts, grid.ranges)):
+        step = (hi - lo) / count
+        offset = (0.5, 0.25)[coord] if dom.n == 3 else 0.0
+        axes.append([lo + (i + offset) * step for i in range(count)])
+    expected = np.array(list(itertools.product(*axes)))
+    assert grid.thetas.shape == expected.shape == (len(grid), dom.n - 1)
+    assert grid.thetas.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,5 @@
-"""Exact polynomial algebra: bases, arithmetic, differentiation,
-formatting round trips."""
+"""Exact polynomial algebra: bases, coefficient records,
+differentiation, evaluation, formatting round trips."""
 
 import re
 from fractions import Fraction
@@ -19,6 +19,7 @@ from korncert.polyalg import (
     monomial_basis,
     parse_rational,
 )
+from polyfields import embed, poly
 
 _TERM_RE = re.compile(r"^\(([^()]+)\)((?:\*x\d+(?:\^\d+)?)*) e_(\d+)$")
 _FACTOR_RE = re.compile(r"\*x(\d+)(?:\^(\d+))?")
@@ -27,10 +28,9 @@ _FACTOR_RE = re.compile(r"\*x(\d+)(?:\^(\d+))?")
 def parse_poly(text: str, basis, dimV: int) -> PolyVec:
     """Inverse of format_poly over the given basis."""
     text = text.strip()
-    if text == "0":
-        return PolyVec.zero(basis, dimV)
     coeffs = [Fraction(0)] * (dimV * basis.size)
-    for chunk in text.split(" + "):
+    chunks = [] if text == "0" else text.split(" + ")
+    for chunk in chunks:
         m = _TERM_RE.match(chunk.strip())
         if m is None:
             raise ValueError(f"unparseable term: {chunk!r}")
@@ -97,11 +97,9 @@ class TestMonomialBasis:
 
 
 class TestMultiIndex:
-    def test_order_and_add(self):
-        a = MultiIndex((2, 1))
-        b = MultiIndex((0, 3))
-        assert a.order == 3
-        assert (a + b).entries == (2, 4)
+    def test_order(self):
+        assert MultiIndex((2, 1)).order == 3
+        assert len(MultiIndex((2, 1))) == 2
 
     def test_dominates(self):
         assert MultiIndex((2, 1)).dominates(MultiIndex((1, 1)))
@@ -116,7 +114,7 @@ class TestPolyVec:
     def test_eval_exact_rational_point(self):
         basis = monomial_basis(2, 2)
         # rho(x) = (x1^2 - x2, 3) evaluated at (1/2, 1/3)
-        p = PolyVec.from_terms(
+        p = poly(
             basis, 2, {((2, 0), 0): 1, ((0, 1), 0): -1, ((0, 0), 1): 3}
         )
         value = eval_poly(p, (Fraction(1, 2), Fraction(1, 3)))
@@ -125,14 +123,14 @@ class TestPolyVec:
 
     def test_eval_float_point(self):
         basis = monomial_basis(2, 1)
-        p = PolyVec.from_terms(basis, 1, {((1, 0), 0): 2})
+        p = poly(basis, 1, {((1, 0), 0): 2})
         value = eval_poly(p, (0.25, 0.0))
         assert value == pytest.approx((0.5,))
 
     def test_eval_quadratic_field(self):
         # 2<a,x>x - |x|^2 a with a = e1, at (1,1): 2*(1,1) - 2*(1,0) = (0,2)
         basis = monomial_basis(2, 2)
-        p = PolyVec.from_terms(
+        p = poly(
             basis,
             2,
             {
@@ -145,62 +143,47 @@ class TestPolyVec:
 
     def test_differentiate_exact(self):
         basis = monomial_basis(2, 3)
-        p = PolyVec.from_terms(basis, 1, {((2, 1), 0): Fraction(1, 2)})
+        p = poly(basis, 1, {((2, 1), 0): Fraction(1, 2)})
         d = differentiate(p, (1, 1))
         # d/dx1 d/dx2 of x1^2 x2 / 2 = x1
-        assert d.coefficient((1, 0), 0) == 1
+        assert d.coeffs == poly(monomial_basis(2, 1), 1, {((1, 0), 0): 1}).coeffs
         assert d.basis.K == 1
 
     def test_differentiate_past_degree_gives_zero(self):
         basis = monomial_basis(2, 1)
-        p = PolyVec.from_terms(basis, 1, {((1, 0), 0): 1})
+        p = poly(basis, 1, {((1, 0), 0): 1})
         d = differentiate(p, (2, 0))
-        assert d.is_zero
+        assert d.coeffs == (0,)
         assert d.basis.K == 0
 
     def test_embed_preserves_identity(self):
         basis = monomial_basis(2, 1)
-        p = PolyVec.from_terms(basis, 2, {((1, 0), 1): 5})
-        q = p.embed(3)
+        p = poly(basis, 2, {((1, 0), 1): 5})
+        q = embed(p, 3)
         assert q.basis.K == 3
-        assert q == p
-
-    def test_arithmetic(self):
-        basis = monomial_basis(2, 1)
-        p = PolyVec.from_terms(basis, 1, {((1, 0), 0): 1})
-        q = PolyVec.from_terms(basis, 1, {((0, 1), 0): 2})
-        r = p + q - p
-        assert r == q
-        assert (Fraction(1, 2) * q).coefficient((0, 1), 0) == 1
-
-    def test_mismatched_dimension_rejected(self):
-        basis = monomial_basis(2, 1)
-        p = PolyVec.from_terms(basis, 1, {((1, 0), 0): 1})
-        q = PolyVec.from_terms(basis, 2, {((1, 0), 0): 1})
-        with pytest.raises(ValueError):
-            _ = p + q
+        assert q.coeffs == poly(q.basis, 2, {((1, 0), 1): 5}).coeffs
 
 
 class TestFormatting:
     def test_format_example(self):
         basis = monomial_basis(2, 2)
-        p = PolyVec.from_terms(
+        p = poly(
             basis, 2, {((1, 1), 0): Fraction(-1, 2), ((0, 0), 1): 3}
         )
         assert format_poly(p) == "(3) e_2 + (-1/2)*x1*x2 e_1"
 
     def test_format_zero(self):
         basis = monomial_basis(2, 1)
-        assert format_poly(PolyVec.zero(basis, 2)) == "0"
+        assert format_poly(PolyVec(basis, 2, (0,) * 6)) == "0"
 
     def test_parse_inverts_format(self):
         basis = monomial_basis(3, 2)
-        p = PolyVec.from_terms(
+        p = poly(
             basis,
             3,
             {((2, 0, 0), 2): Fraction(7, 3), ((0, 1, 1), 0): -2, ((0, 0, 0), 1): 1},
         )
-        assert parse_poly(format_poly(p), basis, 3) == p
+        assert parse_poly(format_poly(p), basis, 3).coeffs == p.coeffs
 
 
 # -- property suites ---------------------------------------------------
@@ -224,23 +207,25 @@ _alphas = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(MultiIndex)
 @settings(max_examples=60, deadline=None)
 @given(p=_polyvecs(2, 3, 2), q=_polyvecs(2, 3, 2), alpha=_alphas)
 def test_differentiate_is_linear(p, q, alpha):
-    lhs = differentiate(p + q, alpha)
-    rhs = differentiate(p, alpha) + differentiate(q, alpha)
+    total = PolyVec(p.basis, p.dimV, tuple(a + b for a, b in zip(p.coeffs, q.coeffs)))
+    lhs = differentiate(total, alpha).coeffs
+    rhs = tuple(a + b for a, b in zip(differentiate(p, alpha).coeffs, differentiate(q, alpha).coeffs))
     assert lhs == rhs
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=_polyvecs(2, 4, 1), a=_alphas, b=_alphas)
 def test_partial_derivatives_commute(p, a, b):
-    assert differentiate(differentiate(p, a), b) == differentiate(
-        differentiate(p, b), a
-    )
+    ab = differentiate(differentiate(p, a), b)
+    ba = differentiate(differentiate(p, b), a)
+    assert ab.basis.K == ba.basis.K
+    assert ab.coeffs == ba.coeffs
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=_polyvecs(2, 3, 2))
 def test_format_parse_round_trip(p):
-    assert parse_poly(format_poly(p), p.basis, p.dimV) == p
+    assert parse_poly(format_poly(p), p.basis, p.dimV).coeffs == p.coeffs
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,7 +237,7 @@ def test_format_parse_round_trip(p):
     ),
 )
 def test_eval_commutes_with_addition(p, x):
-    double = p + p
+    double = PolyVec(p.basis, p.dimV, tuple(2 * c for c in p.coeffs))
     left = eval_poly(double, x)
     right = tuple(2 * v for v in eval_poly(p, x))
     assert left == right
