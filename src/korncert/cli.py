@@ -188,7 +188,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"config field {field}: {message}")
     test = cfg["test"]
     if test["kind"] == "points":
-        if not any(k in test for k in ("points", "lines", "interior")):
+        if not (test.get("points") or test.get("lines") or "interior" in test):
             raise ConfigError(
                 "config field test: points test needs at least one of points, lines, interior"
             )
@@ -278,6 +278,16 @@ def _canonical_digest(report: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _run_test(test, *args, **kwargs) -> Verdict:
+    """Run classify or point_measure_test; what they reject is the test
+    config's fault (empty point sets, overflowing trace values, a
+    tolerance below a certificate's residual)."""
+    try:
+        return test(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config field test: {exc}") from exc
+
+
 def run_config(
     cfg: dict | str | Path,
     expect: str | None = None,
@@ -335,7 +345,7 @@ def run_config(
                 f"operator has dimV={op.dimV}"
             )
         coarse, dense = _build_grids(test, dom)
-        verdict = classify(kb, dom, kind, coarse, dense, sigma_rel=sigma_rel, tol_dense=tol_dense)
+        verdict = _run_test(classify, kb, dom, kind, coarse, dense, sigma_rel=sigma_rel, tol_dense=tol_dense)
         test_info = {
             "kind": "boundary",
             "trace": kind.value,
@@ -346,7 +356,7 @@ def run_config(
     else:
         dom = _build_domain(test["domain"], op.n) if "domain" in test else None
         points = _gather_points(test, op.n, dom, seed)
-        verdict = point_measure_test(kb, points, sigma_rel=sigma_rel, tol=tol_dense)
+        verdict = _run_test(point_measure_test, kb, points, sigma_rel=sigma_rel, tol=tol_dense)
         test_info = {
             "kind": "points",
             "point_count": len(points),

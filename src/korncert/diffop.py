@@ -68,9 +68,6 @@ class ComplexRational:
             return self == ComplexRational.of(other)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
-
     def __add__(self, other) -> "ComplexRational":
         o = ComplexRational.of(other)
         return ComplexRational(self.re + o.re, self.im + o.im)
@@ -82,9 +79,6 @@ class ComplexRational:
 
     def __sub__(self, other) -> "ComplexRational":
         return self + (-ComplexRational.of(other))
-
-    def __rsub__(self, other) -> "ComplexRational":
-        return ComplexRational.of(other) + (-self)
 
     def __mul__(self, other) -> "ComplexRational":
         o = ComplexRational.of(other)
@@ -104,9 +98,6 @@ class ComplexRational:
             (self.re * o.re + self.im * o.im) / d,
             (self.im * o.re - self.re * o.im) / d,
         )
-
-    def __rtruediv__(self, other) -> "ComplexRational":
-        return ComplexRational.of(other) / self
 
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im

@@ -1,15 +1,16 @@
 """Exact Gaussian elimination over rational-like scalars.
 
 Routines accept any scalar type closed under +, -, *, / with exact
-equality against 0; Fraction and ComplexRational both qualify.  Pivots
-are chosen by largest magnitude (abs for orderable scalars, a norm2()
-method otherwise).  Row updates skip zero entries: a zero stays the
-object it was, and a pivot row's zero leaves the other row's entry as it
-is.  The values are those of the plain loop, at a cost that follows the
-nonzeros, which suits the sparse coefficient blocks kernel.kernel_basis
-eliminates one degree at a time.  Inputs are never mutated and results
-are fully deterministic: the reduced echelon form is unique, and
-nullspace vectors are normalised so their first nonzero entry is one.
+equality against 0; Fraction and ComplexRational both qualify.  The
+pivot is the first nonzero entry of its column: exact arithmetic needs
+no pivoting for stability.  Row updates skip zero entries: a zero stays
+the object it was, and a pivot row's zero leaves the other row's entry
+as it is.  The values are those of the plain loop, at a cost that
+follows the nonzeros, which suits the sparse coefficient blocks
+kernel.kernel_basis eliminates one degree at a time.  Inputs are never
+mutated and results are fully deterministic: the reduced echelon form
+is unique, and nullspace vectors are normalised so their first nonzero
+entry is one.
 
 A modular helper proves full rank cheaply.  P is a prime with
 P = 1 (mod 4) and I a square root of -1 mod P, so the map
@@ -31,13 +32,6 @@ P = 2**61 - 31
 I = 583529827753931384  # I * I = -1 (mod P)
 
 
-def _pivot_size(x):
-    norm2 = getattr(x, "norm2", None)
-    if callable(norm2):
-        return norm2()
-    return abs(x)
-
-
 def rref(matrix: Sequence[Sequence[T]], ncols: int) -> tuple[list[list[T]], list[int]]:
     """Reduced row echelon form and pivot column list."""
     rows = [list(r) for r in matrix]
@@ -47,12 +41,7 @@ def rref(matrix: Sequence[Sequence[T]], ncols: int) -> tuple[list[list[T]], list
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
-        best, best_size = None, None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                size = _pivot_size(rows[i][col])
-                if best is None or size > best_size:
-                    best, best_size = i, size
+        best = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
         if best is None:
             continue
         rows[rank], rows[best] = rows[best], rows[rank]

@@ -1,23 +1,24 @@
 """Norm certification for trace seminorms on polynomial kernels.
 
-Given an exact kernel basis (rho_1, ..., rho_d) and a sampled boundary
-trace T, the seminorm |||u||| = sum over samples of |T u(x(theta))| is a
-norm on the kernel exactly when no nonzero combination of the basis has
-vanishing trace at every sample.  The classifier works in two stages:
+Given an exact kernel basis (rho_1, ..., rho_d) and a sampled trace T,
+the seminorm |||u||| = sum over samples of |T u(x)| is a norm on the
+kernel exactly when no nonzero combination of the basis has vanishing
+trace at every sample.  One loop decides it over a sequence of sample
+sets: each stage takes the SVD nullspace of the constraint rows on its
+set, restricted to the directions the earlier stages left.
 
-    stage 1   SVD nullspace of the coarse constraint matrix; empty
-              nullspace certifies a norm (A1).
-    stage 2   the coarse nullspace directions are re-tested against a
-              strictly finer grid; directions that survive are
-              certificates of failure (A2), and if none survive the run
-              is inconclusive (A3) - the coarse grid was too small to
-              separate, the dense grid killed every candidate.
+    first stage   empty nullspace certifies a norm (A1).
+    later stage   empty nullspace: the earlier sets were too small to
+                  separate and this one killed every candidate, so the
+                  run is inconclusive (A3).
+    survivors     directions left after the last stage are certificates
+                  of failure (A2).
 
+classify runs a coarse and a strictly finer dense boundary grid.
 Certificates are kernel elements with numerically vanishing trace on
-the dense grid; they are strong numerical evidence, not exact proofs.
-A point-measure variant tests interior point evaluations instead of
-boundary traces (full values at finitely many points), where a single
-exact stage suffices and A3 cannot occur.
+the last set; they are strong numerical evidence, not exact proofs.
+point_measure_test runs one stage on given points (full values), where
+A3 cannot occur.
 
 Trace kinds: FULL is the whole vector trace, NORMAL the scalar
 (trace . nu), TANGENTIAL the projection trace - (trace . nu) nu.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -175,28 +176,6 @@ def trace_magnitudes(
     return np.max(np.abs(values), axis=1)
 
 
-def _constraint_rows(values: np.ndarray) -> np.ndarray:
-    """Rows in point order, then output component."""
-    rows = values.reshape(-1, values.shape[2])
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("non-finite constraint entries")
-    return rows
-
-
-def _grid_rows(
-    basis: KernelBasis,
-    columns: np.ndarray,
-    dom: StarDomain,
-    kind: TraceKind,
-    grid: SampleGrid,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Constraint rows of the columns on a boundary grid, and the grid's
-    frame (points, normals) for reuse."""
-    frame = grid_frame(dom, grid)
-    values = trace_values(basis.basis[0].basis, columns, frame[0], kind, frame[1])
-    return _constraint_rows(values), frame
-
-
 def numeric_nullspace(
     matrix: np.ndarray, sigma_rel: float = _SIGMA_REL_DEFAULT
 ) -> NullspaceResult:
@@ -254,13 +233,48 @@ def _residuals(
     return tuple(float(r) for r in np.max(trace_magnitudes(certificates, kind, xs, nus), axis=0))
 
 
-def _trivial_verdict(sigma_rel: float, tol: float) -> Verdict:
-    return Verdict(
-        tag="A1",
-        diagnostics=Diagnostics(
-            sigma_rel=sigma_rel, tol_dense=tol, note="trivial kernel; every seminorm is a norm"
-        ),
-    )
+def _certify(
+    basis: KernelBasis,
+    kind: TraceKind,
+    frames: Iterable[tuple[np.ndarray, np.ndarray | None]],
+    sizes: Sequence[int],
+    sigma_rel: float,
+    tol: float,
+) -> Verdict:
+    """The staged decision over (points, normals) frames, drawn lazily:
+    each stage keeps the part of the previous nullspace whose trace
+    vanishes on its frame.  sizes are the sample counts the diagnostics
+    report, one per stage."""
+    diagnostics = partial(Diagnostics, sigma_rel=sigma_rel, tol_dense=tol)
+    if basis.dim == 0:
+        return Verdict(tag="A1", diagnostics=diagnostics(note="trivial kernel; every seminorm is a norm"))
+    diagnostics = partial(diagnostics, **dict(zip(("coarse_points", "dense_points"), sizes)))
+    columns = _basis_columns(basis)
+    spectra: dict[str, tuple[float, ...]] = {}
+    null = None
+    for field_name, (xs, nus) in zip(("coarse_sv", "dense_sv"), frames):
+        values = trace_values(basis.basis[0].basis, columns, xs, kind, nus)
+        rows = values.reshape(-1, values.shape[2])  # point order, then component
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("non-finite constraint entries")
+        stage = numeric_nullspace(rows if null is None else rows @ null, sigma_rel)
+        spectra[field_name] = tuple(float(s) for s in stage.singular_values)
+        if stage.dim == 0:
+            if null is None:
+                return Verdict(tag="A1", diagnostics=diagnostics(**spectra))
+            return Verdict(
+                tag="A3",
+                diagnostics=diagnostics(
+                    **spectra, note="coarse nullspace died on the dense grid; enlarge the coarse grid"
+                ),
+            )
+        null = stage.vectors if null is None else null @ stage.vectors
+    certificates = _to_certificates(basis, columns @ null)
+    residuals = _residuals(certificates, kind, xs, nus)
+    for res in residuals:
+        if not res < tol:
+            raise ValueError(f"certificate residual {res:.3e} exceeds tol_dense={tol:.1e}")
+    return Verdict(tag="A2", certificates=certificates, diagnostics=diagnostics(**spectra, residuals=residuals))
 
 
 def classify(
@@ -272,63 +286,22 @@ def classify(
     sigma_rel: float = _SIGMA_REL_DEFAULT,
     tol_dense: float = _TOL_DENSE_DEFAULT,
 ) -> Verdict:
-    """Two-stage boundary trace classification.
+    """Two-stage boundary trace classification: the coarse grid, then the
+    dense one, whose frame is built only if the coarse nullspace is not
+    empty.
 
     The kernel basis is unit-normalized (Euclidean coefficient norm)
     before assembly, so singular values are comparable across bases.
     The verdict tag and the certificate span are invariant under
     invertible recombination of the basis.
     """
-    kind = TraceKind.of(kind)
-    if basis.dim == 0:
-        return _trivial_verdict(sigma_rel, tol_dense)
     if coarse.ranges != dense.ranges:
         raise ValueError("coarse and dense grids must cover the same angular ranges")
     if not all(dc > cc for cc, dc in zip(coarse.counts, dense.counts)):
         raise ValueError("dense grid must be strictly finer than coarse in every coordinate")
-    diagnostics = partial(
-        Diagnostics,
-        sigma_rel=sigma_rel,
-        tol_dense=tol_dense,
-        coarse_points=len(coarse),
-        dense_points=len(dense),
-    )
-
-    columns = _basis_columns(basis)
-    coarse_matrix, _ = _grid_rows(basis, columns, dom, kind, coarse)
-    stage1 = numeric_nullspace(coarse_matrix, sigma_rel)
-    coarse_sv = tuple(float(s) for s in stage1.singular_values)
-    if stage1.dim == 0:
-        return Verdict(tag="A1", diagnostics=diagnostics(coarse_sv=coarse_sv))
-
-    dense_matrix, dense_frame = _grid_rows(basis, columns, dom, kind, dense)
-    restricted = dense_matrix @ stage1.vectors
-    stage2 = numeric_nullspace(restricted, sigma_rel)
-    dense_sv = tuple(float(s) for s in stage2.singular_values)
-    if stage2.dim == 0:
-        return Verdict(
-            tag="A3",
-            diagnostics=diagnostics(
-                coarse_sv=coarse_sv,
-                dense_sv=dense_sv,
-                note="coarse nullspace died on the dense grid; enlarge the coarse grid",
-            ),
-        )
-
-    ambient = columns @ (stage1.vectors @ stage2.vectors)
-    certificates = _to_certificates(basis, ambient)
-    residuals = _residuals(certificates, kind, *dense_frame)
-    for res in residuals:
-        if not res < tol_dense:
-            raise RuntimeError(
-                f"certificate residual {res:.3e} exceeds tol_dense={tol_dense:.1e}; "
-                "stage-2 nullspace is inconsistent with the dense grid"
-            )
-    return Verdict(
-        tag="A2",
-        certificates=certificates,
-        diagnostics=diagnostics(coarse_sv=coarse_sv, dense_sv=dense_sv, residuals=residuals),
-    )
+    frames = (grid_frame(dom, grid) for grid in (coarse, dense))
+    sizes = (len(coarse), len(dense))
+    return _certify(basis, TraceKind.of(kind), frames, sizes, sigma_rel, tol_dense)
 
 
 def point_measure_test(
@@ -344,30 +317,9 @@ def point_measure_test(
     verdict is A1 or A2 (never A3).  Certificates vanish at every input
     point within tol.
     """
-    if basis.dim == 0:
-        return _trivial_verdict(sigma_rel, tol)
     if len(points) == 0:
         raise ValueError("need at least one evaluation point")
     xs = np.array([[float(c) for c in p] for p in points])
     if xs.shape[1] != basis.operator.n:
         raise ValueError(f"points must have {basis.operator.n} coordinates")
-    columns = _basis_columns(basis)
-    matrix = _constraint_rows(trace_values(basis.basis[0].basis, columns, xs, TraceKind.FULL))
-    stage = numeric_nullspace(matrix, sigma_rel)
-    diagnostics = partial(
-        Diagnostics,
-        coarse_sv=tuple(float(s) for s in stage.singular_values),
-        sigma_rel=sigma_rel,
-        tol_dense=tol,
-        coarse_points=len(points),
-    )
-    if stage.dim == 0:
-        return Verdict(tag="A1", diagnostics=diagnostics())
-    certificates = _to_certificates(basis, columns @ stage.vectors)
-    residuals = _residuals(certificates, TraceKind.FULL, xs)
-    for res in residuals:
-        if not res < tol:
-            raise RuntimeError(
-                f"certificate residual {res:.3e} exceeds tol={tol:.1e} at the input points"
-            )
-    return Verdict(tag="A2", certificates=certificates, diagnostics=diagnostics(residuals=residuals))
+    return _certify(basis, TraceKind.FULL, [(xs, None)], (len(points),), sigma_rel, tol)

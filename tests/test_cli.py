@@ -133,6 +133,37 @@ class TestExitCodes:
         code = main(["check", "--config", "/nonexistent/run.json"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            (
+                _base_config(test={"kind": "points", "points": []}),
+                "test: points test needs at least one of points, lines, interior",
+            ),
+            (
+                _base_config(test={"kind": "points", "lines": []}),
+                "test: points test needs at least one of points, lines, interior",
+            ),
+            (
+                _base_config(
+                    K=2,
+                    test={**_base_config()["test"], "domain": {"n": 2, "radial": {"family": "constant", "c": 1e200}}},
+                ),
+                "test: non-finite constraint entries",
+            ),
+            (
+                _base_config(tolerances={"tol_dense": 1e-300}),
+                "test: certificate residual",
+            ),
+        ],
+        ids=["empty-points", "empty-lines", "overflow", "tol-below-residual"],
+    )
+    def test_test_stage_error_names_test(self, tmp_path, capsys, cfg, message):
+        code = main(["check", "--config", _write(tmp_path, cfg)])
+        assert code == 2
+        # An exception escaping main() would fail the test with its traceback.
+        assert f"error: config field {message}" in capsys.readouterr().err
+
     def test_points_subcommand_rejects_boundary_config(self, tmp_path, capsys):
         code = main(["points", "--config", _write(tmp_path, _base_config())])
         assert code == 2

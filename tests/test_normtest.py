@@ -26,6 +26,7 @@ from korncert.normtest import (
     numeric_nullspace,
     point_measure_test,
     trace_magnitudes,
+    trace_values,
 )
 from korncert.polyalg import PolyVec, eval_poly, monomial_basis
 from polyfields import embed, poly
@@ -50,8 +51,10 @@ def _max_principal_angle(polys_a, polys_b, ambient_basis, dimV):
 def _constraints(kb, dom, kind, grid):
     """Trace constraint rows of the raw kernel basis, assembled as
     classify assembles them: grid order, then output component."""
-    columns = normtest._coefficient_columns(kb.basis)
-    return normtest._grid_rows(kb, columns, dom, TraceKind.of(kind), grid)[0]
+    columns = np.array([[float(c) for c in p.coeffs] for p in kb.basis]).T
+    xs, nus = grid_frame(dom, grid)
+    values = trace_values(kb.basis[0].basis, columns, xs, TraceKind.of(kind), nus)
+    return values.reshape(-1, values.shape[2])
 
 
 _BALL2 = StarDomain.ball(2)
@@ -367,6 +370,18 @@ class TestCertificateResidual:
         e1 = poly(basis2, 2, {((0, 0), 0): 1})
         grid = sample_grid(_BALL2, [64])
         assert certificate_residual(e1, _BALL2, TraceKind.NORMAL, grid) > 0.9
+
+    # The rotation's float residuals here are 5.551e-17, so a tolerance
+    # below them trips the gate that every A2 verdict passes.
+    def test_classify_rejects_residual_above_tolerance(self):
+        kb = kernel_basis(builtin_operator("sym_grad", 2), 1)
+        with pytest.raises(ValueError, match=r"exceeds tol_dense=1\.0e-300"):
+            classify(kb, _BALL2, TraceKind.NORMAL, *_grids(_BALL2, [6]), tol_dense=1e-300)
+
+    def test_point_test_rejects_residual_above_tolerance(self):
+        kb = kernel_basis(builtin_operator("sym_grad", 2), 1)
+        with pytest.raises(ValueError, match=r"exceeds tol_dense=1\.0e-300"):
+            point_measure_test(kb, [np.array([0.3, 0.7])], tol=1e-300)
 
 
 class TestInvariance:
