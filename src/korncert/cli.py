@@ -30,17 +30,13 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .diffop import (
-    DiffOperator,
-    builtin_operator,
-    ellipticity_probe,
-    operator_from_json,
-)
+from .diffop import DiffOperator, builtin_operator, ellipticity_probe, operator_from_json
 from .geometry import (
     GeometryError,
     SampleGrid,
@@ -80,17 +76,27 @@ class ConfigError(Exception):
     """Invalid run configuration; maps to exit code 2."""
 
 
+@contextmanager
+def _field(name: str):
+    """Turn a ValueError or OverflowError raised in the block into a
+    ConfigError naming the config field it came from."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"config field {name}: {exc}") from exc
+
+
 def _is_type(value, name: str) -> bool:
     # A bool is a Python int, but neither a JSON integer nor a number.
     return isinstance(value, _JSON_TYPES[name]) and (name == "boolean") == isinstance(value, bool)
 
 
-def _violation(value, schema: dict, root: dict, path: tuple = ()) -> tuple[tuple, str] | None:
-    """The first violation of a JSON Schema by a JSON value, as (path to
-    the offending value, message), or None.
+def _violation(value, schema: dict, path: tuple = ()) -> tuple[tuple, str] | None:
+    """The first violation of a part of CONFIG_SCHEMA by a JSON value, as
+    (path to the offending value, message), or None.
 
     Interprets only the keywords config-schema.json uses, with
-    jsonschema's messages; $ref must point into the root's $defs.  enum
+    jsonschema's messages; $ref points into CONFIG_SCHEMA's $defs.  enum
     and const compare with ==, which cannot tell true from 1; the schema
     enumerates no 0 or 1.  A oneOf that no branch accepts reports the
     first violation of the branch the value selects by key
@@ -133,7 +139,7 @@ def _violation(value, schema: dict, root: dict, path: tuple = ()) -> tuple[tuple
                 verb = "was" if len(extras) == 1 else "were"
                 return path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
         elif key == "oneOf":
-            found = [_violation(value, sub, root, path) for sub in arg]
+            found = [_violation(value, sub, path) for sub in arg]
             valid = [sub for sub, violation in zip(arg, found) if violation is None]
             if not valid:
                 keyed = _keyed_branches(value, arg)
@@ -152,14 +158,14 @@ def _violation(value, schema: dict, root: dict, path: tuple = ()) -> tuple[tuple
         elif key == "allOf":
             children = [(value, sub, path) for sub in arg]
         elif key == "if":
-            if _violation(value, arg, root) is None:
+            if _violation(value, arg) is None:
                 children = [(value, schema["then"], path)]
         elif key == "$ref":
-            children = [(value, root["$defs"][arg.removeprefix("#/$defs/")], path)]
+            children = [(value, CONFIG_SCHEMA["$defs"][arg.removeprefix("#/$defs/")], path)]
         elif key not in _ANNOTATIONS:
             raise ValueError(f"schema keyword {key!r} is not supported")
         for child_value, child_schema, child_path in children:
-            found = _violation(child_value, child_schema, root, child_path)
+            found = _violation(child_value, child_schema, child_path)
             if found:
                 return found
     return None
@@ -178,14 +184,19 @@ def _keyed_branches(value, branches: list) -> list[int]:
     ]
 
 
+def _check(value, schema: dict, path: tuple = ()) -> None:
+    """Raise a ConfigError for the first violation of schema, a part of
+    CONFIG_SCHEMA, by the value found at path."""
+    violation = _violation(value, schema, path)
+    if violation:
+        where, message = violation
+        raise ConfigError(f"config field {'.'.join(map(str, where)) or '<root>'}: {message}")
+
+
 def validate_config(cfg: dict) -> None:
     """Structural and semantic validation; raises ConfigError naming the
     offending field."""
-    violation = _violation(cfg, CONFIG_SCHEMA, CONFIG_SCHEMA)
-    if violation:
-        path, message = violation
-        field = ".".join(map(str, path)) or "<root>"
-        raise ConfigError(f"config field {field}: {message}")
+    _check(cfg, CONFIG_SCHEMA)
     test = cfg["test"]
     if test["kind"] == "points":
         if not (test.get("points") or test.get("lines") or "interior" in test):
@@ -197,26 +208,17 @@ def validate_config(cfg: dict) -> None:
 
 
 def build_operator(spec: dict) -> DiffOperator:
-    if "builtin" in spec:
-        name = spec["builtin"]
-        order = spec.get("order")
-        if name == "grad_k" and order is None:
-            raise ConfigError("config field operator.order: grad_k needs an order")
-        try:
-            return builtin_operator(name, spec["n"], order=order)
-        except ValueError as exc:
-            raise ConfigError(f"config field operator: {exc}") from exc
-    try:
+    if spec.get("builtin") == "grad_k" and spec.get("order") is None:
+        raise ConfigError("config field operator.order: grad_k needs an order")
+    with _field("operator"):
+        if "builtin" in spec:
+            return builtin_operator(spec["builtin"], spec["n"], order=spec.get("order"))
         return operator_from_json(spec)
-    except ValueError as exc:
-        raise ConfigError(f"config field operator: {exc}") from exc
 
 
 def _build_domain(spec: dict, n: int) -> StarDomain:
-    try:
+    with _field("test.domain"):  # OverflowError: an exact value beyond the float range
         dom = StarDomain.from_json(spec)
-    except (ValueError, OverflowError) as exc:  # OverflowError: exact value beyond float range
-        raise ConfigError(f"config field test.domain: {exc}") from exc
     if dom.n != n:
         raise ConfigError(f"config field test.domain.n: domain is in R^{dom.n}, operator in R^{n}")
     return dom
@@ -224,31 +226,17 @@ def _build_domain(spec: dict, n: int) -> StarDomain:
 
 def _build_grids(test: dict, dom: StarDomain) -> tuple[SampleGrid, SampleGrid]:
     coarse_spec = test["coarse"]
-    try:
+    with _field("test.coarse"):
         coarse = sample_grid(dom, coarse_spec["counts"], coarse_spec.get("range"))
-    except ValueError as exc:
-        raise ConfigError(f"config field test.coarse: {exc}") from exc
-    dense_spec = test.get("dense")
-    try:
-        if dense_spec is None:
-            dense = sample_grid(
-                dom,
-                [c * _DENSE_FACTOR_DEFAULT for c in coarse.counts],
-                coarse_spec.get("range"),
-            )
-        else:
-            dense = sample_grid(
-                dom, dense_spec["counts"], dense_spec.get("range", coarse_spec.get("range"))
-            )
-    except ValueError as exc:
-        raise ConfigError(f"config field test.dense: {exc}") from exc
-    if dense_spec is not None:
-        if dense.ranges != coarse.ranges:
-            raise ConfigError("config field test.dense.range: must match the coarse range")
-        if not all(dc > cc for cc, dc in zip(coarse.counts, dense.counts)):
-            raise ConfigError(
-                "config field test.dense.counts: dense grid must be strictly finer than coarse"
-            )
+    dense_spec = test.get("dense", {"counts": [_DENSE_FACTOR_DEFAULT * c for c in coarse.counts]})
+    with _field("test.dense"):
+        dense = sample_grid(dom, dense_spec["counts"], dense_spec.get("range", coarse_spec.get("range")))
+    if dense.ranges != coarse.ranges:
+        raise ConfigError("config field test.dense.range: must match the coarse range")
+    if not all(dc > cc for cc, dc in zip(coarse.counts, dense.counts)):
+        raise ConfigError(
+            "config field test.dense.counts: dense grid must be strictly finer than coarse"
+        )
     return coarse, dense
 
 
@@ -261,10 +249,8 @@ def _gather_points(test: dict, n: int, dom: StarDomain | None, default_seed: int
     for line in test.get("lines", ()):
         if len(line["p0"]) != n or len(line["dir"]) != n:
             raise ConfigError(f"config field test.lines: p0 and dir must be in R^{n}")
-        try:
+        with _field("test.lines"):
             points.extend(line_points(line["p0"], line["dir"], line["count"], line["extent"]))
-        except ValueError as exc:
-            raise ConfigError(f"config field test.lines: {exc}") from exc
     interior = test.get("interior")
     if interior is not None:
         assert dom is not None  # enforced by validate_config
@@ -276,16 +262,6 @@ def _canonical_digest(report: dict) -> str:
     payload = {k: v for k, v in report.items() if k not in ("timings", "digest")}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _run_test(test, *args, **kwargs) -> Verdict:
-    """Run classify or point_measure_test; what they reject is the test
-    config's fault (empty point sets, overflowing trace values, a
-    tolerance below a certificate's residual)."""
-    try:
-        return test(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"config field test: {exc}") from exc
 
 
 def run_config(
@@ -300,8 +276,7 @@ def run_config(
     timings live under "timings" and are excluded from "digest".
     """
     if isinstance(cfg, (str, Path)):
-        with open(cfg, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(Path(cfg).read_text(encoding="utf-8"))
     validate_config(cfg)
 
     seed = cfg.get("seed", 0)
@@ -319,14 +294,12 @@ def run_config(
             f"config field K: K={K} is below the operator order {op.order}; "
             "the kernel is the whole space (set allow_low_degree to proceed)"
         )
+    # The tolerance and probe defaults are the library's.
     tolerances = cfg.get("tolerances", {})
-    sigma_rel = tolerances.get("sigma_rel", 1e-10)
-    tol_dense = tolerances.get("tol_dense", 1e-8)
-    trials = cfg.get("probe", {}).get("trials", 8)
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    probe = ellipticity_probe(op, trials=trials, seed=seed)
+    probe = ellipticity_probe(op, **cfg.get("probe", {}), seed=seed)
     timings["probe_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -335,34 +308,37 @@ def run_config(
 
     test = cfg["test"]
     t0 = time.perf_counter()
-    plots_info = None
-    if test["kind"] == "boundary":
-        dom = _build_domain(test["domain"], op.n)
-        kind = TraceKind.of(test["trace"])
-        if kind is not TraceKind.FULL and op.dimV != dom.n:
-            raise ConfigError(
-                f"config field test.trace: {kind.value} trace needs dimV == n, "
-                f"operator has dimV={op.dimV}"
-            )
-        coarse, dense = _build_grids(test, dom)
-        verdict = _run_test(classify, kb, dom, kind, coarse, dense, sigma_rel=sigma_rel, tol_dense=tol_dense)
-        test_info = {
-            "kind": "boundary",
-            "trace": kind.value,
-            "domain": dom.to_json(),
-            "coarse_points": len(coarse),
-            "dense_points": len(dense),
-        }
-    else:
-        dom = _build_domain(test["domain"], op.n) if "domain" in test else None
-        points = _gather_points(test, op.n, dom, seed)
-        verdict = _run_test(point_measure_test, kb, points, sigma_rel=sigma_rel, tol=tol_dense)
-        test_info = {
-            "kind": "points",
-            "point_count": len(points),
-            "points": [[float(c) for c in p] for p in points],
-        }
-        coarse = dense = None
+    # The test stage rejects non-finite values itself, so numpy's
+    # overflow warnings would only print ahead of that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if test["kind"] == "boundary":
+            dom = _build_domain(test["domain"], op.n)
+            kind = TraceKind.of(test["trace"])
+            if kind is not TraceKind.FULL and op.dimV != dom.n:
+                raise ConfigError(
+                    f"config field test.trace: {kind.value} trace needs dimV == n, "
+                    f"operator has dimV={op.dimV}"
+                )
+            coarse, dense = _build_grids(test, dom)
+            with _field("test"):
+                verdict = classify(kb, dom, kind, coarse, dense, **tolerances)
+            test_info = {
+                "kind": "boundary",
+                "trace": kind.value,
+                "domain": dom.to_json(),
+                "coarse_points": len(coarse),
+                "dense_points": len(dense),
+            }
+        else:
+            dom = _build_domain(test["domain"], op.n) if "domain" in test else None
+            points = _gather_points(test, op.n, dom, seed)
+            with _field("test"):
+                verdict = point_measure_test(kb, points, **tolerances)
+            test_info = {
+                "kind": "points",
+                "point_count": len(points),
+                "points": [[float(c) for c in p] for p in points],
+            }
     timings["test_s"] = time.perf_counter() - t0
 
     expected = expect if expect is not None else cfg.get("expected")
@@ -376,7 +352,7 @@ def run_config(
             "dim": kb.dim,
             "ambient_dim": kb.m,
             "rank": kb.rank,
-            "basis": _pretty_basis(kb),
+            "basis": [format_poly(p) for p in kb.basis],
         },
         "test": test_info,
         "verdict": verdict.to_json(),
@@ -387,8 +363,7 @@ def run_config(
     if test["kind"] == "boundary":
         plots_dir = emit_plots if emit_plots is not None else cfg.get("output", {}).get("plots")
         if plots_dir:
-            plots_info = emit_plot_data(dom, coarse, dense, TraceKind.of(test["trace"]), verdict, plots_dir)
-            report["plots"] = plots_info
+            report["plots"] = emit_plot_data(dom, coarse, dense, kind, verdict, plots_dir)
     report["digest"] = _canonical_digest(report)
     report["timings"] = timings
 
@@ -409,10 +384,6 @@ def _write_json(path: str | Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
-
-
-def _pretty_basis(kb) -> list[str]:
-    return [format_poly(p) for p in kb.basis]
 
 
 def emit_plot_data(
@@ -530,10 +501,10 @@ def _operator_from_args(args) -> DiffOperator:
     if args.op:
         if args.n is None:
             raise ConfigError("--op needs --n")
-        order = {} if args.order is None else {"order": args.order}
-        return build_operator({"builtin": args.op, "n": args.n, **order})
-    with open(args.op_file, "r", encoding="utf-8") as fh:
-        return build_operator(json.load(fh))
+        return build_operator({"builtin": args.op, "n": args.n, "order": args.order})
+    spec = json.loads(Path(args.op_file).read_text(encoding="utf-8"))
+    _check(spec, CONFIG_SCHEMA["properties"]["operator"], ("operator",))
+    return build_operator(spec)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -575,10 +546,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
@@ -586,18 +554,16 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _read_config(path: str, kind: str | None) -> dict:
-    """Load a config file; when kind is given, its test must be of that
-    kind (checked after validation, which run_config repeats)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if kind is not None:
-        validate_config(cfg)
-        if cfg["test"]["kind"] != kind:
-            raise ConfigError(
-                f"config field test.kind: this subcommand needs kind {kind!r}, "
-                f"got {cfg['test']['kind']!r}"
-            )
+def _read_config(path: str, kind: str) -> dict:
+    """Load a config file whose test must be of the given kind (checked
+    after validation, which run_config repeats)."""
+    cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    validate_config(cfg)
+    if cfg["test"]["kind"] != kind:
+        raise ConfigError(
+            f"config field test.kind: this subcommand needs kind {kind!r}, "
+            f"got {cfg['test']['kind']!r}"
+        )
     return cfg
 
 
@@ -631,7 +597,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command in ("check", "points"):
-        cfg = _read_config(args.config, "points" if args.command == "points" else None)
+        cfg = args.config if args.command == "check" else _read_config(args.config, "points")
         report, code = run_config(cfg, expect=args.expect, emit_plots=args.emit_plots)
         if args.report:
             _write_json(args.report, report)

@@ -205,19 +205,21 @@ def operator_from_tensor4(tensor) -> DiffOperator:
         for i in range(n)
     ):
         raise ValueError("tensor4 must be n x n x n x n")
-    terms = []
-    for l in range(n):
-        matrix = [
-            [parse_rational(tensor[i][j][k][l]) for k in range(n)]
-            for i in range(n)
-            for j in range(n)
-        ]
-        terms.append((MultiIndex(tuple(1 if m == l else 0 for m in range(n))), matrix))
-    return custom_operator(terms, name="tensor4")
+    return _first_order(n, lambda i, j, k, l: tensor[i][j][k][l], "tensor4")
 
 
 def _unit_alpha(n: int, l: int) -> MultiIndex:
     return MultiIndex(tuple(1 if m == l else 0 for m in range(n)))
+
+
+def _first_order(n: int, entry, name: str) -> DiffOperator:
+    """The operator (Au)_{ij} = sum_{k,l} entry(i, j, k, l) d_l u_k on R^n,
+    output rows (i, j) flattened row-major."""
+    terms = [
+        (_unit_alpha(n, l), [[entry(i, j, k, l) for k in range(n)] for i in range(n) for j in range(n)])
+        for l in range(n)
+    ]
+    return custom_operator(terms, name=name)
 
 
 def builtin_operator(name: str, n: int, order: int | None = None) -> DiffOperator:
@@ -238,32 +240,19 @@ def builtin_operator(name: str, n: int, order: int | None = None) -> DiffOperato
 
     inv_n = Fraction(1, n)
     half = Fraction(1, 2)
-
-    def matrix_op(entry) -> DiffOperator:
-        terms = []
-        for l in range(n):
-            rows = [[entry(i, j, k, l) for k in range(n)] for i in range(n) for j in range(n)]
-            terms.append((_unit_alpha(n, l), rows))
-        return custom_operator(terms, name=name)
-
-    if name == "grad":
-        return matrix_op(lambda i, j, k, l: Fraction(int(k == i and j == l)))
+    # entry(i, j, k, l) of each first-order matrix operator (_first_order).
+    entries = {
+        "grad": lambda i, j, k, l: Fraction(int(k == i and j == l)),
+        "sym_grad": lambda i, j, k, l: half * (int(j == l and k == i) + int(i == l and k == j)),
+        "dev_grad": lambda i, j, k, l: Fraction(int(k == i and j == l)) - inv_n * int(i == j and k == l),
+        "dev_sym_grad": lambda i, j, k, l: half * (int(j == l and k == i) + int(i == l and k == j))
+        - inv_n * int(i == j and k == l),
+    }
+    if name in entries:
+        return _first_order(n, entries[name], name)
     if name == "div":
         terms = [(_unit_alpha(n, l), [[Fraction(int(k == l)) for k in range(n)]]) for l in range(n)]
         return custom_operator(terms, name=name)
-    if name == "sym_grad":
-        return matrix_op(
-            lambda i, j, k, l: half * (int(j == l and k == i) + int(i == l and k == j))
-        )
-    if name == "dev_grad":
-        return matrix_op(
-            lambda i, j, k, l: Fraction(int(k == i and j == l)) - inv_n * int(i == j and k == l)
-        )
-    if name == "dev_sym_grad":
-        return matrix_op(
-            lambda i, j, k, l: half * (int(j == l and k == i) + int(i == l and k == j))
-            - inv_n * int(i == j and k == l)
-        )
     if name == "grad_k":
         if order is None or order < 1:
             raise ValueError("grad_k needs an order >= 1")

@@ -159,7 +159,8 @@ def _frame(dom: StarDomain, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     tangent frame, at every row of an (npoints, n - 1) angle array.
 
     Raises GeometryError when the frame degenerates (e.g. at the 3D
-    poles); grids built by sample_grid never hit those angles.
+    poles, which grids built by sample_grid never hit) or its length is
+    not finite (an overflow would turn every normal into 0).
     """
     r, u, partials = _polar(dom, angles)
     xs = r[:, None] * u
@@ -169,7 +170,7 @@ def _frame(dom: StarDomain, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     else:
         normals = np.cross(tangents[0], tangents[1])
     lengths = np.sqrt(_row_dots(normals, normals))
-    degenerate = lengths < _FRAME_TOL
+    degenerate = (lengths < _FRAME_TOL) | ~np.isfinite(lengths)
     if degenerate.any():
         at = tuple(float(t) for t in angles[np.argmax(degenerate)])
         raise GeometryError(f"degenerate tangent frame at theta = {at}")

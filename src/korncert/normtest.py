@@ -308,18 +308,19 @@ def point_measure_test(
     basis: KernelBasis,
     points: Sequence[Sequence[float]],
     sigma_rel: float = _SIGMA_REL_DEFAULT,
-    tol: float = _TOL_DENSE_DEFAULT,
+    tol_dense: float = _TOL_DENSE_DEFAULT,
 ) -> Verdict:
     """Point-evaluation variant: the functional is the full value of the
     field at each given point.
 
     Points are the exact input, so there is no dense refinement and the
-    verdict is A1 or A2 (never A3).  Certificates vanish at every input
-    point within tol.
+    verdict is A1 or A2 (never A3).  The one stage plays the dense
+    stage's part: certificates vanish at every input point within
+    tol_dense, the same bound and name as in classify and the run config.
     """
     if len(points) == 0:
         raise ValueError("need at least one evaluation point")
     xs = np.array([[float(c) for c in p] for p in points])
     if xs.shape[1] != basis.operator.n:
         raise ValueError(f"points must have {basis.operator.n} coordinates")
-    return _certify(basis, TraceKind.FULL, [(xs, None)], (len(points),), sigma_rel, tol)
+    return _certify(basis, TraceKind.FULL, [(xs, None)], (len(points),), sigma_rel, tol_dense)

@@ -146,8 +146,8 @@ class TestExitCodes:
             ),
             (
                 _base_config(
-                    K=2,
-                    test={**_base_config()["test"], "domain": {"n": 2, "radial": {"family": "constant", "c": 1e200}}},
+                    K=3,
+                    test={**_base_config()["test"], "domain": {"n": 2, "radial": {"family": "constant", "c": 1e120}}},
                 ),
                 "test: non-finite constraint entries",
             ),
@@ -162,6 +162,59 @@ class TestExitCodes:
         code = main(["check", "--config", _write(tmp_path, cfg)])
         assert code == 2
         # An exception escaping main() would fail the test with its traceback.
+        assert f"error: config field {message}" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "c,K,code,message",
+        [
+            (1e155, 1, 3, "geometry error: degenerate tangent frame"),
+            (1e200, 2, 3, "geometry error: degenerate tangent frame"),
+            (1e120, 3, 2, "error: config field test: non-finite constraint entries"),
+        ],
+        ids=["frame-1e155", "frame-1e200", "trace-1e120"],
+    )
+    def test_overflow_stops_without_warnings(self, tmp_path, capsys, c, K, code, message):
+        # At 1e155 the squared normal length overflows: every normal used
+        # to become 0 and the run a wrong A2 with exit 0.  At 1e120 the
+        # frame is finite and x^3 overflows.  No numpy RuntimeWarning
+        # prints ahead of the error.
+        cfg = _base_config(K=K)
+        cfg["test"]["domain"]["radial"]["c"] = c
+        assert main(["check", "--config", _write(tmp_path, cfg)]) == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "domain,message",
+        [
+            ({"n": 2, "radial": {"family": "sine2d", "c": 2}}, "'a' is a required property"),
+            (
+                {"n": 3, "radial": {"family": "sine3d", "c": 2, "a": "1/2", "m1": 1}},
+                "'m2' is a required property",
+            ),
+        ],
+        ids=["sine2d-without-a", "sine3d-without-m2"],
+    )
+    def test_wavy_domain_needs_its_parameters(self, tmp_path, capsys, domain, message):
+        cfg = _base_config()
+        cfg["test"]["domain"] = domain
+        assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+        assert f"error: config field test.domain.radial: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ({"builtin": "sym_grad", "n": "3"}, "operator.n: '3' is not of type 'integer'"),
+            ({"tensor4": 3}, "operator.tensor4: 3 is not of type 'array'"),
+            ({"tensor4": [1]}, "operator.tensor4.0: 1 is not of type 'array'"),
+            ({"tensor4": [[[[True]]]]}, "operator.tensor4.0.0.0.0: True is not of type 'number', 'string'"),
+        ],
+        ids=["n-string", "tensor4-type", "tensor4-row", "tensor4-entry"],
+    )
+    @pytest.mark.parametrize("command", ["kernel", "probe"])
+    def test_operator_file_checked_against_schema(self, tmp_path, capsys, command, spec, message):
+        argv = [command, "--op-file", _write(tmp_path, spec, "op.json")]
+        assert main(argv + (["--K", "1"] if command == "kernel" else [])) == 2
         assert f"error: config field {message}" in capsys.readouterr().err
 
     def test_points_subcommand_rejects_boundary_config(self, tmp_path, capsys):

@@ -141,6 +141,19 @@ class TestCustomOperators:
         ref = builtin_operator("sym_grad", n)
         assert dict(op.terms) == dict(ref.terms)
 
+    @pytest.mark.parametrize("name", ["grad", "sym_grad", "dev_grad", "dev_sym_grad"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tensor4_reproduces_first_order_builtins(self, n, name):
+        # A_{ijkl} is the entry of the d_l term in output row (i, j), column k.
+        ref = builtin_operator(name, n)
+        terms = dict(ref.terms)
+        unit = [MultiIndex(tuple(int(m == l) for m in range(n))) for l in range(n)]
+        tensor = [
+            [[[terms[unit[l]][i * n + j][k] for l in range(n)] for k in range(n)] for j in range(n)]
+            for i in range(n)
+        ]
+        assert operator_from_tensor4(tensor).to_json() == ref.to_json()
+
     def test_mixed_order_terms_rejected(self):
         with pytest.raises(ValueError):
             custom_operator(

@@ -171,6 +171,18 @@ class TestNormals:
         with pytest.raises(GeometryError):
             outward_normal(dom, (0.0, 0.3))
 
+    def test_overflowing_frame_degenerates(self):
+        # At r = 1e155 the squared normal length overflows to inf, which
+        # would scale every normal to 0; at 1e150 it is finite.
+        dom = StarDomain.ball(2, 1e155)
+        with np.errstate(over="ignore"):
+            with pytest.raises(GeometryError):
+                grid_frame(dom, sample_grid(dom, 6))
+            with pytest.raises(GeometryError):
+                outward_normal(dom, 0.3)
+        nu = outward_normal(StarDomain.ball(2, 1e150), 0.3)
+        assert np.allclose(nu, [math.cos(0.3), math.sin(0.3)], rtol=0, atol=1e-15)
+
     def test_grid_with_a_pole_sample_degenerates(self):
         dom = StarDomain.ball(3)
         grid = SampleGrid(

@@ -381,7 +381,7 @@ class TestCertificateResidual:
     def test_point_test_rejects_residual_above_tolerance(self):
         kb = kernel_basis(builtin_operator("sym_grad", 2), 1)
         with pytest.raises(ValueError, match=r"exceeds tol_dense=1\.0e-300"):
-            point_measure_test(kb, [np.array([0.3, 0.7])], tol=1e-300)
+            point_measure_test(kb, [np.array([0.3, 0.7])], tol_dense=1e-300)
 
 
 class TestInvariance:
