@@ -15,10 +15,11 @@ degeneracy.  Reports are deterministic for a fixed config and seed; the
 digest field identifies the payload with timings excluded, so repeated
 runs can be compared byte for byte after dropping "timings".
 
-Configs are checked against the packaged config-schema.json by a small
-interpreter of the keywords it uses, so no JSON Schema library is
-imported.  Unlike JSON Schema, it does not count a whole-number float
-such as 2.0 as an integer.
+One reader takes every JSON file in and refuses NaN, Infinity and
+numbers beyond the float range.  A config is validated once per run,
+against the packaged config-schema.json, by a small interpreter of the
+keywords it uses, so no JSON Schema library is imported.  Unlike JSON
+Schema, it does not count a whole-number float such as 2.0 as an integer.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -57,7 +59,7 @@ _FLOAT_FMT = "%.17g"
 CONFIG_SCHEMA = json.loads(
     resources.files(__package__).joinpath("config-schema.json").read_text(encoding="utf-8")
 )
-_BUILTIN_NAMES = CONFIG_SCHEMA["properties"]["operator"]["oneOf"][0]["properties"]["builtin"]["enum"]
+_BUILTIN_NAMES = CONFIG_SCHEMA["$defs"]["builtinOperator"]["properties"]["builtin"]["enum"]
 
 # JSON types.  An "integer" is an int only: unlike JSON Schema, 2.0 is
 # not an integer.
@@ -86,6 +88,18 @@ def _field(name: str):
         raise ConfigError(f"config field {name}: {exc}") from exc
 
 
+def _load_json(path: str | Path):
+    """The JSON value in a file; NaN, Infinity and numbers beyond the
+    float range raise ConfigError.  Finite numbers parse as json does."""
+
+    def finite(text: str) -> float:
+        if abs(value := float(text)) < math.inf:
+            return value
+        raise ConfigError(f"{path}: {text} is not a finite JSON number")
+
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=finite, parse_float=finite)
+
+
 def _is_type(value, name: str) -> bool:
     # A bool is a Python int, but neither a JSON integer nor a number.
     return isinstance(value, _JSON_TYPES[name]) and (name == "boolean") == isinstance(value, bool)
@@ -98,10 +112,9 @@ def _violation(value, schema: dict, path: tuple = ()) -> tuple[tuple, str] | Non
     Interprets only the keywords config-schema.json uses, with
     jsonschema's messages; $ref points into CONFIG_SCHEMA's $defs.  enum
     and const compare with ==, which cannot tell true from 1; the schema
-    enumerates no 0 or 1.  A oneOf that no branch accepts reports the
-    first violation of the branch the value selects by key
-    (_keyed_branches), or the bare oneOf message when none or several
-    are selected.
+    enumerates no 0 or 1.  NaN and infinities pass number checks, as in
+    jsonschema; _load_json keeps them out of files.  An anyOf gives
+    jsonschema's bare message.
     """
     for key, arg in schema.items():
         children = ()  # (value, schema, path) to check next
@@ -138,17 +151,9 @@ def _violation(value, schema: dict, path: tuple = ()) -> tuple[tuple, str] | Non
                 listed = ", ".join(map(repr, sorted(extras, key=str)))
                 verb = "was" if len(extras) == 1 else "were"
                 return path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
-        elif key == "oneOf":
-            found = [_violation(value, sub, path) for sub in arg]
-            valid = [sub for sub, violation in zip(arg, found) if violation is None]
-            if not valid:
-                keyed = _keyed_branches(value, arg)
-                if len(keyed) == 1:
-                    return found[keyed[0]]
+        elif key == "anyOf":
+            if all(_violation(value, sub, path) for sub in arg):
                 return path, f"{value!r} is not valid under any of the given schemas"
-            if len(valid) > 1:
-                listed = ", ".join(map(repr, valid[1:] + valid[:1]))
-                return path, f"{value!r} is valid under each of {listed}"
         elif key == "items":
             if isinstance(value, list):
                 children = [(v, arg, (*path, i)) for i, v in enumerate(value)]
@@ -169,19 +174,6 @@ def _violation(value, schema: dict, path: tuple = ()) -> tuple[tuple, str] | Non
             if found:
                 return found
     return None
-
-
-def _keyed_branches(value, branches: list) -> list[int]:
-    """Indices of the oneOf branches that an object selects by key: one
-    of its keys is required by that branch and named by no other."""
-    if not isinstance(value, dict):
-        return []
-    named = [{*sub.get("required", ()), *sub.get("properties", {})} for sub in branches]
-    return [
-        i
-        for i, sub in enumerate(branches)
-        if any(k in value and sum(k in keys for keys in named) == 1 for k in sub.get("required", ()))
-    ]
 
 
 def _check(value, schema: dict, path: tuple = ()) -> None:
@@ -245,7 +237,8 @@ def _gather_points(test: dict, n: int, dom: StarDomain | None, default_seed: int
     for p in test.get("points", ()):
         if len(p) != n:
             raise ConfigError(f"config field test.points: point {p} is not in R^{n}")
-        points.append(np.array([float(v) for v in p]))
+        with _field("test.points"):  # OverflowError: an integer beyond the float range
+            points.append(np.array(p, dtype=float))
     for line in test.get("lines", ()):
         if len(line["p0"]) != n or len(line["dir"]) != n:
             raise ConfigError(f"config field test.lines: p0 and dir must be in R^{n}")
@@ -276,9 +269,13 @@ def run_config(
     timings live under "timings" and are excluded from "digest".
     """
     if isinstance(cfg, (str, Path)):
-        cfg = json.loads(Path(cfg).read_text(encoding="utf-8"))
+        cfg = _load_json(cfg)
     validate_config(cfg)
+    return _run(cfg, expect, emit_plots)
 
+
+def _run(cfg: dict, expect: str | None, emit_plots: str | None) -> tuple[dict, int]:
+    """run_config on a validated config."""
     seed = cfg.get("seed", 0)
     env_seed = os.environ.get(_SEED_ENV)
     if env_seed is not None:
@@ -502,7 +499,7 @@ def _operator_from_args(args) -> DiffOperator:
         if args.n is None:
             raise ConfigError("--op needs --n")
         return build_operator({"builtin": args.op, "n": args.n, "order": args.order})
-    spec = json.loads(Path(args.op_file).read_text(encoding="utf-8"))
+    spec = _load_json(args.op_file)
     _check(spec, CONFIG_SCHEMA["properties"]["operator"], ("operator",))
     return build_operator(spec)
 
@@ -524,8 +521,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_probe = sub.add_parser("probe", help="randomized exact ellipticity probe")
     _add_operator_args(p_probe)
-    p_probe.add_argument("--trials", type=_int_at_least(1), default=8)
-    p_probe.add_argument("--seed", type=int, default=0)
+    p_probe.add_argument("--trials", type=_int_at_least(1))
+    p_probe.add_argument("--seed", type=int)
     p_probe.add_argument("--json", help="write the report as JSON to this path")
 
     for name, help_text in [
@@ -554,19 +551,6 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _read_config(path: str, kind: str) -> dict:
-    """Load a config file whose test must be of the given kind (checked
-    after validation, which run_config repeats)."""
-    cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    validate_config(cfg)
-    if cfg["test"]["kind"] != kind:
-        raise ConfigError(
-            f"config field test.kind: this subcommand needs kind {kind!r}, "
-            f"got {cfg['test']['kind']!r}"
-        )
-    return cfg
-
-
 def _dispatch(args) -> int:
     if args.command == "kernel":
         op = _operator_from_args(args)
@@ -585,7 +569,8 @@ def _dispatch(args) -> int:
 
     if args.command == "probe":
         op = _operator_from_args(args)
-        report = ellipticity_probe(op, trials=args.trials, seed=args.seed)
+        given = {"trials": args.trials, "seed": args.seed}  # unset flags keep the library's defaults
+        report = ellipticity_probe(op, **{k: v for k, v in given.items() if v is not None})
         print(f"operator {op.name} on R^{op.n}:")
         print(f"  elliptic evidence   : {report.elliptic} ({report.elliptic_trials} trials)")
         print(f"  C-elliptic evidence : {report.c_elliptic} ({report.c_elliptic_trials} trials)")
@@ -596,19 +581,24 @@ def _dispatch(args) -> int:
             _write_json(args.json, report.to_json())
         return 0
 
-    if args.command in ("check", "points"):
-        cfg = args.config if args.command == "check" else _read_config(args.config, "points")
-        report, code = run_config(cfg, expect=args.expect, emit_plots=args.emit_plots)
+    if args.command in ("check", "points", "plot"):
+        cfg = _load_json(args.config)
+        validate_config(cfg)
+        kind = {"points": "points", "plot": "boundary"}.get(args.command)
+        if kind not in (None, cfg["test"]["kind"]):
+            raise ConfigError(
+                f"config field test.kind: this subcommand needs kind {kind!r}, got {cfg['test']['kind']!r}"
+            )
+        if args.command == "plot":
+            report, code = _run(cfg, None, args.out)
+            plots = report.get("plots", {})
+            print(f"boundary data : {plots.get('boundary')}")
+            print(f"residual data : {plots.get('residual') or plots.get('note')}")
+            return code
+        report, code = _run(cfg, args.expect, args.emit_plots)
         if args.report:
             _write_json(args.report, report)
         _print_run_summary(report)
-        return code
-
-    if args.command == "plot":
-        report, code = run_config(_read_config(args.config, "boundary"), emit_plots=args.out)
-        plots = report.get("plots", {})
-        print(f"boundary data : {plots.get('boundary')}")
-        print(f"residual data : {plots.get('residual') or plots.get('note')}")
         return code
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -282,6 +282,7 @@ def line_points(p0: Sequence[float], direction: Sequence[float], count: int, ext
     """count points p0 + t * dir, t equally spaced over [-extent, extent]."""
     if count < 2:
         raise ValueError("need at least two points per line")
+    extent = float(extent)  # OverflowError for an integer beyond the float range
     if extent <= 0:
         raise ValueError("extent must be positive")
     p0 = np.asarray(p0, dtype=float)

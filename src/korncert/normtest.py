@@ -245,6 +245,9 @@ def _certify(
     each stage keeps the part of the previous nullspace whose trace
     vanishes on its frame.  sizes are the sample counts the diagnostics
     report, one per stage."""
+    if not (0.0 < sigma_rel < np.inf and 0.0 < tol < np.inf):  # NaN fails every comparison
+        name, value = ("tol_dense", tol) if 0.0 < sigma_rel < np.inf else ("sigma_rel", sigma_rel)
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
     diagnostics = partial(Diagnostics, sigma_rel=sigma_rel, tol_dense=tol)
     if basis.dim == 0:
         return Verdict(tag="A1", diagnostics=diagnostics(note="trivial kernel; every seminorm is a norm"))
@@ -320,7 +323,7 @@ def point_measure_test(
     """
     if len(points) == 0:
         raise ValueError("need at least one evaluation point")
-    xs = np.array([[float(c) for c in p] for p in points])
-    if xs.shape[1] != basis.operator.n:
+    xs = np.asarray(points, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != basis.operator.n:
         raise ValueError(f"points must have {basis.operator.n} coordinates")
     return _certify(basis, TraceKind.FULL, [(xs, None)], (len(points),), sigma_rel, tol_dense)

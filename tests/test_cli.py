@@ -270,11 +270,12 @@ class TestExitCodes:
             ({"builtin": "bogus", "n": 2}, "operator.builtin: 'bogus' is not one of ["),
             ({"terms": []}, "operator.terms: [] should be non-empty"),
             ({"tensor4": 3}, "operator.tensor4: 3 is not of type 'array'"),
-            # No key, or keys of two branches: the bare oneOf failure.
+            # No key: the bare anyOf failure.  Keys of two forms: the first
+            # form's branch names the other key.
             ({"bogus": 1}, "operator: {'bogus': 1} is not valid under any of the given schemas"),
             (
                 {"builtin": "grad", "n": 2, "tensor4": []},
-                "operator: {'builtin': 'grad', 'n': 2, 'tensor4': []} is not valid under any",
+                "operator: Additional properties are not allowed ('tensor4' was unexpected)",
             ),
         ],
         ids=["n-0", "bad-builtin", "empty-terms", "tensor4-type", "no-key", "two-keys"],
@@ -292,6 +293,59 @@ class TestExitCodes:
         assert "config field <root>: [1, 2] is not of type 'object'" in capsys.readouterr().err
         with pytest.raises(ConfigError, match=r"^config field <root>: "):
             run_config([1, 2])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "place,literal",
+        [
+            # A NaN sigma_rel would drop every direction: the rotation's A2
+            # would read as an exit-0 A1.
+            (lambda cfg: cfg.update(tolerances={"sigma_rel": "@"}, expected="A1"), "NaN"),
+            # Infinite tolerances would certify both translations as well.
+            (lambda cfg: cfg.update(tolerances={"sigma_rel": "@", "tol_dense": "@"}), "Infinity"),
+            (lambda cfg: cfg.update(tolerances={"tol_dense": "@"}), "-Infinity"),
+            # 1e999 parses as inf, which would stop in geometry (exit 3).
+            (lambda cfg: cfg["test"]["domain"]["radial"].update(c="@"), "1e999"),
+        ],
+        ids=["nan-sigma_rel", "inf-tolerances", "minus-inf", "1e999-radius"],
+    )
+    def test_non_finite_json_number_exits_2(self, tmp_path, capsys, place, literal):
+        cfg = _base_config()
+        place(cfg)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg).replace('"@"', literal))
+        assert main(["check", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {literal} is not a finite JSON number\n"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+    @pytest.mark.parametrize("command", ["kernel", "probe"])
+    def test_non_finite_number_in_operator_file_exits_2(self, tmp_path, capsys, command, literal):
+        spec = {"terms": [{"alpha": [1, 0], "matrix": [["@"]]}, {"alpha": [0, 1], "matrix": [[1]]}]}
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(spec).replace('"@"', literal))
+        argv = [command, "--op-file", str(path)]
+        assert main(argv + (["--K", "1"] if command == "kernel" else [])) == 2
+        assert capsys.readouterr().err == f"error: {path}: {literal} is not a finite JSON number\n"
+
+    def test_non_finite_tolerance_in_a_dict_config(self):
+        # A dict never passes the JSON reader; the norm test refuses it.
+        cfg = _base_config(tolerances={"sigma_rel": float("nan")}, expected="A1")
+        with pytest.raises(ConfigError, match=r"^config field test: sigma_rel must be finite and > 0, got nan$"):
+            run_config(cfg)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "test,field",
+        [
+            ({"kind": "points", "points": [[10**400, 0]]}, "test.points"),
+            ({"kind": "points", "lines": [{"p0": [0, 0], "dir": [1, 0], "count": 3, "extent": 10**400}]},
+             "test.lines"),
+        ],
+        ids=["point", "extent"],
+    )
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, test, field):
+        assert main(["points", "--config", _write(tmp_path, _base_config(test=test))]) == 2
+        assert capsys.readouterr().err == f"error: config field {field}: int too large to convert to float\n"
 
     def test_grad_k_order_zero_reaches_builtin_check(self, capsys):
         code = main(["kernel", "--op", "grad_k", "--n", "2", "--order", "0", "--K", "1"])
@@ -455,6 +509,39 @@ class TestSubcommands:
         assert "C-elliptic evidence : False" in out
         assert "xi=['1', '1i']" in out
 
+    @pytest.mark.parametrize(
+        "flags,kwargs",
+        [([], {}), (["--trials", "3", "--seed", "5"], {"trials": 3, "seed": 5})],
+        ids=["defaults", "flags"],
+    )
+    def test_probe_passes_only_given_flags(self, monkeypatch, capsys, flags, kwargs):
+        # The probe's defaults are ellipticity_probe's own.
+        seen = []
+        probe = korncert.cli.ellipticity_probe
+
+        def spy(op, **kw):
+            seen.append(kw)
+            return probe(op, **kw)
+
+        monkeypatch.setattr(korncert.cli, "ellipticity_probe", spy)
+        assert main(["probe", "--op", "sym_grad", "--n", "2", *flags]) == 0
+        assert seen == [kwargs]
+
+    @pytest.mark.parametrize("command", ["check", "points", "plot"])
+    def test_config_validated_once_per_run(self, tmp_path, monkeypatch, capsys, command):
+        calls = []
+        validate = korncert.cli.validate_config
+
+        def counting(cfg):
+            calls.append(cfg)
+            validate(cfg)
+
+        monkeypatch.setattr(korncert.cli, "validate_config", counting)
+        config = "axis_line_points.json" if command == "points" else "disk_symgrad_normal.json"
+        argv = [command, "--config", str(_CONFIG_DIR / config)]
+        assert main(argv + (["--out", str(tmp_path)] if command == "plot" else [])) == 0
+        assert len(calls) == 1
+
     def test_operator_args_validated(self, capsys):
         assert main(["kernel", "--op", "sym_grad", "--K", "1"]) == 2
         assert main(["kernel", "--K", "1"]) == 2
@@ -584,7 +671,7 @@ def _mutate(cfg, data):
 
 def _with_context(errors):
     """jsonschema errors together with the per-branch errors of each
-    failed oneOf (ValidationError.context), recursively."""
+    failed anyOf (ValidationError.context), recursively."""
     for e in errors:
         yield e
         yield from _with_context(e.context)

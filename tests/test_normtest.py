@@ -384,6 +384,28 @@ class TestCertificateResidual:
             point_measure_test(kb, [np.array([0.3, 0.7])], tol_dense=1e-300)
 
 
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"sigma_rel": math.nan}, {"tol_dense": math.inf}, {"tol_dense": 0.0}],
+    ids=["sigma_rel-nan", "tol_dense-inf", "tol_dense-0"],
+)
+@pytest.mark.parametrize("test", ["classify", "point_measure_test", "trivial-kernel"])
+def test_tolerance_must_be_finite_and_positive(test, tolerances):
+    # A NaN sigma_rel would drop every nullspace direction (a wrong A1),
+    # an infinite one would keep them all.  The trivial kernel checks too.
+    from korncert.kernel import KernelBasis
+
+    kb = kernel_basis(builtin_operator("sym_grad", 2), 1)
+    if test == "trivial-kernel":
+        kb = KernelBasis(operator=kb.operator, K=1, basis=(), m=kb.m, rank=kb.m)
+    name, value = next(iter(tolerances.items()))
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got {value}$"):
+        if test == "point_measure_test":
+            point_measure_test(kb, [np.array([0.0, 0.0])], **tolerances)
+        else:
+            classify(kb, _BALL2, TraceKind.NORMAL, *_grids(_BALL2, [6]), **tolerances)
+
+
 class TestInvariance:
     def test_verdict_invariant_under_basis_recombination(self):
         """The certificate span must not depend on which exact basis of
