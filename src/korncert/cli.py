@@ -42,6 +42,7 @@ from .diffop import DiffOperator, builtin_operator, ellipticity_probe, operator_
 from .geometry import (
     GeometryError,
     SampleGrid,
+    SpecError,
     StarDomain,
     grid_frame,
     interior_points,
@@ -81,11 +82,13 @@ class ConfigError(Exception):
 @contextmanager
 def _field(name: str):
     """Turn a ValueError or OverflowError raised in the block into a
-    ConfigError naming the config field it came from."""
+    ConfigError naming the config field it came from; a SpecError's key
+    extends the name."""
     try:
         yield
     except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"config field {name}: {exc}") from exc
+        where = f"{name}.{exc.key}" if isinstance(exc, SpecError) else name
+        raise ConfigError(f"config field {where}: {exc}") from exc
 
 
 def _load_json(path: str | Path):
@@ -238,7 +241,10 @@ def _gather_points(test: dict, n: int, dom: StarDomain | None, default_seed: int
         if len(p) != n:
             raise ConfigError(f"config field test.points: point {p} is not in R^{n}")
         with _field("test.points"):  # OverflowError: an integer beyond the float range
-            points.append(np.array(p, dtype=float))
+            point = np.array(p, dtype=float)
+            if not np.isfinite(point).all():
+                raise ValueError(f"point {point.tolist()} is not finite")
+            points.append(point)
     for line in test.get("lines", ()):
         if len(line["p0"]) != n or len(line["dir"]) != n:
             raise ConfigError(f"config field test.lines: p0 and dir must be in R^{n}")

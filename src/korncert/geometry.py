@@ -40,6 +40,15 @@ class GeometryError(RuntimeError):
     """Degenerate geometry: nonpositive radius or a collapsing tangent frame."""
 
 
+class SpecError(ValueError):
+    """An unusable number in a JSON spec; key is its path within the
+    spec, such as radial.c."""
+
+    def __init__(self, key: str, message: str) -> None:
+        super().__init__(message)
+        self.key = key
+
+
 def _scalar(value) -> float:
     return float(parse_rational(value)) if isinstance(value, str) else float(value)
 
@@ -96,12 +105,19 @@ class StarDomain:
             family = radial["family"]
         except (KeyError, TypeError) as exc:
             raise GeometryError(f"malformed domain spec: {exc}") from exc
+
+        def number(key: str, default=None) -> float:
+            value = _scalar(radial[key] if default is None else radial.get(key, default))
+            if not math.isfinite(value):
+                raise SpecError(f"radial.{key}", f"{value} is not a finite number")
+            return value
+
         if family in ("constant", "ball"):
-            return cls.ball(n, radial.get("c", 1))
+            return cls.ball(n, number("c", 1))
         if family == "sine2d":
-            return cls.sine2d(radial["c"], radial["a"], radial["m"])
+            return cls.sine2d(number("c"), number("a"), radial["m"])
         if family == "sine3d":
-            return cls.sine3d(radial["c"], radial["a"], radial["m1"], radial["m2"])
+            return cls.sine3d(number("c"), number("a"), radial["m1"], radial["m2"])
         raise GeometryError(f"unknown radial family: {family}")
 
     def to_json(self) -> dict:
@@ -283,10 +299,13 @@ def line_points(p0: Sequence[float], direction: Sequence[float], count: int, ext
     if count < 2:
         raise ValueError("need at least two points per line")
     extent = float(extent)  # OverflowError for an integer beyond the float range
-    if extent <= 0:
-        raise ValueError("extent must be positive")
+    if not 0 < extent < math.inf:
+        raise ValueError(f"extent must be positive and finite, got {extent}")
     p0 = np.asarray(p0, dtype=float)
     d = np.asarray(direction, dtype=float)
+    for name, values in (("p0", p0), ("dir", d)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, got {values.tolist()}")
     length = float(np.linalg.norm(d))
     if length < _FRAME_TOL:
         raise ValueError("zero direction vector")

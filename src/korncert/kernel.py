@@ -11,7 +11,12 @@ result is a certificate, not evidence.
 A is homogeneous of order k, so it maps degree-d fields to degree-(d-k)
 fields only.  In the graded-lex layout each degree is one contiguous
 column range, the coefficient matrix is block-diagonal by degree, and
-each degree block is assembled and eliminated on its own.
+each degree block is assembled and eliminated on its own.  The blocks
+are integer matrices: each call scales A's coefficient matrices once by
+the lcm of their denominators, which leaves the kernel alone, so every
+entry is a falling-factorial product times an integer, and
+linalg.nullspace eliminates the block over the integers, fraction-free.
+Only coefficient_matrix divides the scale back out.
 
 The dimension profile is exact evidence, not a heuristic.  The kernel
 splits by degree, and each partial derivative d_i commutes with A, so it
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, perm, prod
+from math import comb, lcm, perm, prod
 
 from . import linalg
 from .diffop import DiffOperator
@@ -74,20 +79,43 @@ def coefficient_matrix(A: DiffOperator, K: int) -> list[list[Fraction]]:
     Rows index output coefficients (dimW * |P_{K-k}|), columns input
     coefficients (dimV * |P_K|), both in the PolyVec layout.  It is
     block-diagonal by degree; every entry outside the blocks of
-    _degree_blocks is zero.
+    _degree_blocks is zero, and each integer block is the slice of this
+    matrix it covers times the scale of _integer_terms.
     """
     source = monomial_basis(A.n, K)
     zero = Fraction(0)
     target_size = comb(A.n + max(K - A.order, 0), A.n)
     rows = [[zero] * (A.dimV * source.size) for _ in range(A.dimW * target_size)]
+    scale = _integer_terms(A)[0]
     for row, col, cols, block in _degree_blocks(A, source):
         for i, block_row in enumerate(block):
-            rows[row + i][col : col + cols] = block_row
+            rows[row + i][col : col + cols] = [Fraction(v, scale) for v in block_row]
     return rows
 
 
-def _degree_block(A: DiffOperator, basis: MonomialBasis, d: int) -> list[list[Fraction]]:
-    """The degree-d block: the map from degree-d to degree-(d-k)
+def _integer_terms(A: DiffOperator) -> tuple[int, list]:
+    """The lcm scale of the denominators of A's coefficients, and the
+    terms of the integer operator scale * A, each term's matrix as its
+    nonzero (w, v, entry) triples.  scale * A has the kernel of A."""
+    scale = lcm(*(m.denominator for _, matrix in A.terms for row in matrix for m in row))
+    terms = [
+        (
+            alpha,
+            [
+                (w, v, m.numerator * (scale // m.denominator))
+                for w, row in enumerate(matrix)
+                for v, m in enumerate(row)
+                if m
+            ],
+        )
+        for alpha, matrix in A.terms
+    ]
+    return scale, terms
+
+
+def _degree_block(A: DiffOperator, terms, basis: MonomialBasis, d: int) -> list[list[int]]:
+    """The degree-d block of the integer operator whose terms
+    _integer_terms gives: the map from degree-d to degree-(d-k)
     coefficients, with no rows when d < k.
 
     Columns are the degree-d monomials of basis times the dimV
@@ -107,41 +135,39 @@ def _degree_block(A: DiffOperator, basis: MonomialBasis, d: int) -> list[list[Fr
     first = comb(n - 1 + d, n)  # monomials of degree < d
     count = comb(n - 1 + d, d)  # monomials of degree d
     below = comb(n - 1 + d - k, n)  # monomials of degree < d - k
-    zero = Fraction(0)
-    rows = [[zero] * (A.dimV * count) for _ in range(A.dimW * comb(n - 1 + d - k, d - k))]
+    rows = [[0] * (A.dimV * count) for _ in range(A.dimW * comb(n - 1 + d - k, d - k))]
     for j, beta in enumerate(basis.exponents[first : first + count]):
-        for alpha, matrix in A.terms:
+        for alpha, entries in terms:
             if not beta.dominates(alpha):
                 continue
             factor = prod(perm(b, a) for b, a in zip(beta.entries, alpha.entries))
             gamma = MultiIndex(tuple(b - a for b, a in zip(beta.entries, alpha.entries)))
             t = basis.index_of(gamma) - below
-            for w in range(A.dimW):
-                for v in range(A.dimV):
-                    if matrix[w][v] != 0:
-                        rows[t * A.dimW + w][j * A.dimV + v] = factor * matrix[w][v]
+            for w, v, m in entries:
+                rows[t * A.dimW + w][j * A.dimV + v] = factor * m
     return rows
 
 
 def _degree_blocks(A: DiffOperator, basis: MonomialBasis):
     """Yield (row offset, column offset, column count, block) for the
-    degree blocks d = 0..basis.K of coefficient_matrix(A, basis.K).
+    integer degree blocks d = 0..basis.K of A.
 
     Each block is assembled only when the caller reaches it, so a caller
     that stops early assembles no higher block.
     """
     n, k = A.n, A.order
+    terms = _integer_terms(A)[1]
     for d in range(basis.K + 1):
         row = A.dimW * comb(n - 1 + d - k, n) if d >= k else 0
         col = A.dimV * comb(n - 1 + d, n)
-        yield row, col, A.dimV * comb(n - 1 + d, d), _degree_block(A, basis, d)
+        yield row, col, A.dimV * comb(n - 1 + d, d), _degree_block(A, terms, basis, d)
 
 
 def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
     """Exact basis of the degree-<= K polynomial kernel of A.
 
-    Elimination runs on each degree block of the coefficient matrix
-    separately, and each block vector is padded with zeros to the full
+    Elimination runs on each integer degree block separately (module
+    docstring), and each block vector is padded with zeros to the full
     coefficient length.  The reduced echelon form is unique, so this is
     the nullspace of the whole matrix, in the same order.  For K below
     the operator order every field is annihilated (the blocks have no

@@ -1,16 +1,21 @@
-"""Exact Gaussian elimination over rational-like scalars.
+"""Exact Gaussian elimination over the integers.
 
-Routines accept any scalar type closed under +, -, *, / with exact
-equality against 0; Fraction and ComplexRational both qualify.  The
-pivot is the first nonzero entry of its column: exact arithmetic needs
-no pivoting for stability.  Row updates skip zero entries: a zero stays
-the object it was, and a pivot row's zero leaves the other row's entry
-as it is.  The values are those of the plain loop, at a cost that
-follows the nonzeros, which suits the sparse coefficient blocks
-kernel.kernel_basis eliminates one degree at a time.  Inputs are never
-mutated and results are fully deterministic: the reduced echelon form
-is unique, and nullspace vectors are normalised so their first nonzero
-entry is one.
+rref, rank and nullspace accept ints, Fractions, or any other scalar
+type closed under +, -, * and / whose zero is falsy; ComplexRational
+qualifies.  There is one fraction-free Gauss-Jordan loop.  A rational
+matrix (ints and Fractions) is eliminated over the integers: on entry
+each row is multiplied by the lcm of its denominators, which leaves its
+span alone; each update r_i <- p r_i - f r_p, with p the pivot and f
+the entry of r_i in the pivot column, multiplies and subtracts without
+dividing; and each updated row is divided by the gcd of its entries, so
+the integers stay as small as the row allows.  Other scalars go through
+the same updates in their own arithmetic, without the gcd step.  On
+exit each nonzero entry of a pivot row is divided by the row's pivot,
+once.  The pivot is the first nonzero entry of its column: exact
+arithmetic needs no pivoting for stability.  Inputs are never mutated
+and results are fully deterministic: the reduced echelon form is
+unique, so it does not depend on the scaling of any row, and nullspace
+vectors are normalised so their first nonzero entry is one.
 
 A modular helper proves full rank cheaply.  P is a prime with
 P = 1 (mod 4) and I a square root of -1 mod P, so the map
@@ -24,6 +29,9 @@ nothing: only a full-rank answer may be taken from the residues.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import truediv
 from typing import Sequence, TypeVar
 
 T = TypeVar("T")
@@ -33,29 +41,54 @@ I = 583529827753931384  # I * I = -1 (mod P)
 
 
 def rref(matrix: Sequence[Sequence[T]], ncols: int) -> tuple[list[list[T]], list[int]]:
-    """Reduced row echelon form and pivot column list."""
-    rows = [list(r) for r in matrix]
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
+    """Reduced row echelon form and pivot column list, by the
+    fraction-free loop of the module docstring.  For a rational matrix
+    the nonzero entries are Fractions and the zeros ints."""
+    if any(len(r) != ncols for r in matrix):
+        raise ValueError("ragged matrix")
+    kinds = set(map(type, chain.from_iterable(matrix)))
+    integer = kinds <= {int, Fraction}
+    if kinds <= {int}:
+        rows = [_primitive(list(r)) for r in matrix]
+    elif integer:
+        rows = [_primitive(_cleared(r)) for r in matrix]
+    else:
+        rows = [list(r) for r in matrix]
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
-        best = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        best = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if best is None:
             continue
         rows[rank], rows[best] = rows[best], rows[rank]
-        piv = rows[rank][col]
-        rows[rank] = [v / piv if v != 0 else v for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b if b != 0 else a for a, b in zip(rows[i], rows[rank])]
+        pivot_row = rows[rank]
+        p = pivot_row[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != rank:
+                row = [p * a - f * b for a, b in zip(row, pivot_row)]
+                rows[i] = _primitive(row) if integer else row
         pivots.append(col)
         rank += 1
         if rank == len(rows):
             break
+    divide = Fraction if integer else truediv
+    for i, col in enumerate(pivots):
+        p = rows[i][col]
+        rows[i] = [divide(v, p) if v else v for v in rows[i]]
     return rows, pivots
+
+
+def _cleared(row: Sequence[int | Fraction]) -> list[int]:
+    """A rational row times the lcm of its denominators, as ints."""
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
 
 
 def rank(matrix: Sequence[Sequence[T]], ncols: int) -> int:
@@ -80,11 +113,11 @@ def nullspace(
         v[f] = one
         for r, p in enumerate(pivots):
             coeff = reduced[r][f]
-            if coeff != 0:
+            if coeff:
                 v[p] = zero - coeff
-        lead = next(x for x in v if x != 0)
+        lead = next(x for x in v if x)
         if lead != one:
-            v = [x / lead if x != 0 else zero for x in v]
+            v = [x / lead if x else zero for x in v]
         basis.append(v)
     return basis
 

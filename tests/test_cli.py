@@ -48,6 +48,12 @@ def _base_config(**overrides):
     return cfg
 
 
+def _line_test(**line):
+    """A points test on one line through the origin, with line's entries
+    replacing the defaults."""
+    return {"kind": "points", "lines": [{"p0": [0, 0], "dir": [1, 0], "count": 3, "extent": 1, **line}]}
+
+
 def _write(tmp_path, cfg, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -331,6 +337,33 @@ class TestExitCodes:
         # A dict never passes the JSON reader; the norm test refuses it.
         cfg = _base_config(tolerances={"sigma_rel": float("nan")}, expected="A1")
         with pytest.raises(ConfigError, match=r"^config field test: sigma_rel must be finite and > 0, got nan$"):
+            run_config(cfg)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    @pytest.mark.parametrize(
+        "place,field",
+        [
+            (lambda cfg, x: cfg["test"]["domain"]["radial"].update(c=x), "test.domain.radial.c"),
+            (
+                lambda cfg, x: cfg["test"]["domain"].update(
+                    radial={"family": "sine2d", "c": 1, "a": x, "m": 3}
+                ),
+                "test.domain.radial.a",
+            ),
+            (lambda cfg, x: cfg.update(test=_line_test(extent=x)), "test.lines"),
+            (lambda cfg, x: cfg.update(test=_line_test(p0=[0, x])), "test.lines"),
+            (lambda cfg, x: cfg.update(test=_line_test(dir=[x, 1])), "test.lines"),
+            (lambda cfg, x: cfg.update(test={"kind": "points", "points": [[0.5, 0], [x, 0]]}), "test.points"),
+        ],
+        ids=["c", "a", "extent", "p0", "dir", "points"],
+    )
+    def test_non_finite_number_in_a_dict_config_names_field(self, place, field, value):
+        # A dict config never passes the JSON reader, so the number reaches
+        # the library, which refuses it before any geometry or SVD sees it.
+        cfg = _base_config()
+        place(cfg, value)
+        with pytest.raises(ConfigError, match=rf"^config field {field}: .*(inf|nan)"):
             run_config(cfg)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

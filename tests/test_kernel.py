@@ -9,6 +9,7 @@ but the operator definition.
 import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -246,20 +247,25 @@ class TestKernelContents:
                 ], (op.name, op.n, K)
 
     def test_degree_blocks_are_slices_of_coefficient_matrix(self):
+        # Blocks are integer matrices of scale * A: scale times the slice
+        # of the Fraction matrix they cover, entry by entry.
         for op in _operator_grid():
+            scale = korncert.kernel._integer_terms(op)[0]
+            assert scale == lcm(*(m.denominator for _, matrix in op.terms for row in matrix for m in row))
             for K in range(op.order + 3):
                 whole = coefficient_matrix(op, K)
                 for row, col, cols, block in korncert.kernel._degree_blocks(op, monomial_basis(op.n, K)):
-                    assert block == [r[col : col + cols] for r in whole[row : row + len(block)]]
+                    assert all(type(v) is int for r in block for v in r), (op.name, op.n, K)
+                    assert block == [[scale * v for v in r[col : col + cols]] for r in whole[row : row + len(block)]]
                     assert all(len(r) == cols for r in block), (op.name, op.n, K)
 
     def test_no_block_assembled_above_first_trivial(self, monkeypatch):
         degrees = []
         build = korncert.kernel._degree_block
 
-        def traced(A, basis, d):
+        def traced(A, terms, basis, d):
             degrees.append(d)
-            return build(A, basis, d)
+            return build(A, terms, basis, d)
 
         monkeypatch.setattr(korncert.kernel, "_degree_block", traced)
         op = builtin_operator("sym_grad", 3)
@@ -462,9 +468,19 @@ def test_rank_mod_p_of_small_integer_matrices_is_the_exact_rank(entry, data):
     assert rank_mod_p([[residue(x) for x in row] for row in matrix], ncols) == rank(matrix, ncols)
 
 
+# Rows mixing ints and Fractions whose denominators run up to 97, so that
+# clearing a row's denominators multiplies many coprime ones.
+_rational = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-20, 20),
+    st.fractions(min_value=-10, max_value=10, max_denominator=97),
+)
+
+
 @pytest.mark.parametrize(
     "entries,zero,one",
-    [(_sparse, Fraction(0), Fraction(1)), (_complex, CR_ZERO, CR_ONE)],
+    [(_rational, Fraction(0), Fraction(1)), (_complex, CR_ZERO, CR_ONE)],
     ids=["fraction", "complex"],
 )
 @settings(max_examples=60, deadline=None)
@@ -472,7 +488,40 @@ def test_rank_mod_p_of_small_integer_matrices_is_the_exact_rank(entry, data):
 def test_rref_skipping_zeros_matches_dense_loop(entries, zero, one, data):
     ncols = data.draw(st.integers(1, 7))
     matrix = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=6))
-    assert rref(matrix, ncols) == _dense_rref(matrix, ncols)
+    # The reference divides, so its ints become Fractions first.
+    exact = [[x if isinstance(x, ComplexRational) else Fraction(x) for x in row] for row in matrix]
+    assert rref(matrix, ncols) == _dense_rref(exact, ncols)
     for v in nullspace(matrix, ncols, zero=zero, one=one):
         for row in matrix:
             assert sum((a * b for a, b in zip(row, v)), zero) == 0
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [
+            ((1, 0), [[Fraction(1, 7), 0], [0, Fraction(3, 11)], [Fraction(-5, 13), Fraction(1, 7)]]),
+            ((0, 1), [[0, Fraction(-5, 13)], [Fraction(3, 11), 0], [Fraction(1, 7), Fraction(3, 11)]]),
+        ],
+        [
+            ((2, 0), [[Fraction(1, 7), Fraction(3, 11)]]),
+            ((1, 1), [[Fraction(-5, 13), 0]]),
+            ((0, 2), [[0, Fraction(1, 7)]]),
+        ],
+    ],
+    ids=["first-order", "second-order"],
+)
+def test_integer_blocks_keep_the_kernel_of_a_rational_operator(monkeypatch, terms):
+    # kernel_basis eliminates blocks of 1001 * A; the reference eliminates
+    # the Fraction matrix of A, built by apply_operator, with the dividing
+    # loop.  A wrong scale on any term would change the kernel.
+    op = custom_operator(terms)
+    assert korncert.kernel._integer_terms(op)[0] == 7 * 11 * 13
+    for K in range(op.order + 4):
+        got = [p.coeffs for p in kernel_basis(op, K).basis]
+        matrix = _unit_vector_matrix(op, K)
+        assert coefficient_matrix(op, K) == matrix, K
+        with monkeypatch.context() as m:
+            m.setattr(korncert.linalg, "rref", _dense_rref)
+            want = nullspace(matrix, op.dimV * monomial_basis(op.n, K).size)
+        assert got == [tuple(v) for v in want], K
