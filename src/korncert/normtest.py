@@ -22,6 +22,12 @@ A3 cannot occur.
 
 Trace kinds: FULL is the whole vector trace, NORMAL the scalar
 (trace . nu), TANGENTIAL the projection trace - (trace . nu) nu.
+
+Every trace is evaluated by trace_values: a table of coordinate powers,
+one multiplication per degree and no pow per monomial, then one matrix
+product of the monomial values with the coefficient columns.  Float
+coefficients are converted from the exact ones on every call; nothing
+is cached.
 """
 
 from __future__ import annotations
@@ -119,8 +125,9 @@ class Verdict:
 
 
 def _coefficient_columns(polys: Sequence[PolyVec]) -> np.ndarray:
-    """Float coefficient matrix, one column per polynomial."""
-    return np.array([[float(c) for c in p.coeffs] for p in polys], dtype=float).T
+    """Float coefficient matrix, one column per polynomial.  Int true
+    division is what float() does for a Fraction, bit for bit."""
+    return np.array([[c.numerator / c.denominator for c in p.coeffs] for p in polys], dtype=float).T
 
 
 def _basis_columns(basis: KernelBasis) -> np.ndarray:
@@ -145,23 +152,38 @@ def trace_values(
     layout over basis; xs is (npoints, n), and nus the unit normals at
     xs, which NORMAL and TANGENTIAL need.  ncomp is 1 for NORMAL and
     dimV for FULL and TANGENTIAL.
+
+    The monomial values come from a (npoints, n, K+1) table of powers,
+    one multiplication per degree, gathered by exponent: no pow per
+    monomial.  The values of all columns are then one matrix product.
     """
+    n = basis.n
+    if xs.ndim != 2 or xs.shape[1] != n:
+        raise ValueError(f"points must be an (npoints, {n}) array, got shape {xs.shape}")
     dim_v = columns.shape[0] // basis.size
-    exponents = np.array([mi.entries for mi in basis.exponents], dtype=float)
-    # mono_values[p, j] = prod_i xs[p, i] ** exponents[j, i]
-    mono_values = np.prod(xs[:, None, :] ** exponents[None, :, :], axis=2)
-    b3 = columns.reshape(-1, dim_v, columns.shape[1])
-    values = np.einsum("ps,svd->pvd", mono_values, b3)
+    if kind is not TraceKind.FULL:
+        if nus is None or nus.shape != xs.shape:
+            got = "none" if nus is None else f"shape {nus.shape}"
+            raise ValueError(f"{kind.value} trace needs normals of shape {xs.shape}, got {got}")
+        if dim_v != n:
+            raise ValueError(f"{kind.value} trace needs dimV == n, got dimV={dim_v}, n={n}")
+    exponents = np.array([mi.entries for mi in basis.exponents])
+    powers = np.empty((xs.shape[0], n, basis.K + 1))
+    powers[:, :, 0] = 1.0
+    for k in range(1, basis.K + 1):
+        powers[:, :, k] = powers[:, :, k - 1] * xs
+    # mono[p, j] = prod_i xs[p, i] ** exponents[j, i]
+    mono = powers[:, 0, exponents[:, 0]]
+    for i in range(1, n):
+        mono = mono * powers[:, i, exponents[:, i]]
+    ncols = columns.shape[1]
+    values = (mono @ columns.reshape(basis.size, dim_v * ncols)).reshape(xs.shape[0], dim_v, ncols)
     if kind is TraceKind.FULL:
         return values
-    if dim_v != xs.shape[1]:
-        raise ValueError(
-            f"{kind.value} trace needs dimV == n, got dimV={dim_v}, n={xs.shape[1]}"
-        )
-    normal_part = np.einsum("pv,pvd->pd", nus, values)
+    normal_part = nus[:, None, :] @ values  # (npoints, 1, ncols)
     if kind is TraceKind.NORMAL:
-        return normal_part[:, None, :]
-    return values - nus[:, :, None] * normal_part[:, None, :]
+        return normal_part
+    return values - nus[:, :, None] * normal_part
 
 
 def trace_magnitudes(
@@ -202,35 +224,12 @@ def _sign_fixed(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _to_certificates(
-    basis: KernelBasis, ambient_vectors: np.ndarray
-) -> tuple[PolyVec, ...]:
-    poly_basis = basis.basis[0].basis
-    dim_v = basis.basis[0].dimV
-    certs = []
-    for i in range(ambient_vectors.shape[1]):
-        w = ambient_vectors[:, i]
-        w = _sign_fixed(w / np.linalg.norm(w))
-        certs.append(PolyVec.from_floats(poly_basis, dim_v, w))
-    return tuple(certs)
-
-
 def certificate_residual(
     rho: PolyVec, dom: StarDomain, kind: TraceKind | str, grid: SampleGrid
 ) -> float:
     """Sup over the grid of the trace magnitude of rho (max over
     components for the vector-valued kinds)."""
-    return _residuals([rho], TraceKind.of(kind), *grid_frame(dom, grid))[0]
-
-
-def _residuals(
-    certificates: Sequence[PolyVec],
-    kind: TraceKind,
-    xs: np.ndarray,
-    nus: np.ndarray | None = None,
-) -> tuple[float, ...]:
-    """Per certificate, the max trace magnitude over the points."""
-    return tuple(float(r) for r in np.max(trace_magnitudes(certificates, kind, xs, nus), axis=0))
+    return float(np.max(trace_magnitudes([rho], TraceKind.of(kind), *grid_frame(dom, grid))))
 
 
 def _certify(
@@ -252,11 +251,12 @@ def _certify(
     if basis.dim == 0:
         return Verdict(tag="A1", diagnostics=diagnostics(note="trivial kernel; every seminorm is a norm"))
     diagnostics = partial(diagnostics, **dict(zip(("coarse_points", "dense_points"), sizes)))
+    poly_basis = basis.basis[0].basis
     columns = _basis_columns(basis)
     spectra: dict[str, tuple[float, ...]] = {}
     null = None
     for field_name, (xs, nus) in zip(("coarse_sv", "dense_sv"), frames):
-        values = trace_values(basis.basis[0].basis, columns, xs, kind, nus)
+        values = trace_values(poly_basis, columns, xs, kind, nus)
         rows = values.reshape(-1, values.shape[2])  # point order, then component
         if not np.all(np.isfinite(rows)):
             raise ValueError("non-finite constraint entries")
@@ -272,11 +272,15 @@ def _certify(
                 ),
             )
         null = stage.vectors if null is None else null @ stage.vectors
-    certificates = _to_certificates(basis, columns @ null)
-    residuals = _residuals(certificates, kind, xs, nus)
+    # Unit-normalized and sign-fixed.  The residuals come from the very
+    # floats the certificates adopt exactly, so they are their own.
+    cert_columns = np.stack([_sign_fixed(w / np.linalg.norm(w)) for w in (columns @ null).T], axis=1)
+    values = trace_values(poly_basis, cert_columns, xs, kind, nus)
+    residuals = tuple(float(r) for r in np.max(np.abs(values), axis=(0, 1)))
     for res in residuals:
         if not res < tol:
             raise ValueError(f"certificate residual {res:.3e} exceeds tol_dense={tol:.1e}")
+    certificates = tuple(PolyVec.from_floats(poly_basis, basis.basis[0].dimV, w) for w in cert_columns.T)
     return Verdict(tag="A2", certificates=certificates, diagnostics=diagnostics(**spectra, residuals=residuals))
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import comb
 from typing import Iterator, Sequence
 
@@ -149,7 +150,7 @@ class PolyVec:
         expected = self.dimV * self.basis.size
         if len(self.coeffs) != expected:
             raise ValueError(f"expected {expected} coefficients, got {len(self.coeffs)}")
-        if not all(isinstance(c, Fraction) for c in self.coeffs):
+        if not all(map(isinstance, self.coeffs, repeat(Fraction))):
             object.__setattr__(self, "coeffs", tuple(parse_rational(c) for c in self.coeffs))
 
     @classmethod

@@ -408,6 +408,29 @@ class TestDeterminism:
         r2, _ = run_config(_base_config())
         assert r1["digest"] == r2["digest"]
 
+    @pytest.mark.parametrize("stem", ["ball3d_devsymgrad_normal", "axis_line_points"])
+    def test_digest_independent_of_blas_threads(self, stem):
+        # The traces and SVDs go through BLAS, so each thread count runs
+        # in its own process, where the setting takes effect.
+        src = str(Path(korncert.__file__).resolve().parent.parent)
+        digests = set()
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                "OMP_NUM_THREADS": threads,
+                "OPENBLAS_NUM_THREADS": threads,
+            }
+            proc = subprocess.run(
+                [sys.executable, "-m", "korncert.cli", "check", "--config", str(_CONFIG_DIR / f"{stem}.json")],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.update(line.split(":")[1].strip() for line in proc.stdout.splitlines() if line.startswith("digest"))
+        assert len(digests) == 1
+
     def test_env_seed_override(self, monkeypatch):
         base, _ = run_config(_base_config())
         monkeypatch.setenv("KORNCERT_SEED", "1234")

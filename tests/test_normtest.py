@@ -1,9 +1,10 @@
 """Seminorm-is-norm classification: constraint assembly, numeric
 nullspaces, two-stage verdicts, and point measures.
 
-The A2 verdicts below are all backed by closed-form kernel fields whose
+The A2 verdicts below are backed by closed-form kernel fields whose
 traces vanish identically, so residual assertions can be tightened far
-below the working tolerance.
+below the working tolerance; the one exception keeps a field with a
+small trace on purpose, under a loose threshold.
 """
 
 import functools
@@ -123,8 +124,62 @@ class TestAssemble:
         )
         kb = kernel_basis(op, 1)
         grid = sample_grid(_BALL2, [4])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^normal trace needs dimV == n, got dimV=1, n=2$"):
             _constraints(kb, _BALL2, TraceKind.NORMAL, grid)
+
+
+def _reference_trace(polys, xs, kind, nus):
+    """trace_values one point and one polynomial at a time: eval_poly on
+    float points, then the normal or tangential projection by hand."""
+    dim_v = polys[0].dimV
+    out = np.empty((len(xs), 1 if kind is TraceKind.NORMAL else dim_v, len(polys)))
+    for d, rho in enumerate(polys):
+        for p, x in enumerate(xs):
+            v = np.array(eval_poly(rho, [float(c) for c in x]))
+            if kind is TraceKind.FULL:
+                out[p, :, d] = v
+                continue
+            normal = sum(vi * ni for vi, ni in zip(v, nus[p]))
+            out[p, :, d] = normal if kind is TraceKind.NORMAL else v - normal * nus[p]
+    return out
+
+
+class TestTraceValues:
+    @pytest.mark.parametrize("K", range(5))
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", list(TraceKind), ids=lambda k: k.value)
+    def test_matches_pointwise_reference(self, kind, n, K):
+        # From K = 3 on, the power table rounds differently from pow.
+        rng = np.random.default_rng(100 * n + K)
+        basis = monomial_basis(n, K)
+        columns = rng.uniform(-1.0, 1.0, (basis.size * n, 4))
+        xs = rng.uniform(-2.0, 2.0, (12, n))
+        xs[0] = 0.0
+        xs[1:4, 0] = 0.0
+        xs[4:6, -1] = 0.0
+        nus = rng.normal(size=xs.shape)
+        nus /= np.linalg.norm(nus, axis=1, keepdims=True)
+        got = trace_values(basis, columns, xs, kind, nus)
+        ref = _reference_trace([PolyVec.from_floats(basis, n, col) for col in columns.T], xs, kind, nus)
+        assert got.shape == ref.shape
+        scale = np.max(np.abs(ref), axis=(0, 1))
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    def test_points_with_too_few_coordinates_rejected(self):
+        basis = monomial_basis(3, 1)
+        with pytest.raises(ValueError, match=r"points must be an \(npoints, 3\) array, got shape \(5, 2\)"):
+            trace_values(basis, np.ones((basis.size * 3, 1)), np.ones((5, 2)), TraceKind.FULL)
+
+    @pytest.mark.parametrize("kind", [TraceKind.NORMAL, TraceKind.TANGENTIAL], ids=lambda k: k.value)
+    def test_projected_kinds_need_normals(self, kind):
+        basis = monomial_basis(2, 1)
+        with pytest.raises(ValueError, match=rf"{kind.value} trace needs normals of shape \(5, 2\), got none"):
+            trace_values(basis, np.ones((basis.size * 2, 1)), np.ones((5, 2)), kind)
+
+    def test_normals_must_match_points(self):
+        basis = monomial_basis(2, 1)
+        with pytest.raises(ValueError, match=r"normal trace needs normals of shape \(5, 2\), got shape \(4, 2\)"):
+            trace_values(basis, np.ones((basis.size * 2, 1)), np.ones((5, 2)), TraceKind.NORMAL, np.ones((4, 2)))
 
 
 class TestNumericNullspace:
@@ -371,6 +426,37 @@ class TestCertificateResidual:
         grid = sample_grid(_BALL2, [64])
         assert certificate_residual(e1, _BALL2, TraceKind.NORMAL, grid) > 0.9
 
+    @pytest.mark.parametrize(
+        "operator, K, dom, kind, counts, tolerances",
+        [
+            ("sym_grad", 1, _BALL2, TraceKind.NORMAL, [6], {}),
+            ("dev_grad", 1, _BALL2, TraceKind.TANGENTIAL, [6], {}),
+            ("sym_grad", 1, _BALL3, TraceKind.NORMAL, [4, 4], {}),
+            ("dev_sym_grad", 2, _BALL3, TraceKind.NORMAL, [4, 4], {}),
+            # On a disk of radius 1/1000 the dilation's trace stays below a
+            # loose threshold, so its residual is about 7e-4, not rounding.
+            ("dev_grad", 1, StarDomain.ball(2, Fraction(1, 1000)), TraceKind.NORMAL, [6], {"sigma_rel": 1e-2, "tol_dense": 1.0}),
+            ("dev_grad", 1, StarDomain.ball(2, Fraction(1, 1000)), TraceKind.FULL, [6], {"sigma_rel": 1e-2, "tol_dense": 1.0}),
+        ],
+        ids=[
+            "sym_grad-disk-normal",
+            "dev_grad-disk-tangential",
+            "sym_grad-ball3-normal",
+            "dev_sym_grad-ball3-normal",
+            "dev_grad-small-disk-normal",
+            "dev_grad-small-disk-full",
+        ],
+    )
+    def test_reported_residuals_are_the_certificates_own(self, operator, K, dom, kind, counts, tolerances):
+        # classify computes the residuals from float coefficients; each must
+        # be the residual of the Fraction certificate it reports.
+        kb = kernel_basis(builtin_operator(operator, dom.n), K)
+        coarse, dense = _grids(dom, counts)
+        verdict = classify(kb, dom, kind, coarse, dense, **tolerances)
+        assert verdict.tag == "A2"
+        for cert, res in zip(verdict.certificates, verdict.diagnostics.residuals, strict=True):
+            assert abs(certificate_residual(cert, dom, kind, dense) - res) <= 1e-15
+
     # The rotation's float residuals here are 5.551e-17, so a tolerance
     # below them trips the gate that every A2 verdict passes.
     def test_classify_rejects_residual_above_tolerance(self):
@@ -526,18 +612,9 @@ def _kernel(name, n):
 
 def _reference_magnitudes(rho, dom, kind, grid):
     """Per-sample trace magnitudes, one point at a time through eval_poly."""
-    out = []
-    for theta in grid.thetas:
-        x = boundary_point(dom, theta)
-        v = np.array(eval_poly(rho, x))
-        nu = outward_normal(dom, theta)
-        if kind is TraceKind.NORMAL:
-            out.append(abs(float(v @ nu)))
-        elif kind is TraceKind.TANGENTIAL:
-            out.append(float(np.max(np.abs(v - float(v @ nu) * nu))))
-        else:
-            out.append(float(np.max(np.abs(v))))
-    return np.array(out)
+    xs = [boundary_point(dom, theta) for theta in grid.thetas]
+    nus = [outward_normal(dom, theta) for theta in grid.thetas]
+    return np.max(np.abs(_reference_trace([rho], xs, kind, nus)), axis=1)[:, 0]
 
 
 _DOMAINS = {
