@@ -12,8 +12,9 @@ scriptable:
 Exit codes: 0 success, 1 verdict differs from the expected one, 2 config
 or schema violation (the message names the offending field), 3 geometry
 degeneracy.  Reports are deterministic for a fixed config and seed; the
-digest field identifies the payload with timings excluded, so repeated
-runs can be compared byte for byte after dropping "timings".
+digest field identifies the payload with timings and plot paths
+excluded, so repeated runs can be compared byte for byte after dropping
+"timings" and "plots".
 
 One reader takes every JSON file in and refuses NaN, Infinity and
 numbers beyond the float range.  A config is validated once per run,
@@ -258,7 +259,7 @@ def _gather_points(test: dict, n: int, dom: StarDomain | None, default_seed: int
 
 
 def _canonical_digest(report: dict) -> str:
-    payload = {k: v for k, v in report.items() if k not in ("timings", "digest")}
+    payload = {k: v for k, v in report.items() if k not in ("timings", "plots", "digest")}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -272,7 +273,8 @@ def run_config(
 
     Returns the report dict and the process exit code.  The report is a
     pure function of the config and the effective seed; wall-clock
-    timings live under "timings" and are excluded from "digest".
+    timings live under "timings" and the paths of the CSV plot data
+    under "plots", and both are excluded from "digest".
     """
     if isinstance(cfg, (str, Path)):
         cfg = _load_json(cfg)

@@ -8,22 +8,32 @@ higher gradients, user-supplied term lists or fourth-order coefficient
 tensors, exact application to polynomials, exact symbol matrices over
 the complex rationals, and a randomized ellipticity probe.
 
+Each operator derives one exact integer form from its terms when it is
+built: the lcm s of their denominators (scale) and, per term, the
+nonzero (w, v, entry) entries of s A (integer_terms).  s A has the
+kernel of A, and s A[xi] the rank of A[xi], so the kernel blocks
+(kernel.py), the symbol and the probe's modular screen all read A
+through it; apply_operator walks the rational matrices, as an
+independent reference.
+
 Ellipticity here means the symbol A[xi] is injective for all real
 xi != 0; C-ellipticity extends that to complex xi.  The probe samples
 random rational frequencies, decides each symbol's rank exactly, and on
 a rank drop produces an exact witness pair (xi, v) with A[xi] v = 0.
-Full rank is first tried modulo a prime (linalg.residue), which proves
-it exactly; only a symbol whose residue loses rank goes through exact
-elimination, so a rank drop is always decided over the complex
-rationals.
+Full rank is first tried modulo a prime (linalg.residue) on s A[xi]:
+its residue has full rank only if s A[xi], and with it A[xi], has full
+rank, whatever the denominators of A.  Only a symbol whose residue loses
+rank goes through exact elimination, so a rank drop is always decided
+over the complex rationals.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -118,7 +128,9 @@ CR_ONE = ComplexRational(Fraction(1))
 @dataclass(frozen=True)
 class DiffOperator:
     """Immutable operator description: terms maps each multi-index of the
-    shared order to a dimW x dimV rational matrix."""
+    shared order to a dimW x dimV rational matrix.  scale and
+    integer_terms, its integer form (module docstring), are derived from
+    terms and take no part in equality or repr."""
 
     n: int
     order: int
@@ -126,6 +138,27 @@ class DiffOperator:
     dimW: int
     terms: tuple[tuple[MultiIndex, Matrix], ...]
     name: str = "custom"
+    scale: int = field(init=False, compare=False, repr=False)
+    integer_terms: tuple[tuple[MultiIndex, tuple[tuple[int, int, int], ...]], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        scale = lcm(*(m.denominator for _, matrix in self.terms for row in matrix for m in row))
+        integer_terms = tuple(
+            (
+                alpha,
+                tuple(
+                    (w, v, m.numerator * (scale // m.denominator))
+                    for w, row in enumerate(matrix)
+                    for v, m in enumerate(row)
+                    if m
+                ),
+            )
+            for alpha, matrix in self.terms
+        )
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "integer_terms", integer_terms)
 
     def describe(self) -> dict:
         return {
@@ -165,7 +198,6 @@ def custom_operator(
         raise ValueError("operator needs at least one term")
     seen: dict[MultiIndex, Matrix] = {}
     n = order = dim_v = dim_w = None
-    any_nonzero = False
     for alpha_raw, matrix_raw in terms:
         alpha = alpha_raw if isinstance(alpha_raw, MultiIndex) else MultiIndex(tuple(alpha_raw))
         if n is None:
@@ -182,17 +214,16 @@ def custom_operator(
             dim_v = len(matrix[0]) if matrix else 0
         if len(matrix) != dim_w or any(len(row) != dim_v for row in matrix):
             raise ValueError("terms disagree on matrix shape")
-        if any(v != 0 for row in matrix for v in row):
-            any_nonzero = True
         seen[alpha] = matrix
     if dim_v == 0 or dim_w == 0:
         raise ValueError("operator matrices must be nonempty")
-    if not any_nonzero:
-        raise ValueError("all-zero operator")
     ordered = tuple(
         sorted(seen.items(), key=lambda kv: (kv[0].order, tuple(-e for e in kv[0].entries)))
     )
-    return DiffOperator(n=n, order=order, dimV=dim_v, dimW=dim_w, terms=ordered, name=name)
+    op = DiffOperator(n=n, order=order, dimV=dim_v, dimW=dim_w, terms=ordered, name=name)
+    if not any(entries for _, entries in op.integer_terms):
+        raise ValueError("all-zero operator")
+    return op
 
 
 def operator_from_tensor4(tensor) -> DiffOperator:
@@ -350,18 +381,17 @@ def symbol_matrix(A: DiffOperator, xi: Sequence) -> SymbolMatrix:
     z = tuple(ComplexRational.of(v) for v in xi)
     if len(z) != A.n:
         raise ValueError(f"frequency has {len(z)} entries, expected {A.n}")
-    rows = [[CR_ZERO for _ in range(A.dimV)] for _ in range(A.dimW)]
-    for alpha, matrix in A.terms:
-        power = CR_ONE
+    rows = [[CR_ZERO] * A.dimV for _ in range(A.dimW)]
+    for alpha, entries in A.integer_terms:
+        # xi^alpha / scale, so power * m is A_alpha[w][v] xi^alpha.
+        power = ComplexRational(Fraction(1, A.scale))
         for v, e in zip(z, alpha.entries):
             for _ in range(e):
                 power = power * v
         if not power:
             continue
-        for w in range(A.dimW):
-            for v in range(A.dimV):
-                if matrix[w][v] != 0:
-                    rows[w][v] = rows[w][v] + power * matrix[w][v]
+        for w, v, m in entries:
+            rows[w][v] = rows[w][v] + power * m
     return SymbolMatrix(xi=z, matrix=tuple(tuple(r) for r in rows), order=A.order)
 
 
@@ -406,35 +436,17 @@ def _witness_from(symbol: SymbolMatrix) -> Witness:
     return Witness(xi=symbol.xi, v=v)
 
 
-def _terms_mod_p(A: DiffOperator):
-    """(alpha entries, nonzero (w, v, residue) entries) per term, or None
-    when an entry has a denominator divisible by P."""
-    reduced = []
-    for alpha, matrix in A.terms:
-        entries = [
-            (w, v, linalg.residue(m))
-            for w, row in enumerate(matrix)
-            for v, m in enumerate(row)
-            if m
-        ]
-        if any(r is None for _, _, r in entries):
-            return None
-        reduced.append((alpha.entries, entries))
-    return reduced
-
-
-def _full_rank_mod_p(A: DiffOperator, reduced, xi: Sequence[ComplexRational]) -> bool:
-    """True when the residue of A[xi] has full column rank mod P, which
-    proves that A[xi] has full column rank.  False proves nothing."""
-    if reduced is None:
-        return False
+def _full_rank_mod_p(A: DiffOperator, xi: Sequence[ComplexRational]) -> bool:
+    """True when the residue of scale * A[xi] has full column rank mod P,
+    which proves that A[xi] has full column rank, whatever the scale.
+    False proves nothing."""
     z = [linalg.residue(c) for c in xi]
     if None in z:
         return False
     rows = [[0] * A.dimV for _ in range(A.dimW)]
-    for exponents, entries in reduced:
+    for alpha, entries in A.integer_terms:
         power = 1
-        for c, e in zip(z, exponents):
+        for c, e in zip(z, alpha.entries):
             power = power * pow(c, e, linalg.P) % linalg.P
         for w, v, m in entries:
             rows[w][v] += power * m
@@ -484,13 +496,12 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
     frequencies += [(True, rand_xi(1)) for _ in range(trials)]
     elliptic = c_elliptic = True
     witness: Witness | None = None
-    reduced = _terms_mod_p(A)
     for real, xi in frequencies:
         # With fewer outputs than inputs every symbol is deficient by its
         # shape; otherwise a full rank mod P settles the frequency.
         symbol = None
         if A.dimW >= A.dimV:
-            if _full_rank_mod_p(A, reduced, xi):
+            if _full_rank_mod_p(A, xi):
                 continue
             symbol = symbol_matrix(A, xi)
             if symbol.rank() == A.dimV:

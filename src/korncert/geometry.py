@@ -247,6 +247,8 @@ def sample_grid(
     if len(ranges_t) != dom.n - 1:
         raise ValueError(f"expected {dom.n - 1} ranges, got {len(ranges_t)}")
     for lo, hi in ranges_t:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"angular range [{lo}, {hi}] is not finite")
         if not hi > lo:
             raise ValueError(f"empty angular range [{lo}, {hi}]")
     if dom.n == 3:

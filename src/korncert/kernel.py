@@ -12,11 +12,12 @@ A is homogeneous of order k, so it maps degree-d fields to degree-(d-k)
 fields only.  In the graded-lex layout each degree is one contiguous
 column range, the coefficient matrix is block-diagonal by degree, and
 each degree block is assembled and eliminated on its own.  The blocks
-are integer matrices: each call scales A's coefficient matrices once by
-the lcm of their denominators, which leaves the kernel alone, so every
-entry is a falling-factorial product times an integer, and
-linalg.nullspace eliminates the block over the integers, fraction-free.
-Only coefficient_matrix divides the scale back out.
+are integer matrices: they are built from the operator's integer form
+(DiffOperator.integer_terms, A scaled by the lcm of its denominators,
+which leaves the kernel alone), so every entry is a falling-factorial
+product times an integer, and linalg.nullspace eliminates the block over
+the integers, fraction-free.  Only coefficient_matrix divides
+DiffOperator.scale back out.
 
 The dimension profile is exact evidence, not a heuristic.  The kernel
 splits by degree, and each partial derivative d_i commutes with A, so it
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm, perm, prod
+from math import comb, perm, prod
 
 from . import linalg
 from .diffop import DiffOperator
@@ -80,43 +81,21 @@ def coefficient_matrix(A: DiffOperator, K: int) -> list[list[Fraction]]:
     coefficients (dimV * |P_K|), both in the PolyVec layout.  It is
     block-diagonal by degree; every entry outside the blocks of
     _degree_blocks is zero, and each integer block is the slice of this
-    matrix it covers times the scale of _integer_terms.
+    matrix it covers times A.scale.
     """
     source = monomial_basis(A.n, K)
     zero = Fraction(0)
     target_size = comb(A.n + max(K - A.order, 0), A.n)
     rows = [[zero] * (A.dimV * source.size) for _ in range(A.dimW * target_size)]
-    scale = _integer_terms(A)[0]
     for row, col, cols, block in _degree_blocks(A, source):
         for i, block_row in enumerate(block):
-            rows[row + i][col : col + cols] = [Fraction(v, scale) for v in block_row]
+            rows[row + i][col : col + cols] = [Fraction(v, A.scale) for v in block_row]
     return rows
 
 
-def _integer_terms(A: DiffOperator) -> tuple[int, list]:
-    """The lcm scale of the denominators of A's coefficients, and the
-    terms of the integer operator scale * A, each term's matrix as its
-    nonzero (w, v, entry) triples.  scale * A has the kernel of A."""
-    scale = lcm(*(m.denominator for _, matrix in A.terms for row in matrix for m in row))
-    terms = [
-        (
-            alpha,
-            [
-                (w, v, m.numerator * (scale // m.denominator))
-                for w, row in enumerate(matrix)
-                for v, m in enumerate(row)
-                if m
-            ],
-        )
-        for alpha, matrix in A.terms
-    ]
-    return scale, terms
-
-
-def _degree_block(A: DiffOperator, terms, basis: MonomialBasis, d: int) -> list[list[int]]:
-    """The degree-d block of the integer operator whose terms
-    _integer_terms gives: the map from degree-d to degree-(d-k)
-    coefficients, with no rows when d < k.
+def _degree_block(A: DiffOperator, basis: MonomialBasis, d: int) -> list[list[int]]:
+    """The degree-d block of the integer operator scale * A: the map from
+    degree-d to degree-(d-k) coefficients, with no rows when d < k.
 
     Columns are the degree-d monomials of basis times the dimV
     components, rows the degree-(d-k) monomials times the dimW
@@ -125,9 +104,9 @@ def _degree_block(A: DiffOperator, terms, basis: MonomialBasis, d: int) -> list[
         d^alpha x^beta = beta!/(beta - alpha)! x^(beta - alpha)   (beta >= alpha)
 
     and 0 otherwise, the entry joining component v of x^beta to component
-    w of x^(beta - alpha) is beta!/(beta - alpha)! * A_alpha[w][v]; every
-    other entry is zero.  No entry is set twice: beta and beta - alpha
-    determine alpha.
+    w of x^(beta - alpha) is beta!/(beta - alpha)! * A_alpha[w][v], times
+    the scale; every other entry is zero.  No entry is set twice: beta
+    and beta - alpha determine alpha.
     """
     n, k = A.n, A.order
     if d < k:
@@ -137,7 +116,7 @@ def _degree_block(A: DiffOperator, terms, basis: MonomialBasis, d: int) -> list[
     below = comb(n - 1 + d - k, n)  # monomials of degree < d - k
     rows = [[0] * (A.dimV * count) for _ in range(A.dimW * comb(n - 1 + d - k, d - k))]
     for j, beta in enumerate(basis.exponents[first : first + count]):
-        for alpha, entries in terms:
+        for alpha, entries in A.integer_terms:
             if not beta.dominates(alpha):
                 continue
             factor = prod(perm(b, a) for b, a in zip(beta.entries, alpha.entries))
@@ -156,11 +135,10 @@ def _degree_blocks(A: DiffOperator, basis: MonomialBasis):
     that stops early assembles no higher block.
     """
     n, k = A.n, A.order
-    terms = _integer_terms(A)[1]
     for d in range(basis.K + 1):
         row = A.dimW * comb(n - 1 + d - k, n) if d >= k else 0
         col = A.dimV * comb(n - 1 + d, n)
-        yield row, col, A.dimV * comb(n - 1 + d, d), _degree_block(A, terms, basis, d)
+        yield row, col, A.dimV * comb(n - 1 + d, d), _degree_block(A, basis, d)
 
 
 def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
@@ -182,7 +160,7 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
     zero = Fraction(0)
     basis = []
     for _, col, cols, block in _degree_blocks(A, source):
-        vectors = linalg.nullspace(block, cols, zero=zero)
+        vectors = linalg.nullspace(block, cols)
         if not vectors:
             break  # every higher block is trivial too (module docstring)
         for v in vectors:

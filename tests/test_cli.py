@@ -355,8 +355,10 @@ class TestExitCodes:
             (lambda cfg, x: cfg.update(test=_line_test(p0=[0, x])), "test.lines"),
             (lambda cfg, x: cfg.update(test=_line_test(dir=[x, 1])), "test.lines"),
             (lambda cfg, x: cfg.update(test={"kind": "points", "points": [[0.5, 0], [x, 0]]}), "test.points"),
+            (lambda cfg, x: cfg["test"]["coarse"].update(range=[[0, x]]), "test.coarse"),
+            (lambda cfg, x: cfg["test"].update(dense={"counts": [48], "range": [[0, x]]}), "test.dense"),
         ],
-        ids=["c", "a", "extent", "p0", "dir", "points"],
+        ids=["c", "a", "extent", "p0", "dir", "points", "coarse-range", "dense-range"],
     )
     def test_non_finite_number_in_a_dict_config_names_field(self, place, field, value):
         # A dict config never passes the JSON reader, so the number reaches
@@ -402,11 +404,16 @@ class TestDeterminism:
         r2.pop("timings")
         assert r1 == r2
 
-    def test_digest_excludes_timings(self):
+    def test_digest_excludes_timings(self, tmp_path):
         r1, _ = run_config(_base_config())
         assert "timings" in r1
         r2, _ = run_config(_base_config())
         assert r1["digest"] == r2["digest"]
+        # Nor does the digest depend on where the plot data goes.
+        for out in ("a", "b"):
+            plotted, _ = run_config(_base_config(), emit_plots=str(tmp_path / out))
+            assert "plots" in plotted
+            assert plotted["digest"] == r1["digest"], out
 
     @pytest.mark.parametrize("stem", ["ball3d_devsymgrad_normal", "axis_line_points"])
     def test_digest_independent_of_blas_threads(self, stem):

@@ -337,6 +337,18 @@ class TestProbe:
         assert not report.elliptic and not report.c_elliptic
         assert report.to_json() == _exact_probe(op, 3, 0)
 
+    def test_denominator_divisible_by_p_is_screened_mod_p(self, monkeypatch):
+        # The screen reads scale * A, here the identity, so the scale P
+        # costs no exact elimination.
+        op = custom_operator([((1,), [[Fraction(1, P), 0], [0, Fraction(1, P)]])])
+        real = SymbolMatrix.rank
+        calls = []
+        monkeypatch.setattr(SymbolMatrix, "rank", lambda self: calls.append(self) or real(self))
+        report = ellipticity_probe(op, trials=3)
+        assert calls == []
+        assert report.elliptic and report.c_elliptic
+        assert report.to_json() == _exact_probe(op, 3, 0)
+
 
 def _exact_probe(A, trials: int, seed: int) -> dict:
     """Reference: the probe loop that takes every symbol's exact rank."""
@@ -383,7 +395,9 @@ def _exact_probe(A, trials: int, seed: int) -> dict:
 _entries = st.sampled_from(
     [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(P)]
 )
-# Entries with a denominator divisible by P have no residue.
+# Entries with a denominator divisible by P put P into the operator's
+# scale, so mod P the screen sees only them: every other entry of
+# scale * A is a multiple of P.
 _no_residue = st.sampled_from([Fraction(1, P), Fraction(3, 2 * P)])
 
 

@@ -6,6 +6,7 @@ and counts free parameters, so the two implementations share nothing
 but the operator definition.
 """
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -249,9 +250,26 @@ class TestKernelContents:
     def test_degree_blocks_are_slices_of_coefficient_matrix(self):
         # Blocks are integer matrices of scale * A: scale times the slice
         # of the Fraction matrix they cover, entry by entry.
+        def check_integer_form(op):
+            assert op.scale == lcm(*(m.denominator for _, matrix in op.terms for row in matrix for m in row))
+            assert [alpha for alpha, _ in op.integer_terms] == [alpha for alpha, _ in op.terms]
+            for (_, entries), (_, matrix) in zip(op.integer_terms, op.terms):
+                assert all(type(m) is int and m for _, _, m in entries), op.name
+                dense = [[0] * op.dimV for _ in range(op.dimW)]
+                for w, v, m in entries:
+                    dense[w][v] = m
+                assert dense == [[op.scale * m for m in row] for row in matrix], op.name
+
         for op in _operator_grid():
-            scale = korncert.kernel._integer_terms(op)[0]
-            assert scale == lcm(*(m.denominator for _, matrix in op.terms for row in matrix for m in row))
+            check_integer_form(op)
+            # replace() derives the integer form again from the new terms.
+            third = dataclasses.replace(
+                op, terms=tuple((a, tuple(tuple(m / 3 for m in row) for row in mat)) for a, mat in op.terms)
+            )
+            check_integer_form(third)
+            assert third.scale != op.scale, op.name
+            assert dataclasses.replace(op) == op and hash(dataclasses.replace(op)) == hash(op)
+            scale = op.scale
             for K in range(op.order + 3):
                 whole = coefficient_matrix(op, K)
                 for row, col, cols, block in korncert.kernel._degree_blocks(op, monomial_basis(op.n, K)):
@@ -263,9 +281,9 @@ class TestKernelContents:
         degrees = []
         build = korncert.kernel._degree_block
 
-        def traced(A, terms, basis, d):
+        def traced(A, basis, d):
             degrees.append(d)
-            return build(A, terms, basis, d)
+            return build(A, basis, d)
 
         monkeypatch.setattr(korncert.kernel, "_degree_block", traced)
         op = builtin_operator("sym_grad", 3)
@@ -516,7 +534,7 @@ def test_integer_blocks_keep_the_kernel_of_a_rational_operator(monkeypatch, term
     # the Fraction matrix of A, built by apply_operator, with the dividing
     # loop.  A wrong scale on any term would change the kernel.
     op = custom_operator(terms)
-    assert korncert.kernel._integer_terms(op)[0] == 7 * 11 * 13
+    assert op.scale == 7 * 11 * 13
     for K in range(op.order + 4):
         got = [p.coeffs for p in kernel_basis(op, K).basis]
         matrix = _unit_vector_matrix(op, K)
