@@ -5,26 +5,37 @@ R^n -> R^dimV to fields R^n -> R^dimW through exact rational matrices
 A_alpha.  The module provides the standard first-order vector-field
 operators (gradient, divergence, symmetric / deviatoric gradients), full
 higher gradients, user-supplied term lists or fourth-order coefficient
-tensors, exact application to polynomials, exact symbol matrices over
-the complex rationals, and a randomized ellipticity probe.
+tensors, exact application to polynomials, exact symbol matrices at
+complex rational frequencies, and a randomized ellipticity probe.
 
 Each operator derives one exact integer form from its terms when it is
 built: the lcm s of their denominators (scale) and, per term, the
 nonzero (w, v, entry) entries of s A (integer_terms).  s A has the
-kernel of A, and s A[xi] the rank of A[xi], so the kernel blocks
-(kernel.py), the symbol and the probe's modular screen all read A
-through it; apply_operator walks the rational matrices, as an
-independent reference.
+kernel of A, so the kernel blocks (kernel.py) read A through it;
+apply_operator walks the rational matrices, as an independent reference.
+
+The symbol takes the same form.  Let d be the lcm of the denominators of
+a complex rational frequency xi, so that z = d xi has Gaussian-integer
+entries.  A is homogeneous of order k, so sum_alpha z^alpha (s A_alpha)
+= d^k s A[xi]: a Gaussian-integer matrix re + i im with the rank and
+kernel of A[xi].  A SymbolMatrix holds re, im and the factor d^k s.  Its
+rank and kernel come from the realified integer matrix, in which each
+entry x + iy is the block [[x, -y], [y, x]] and the columns Re v_j and
+Im v_j sit side by side, so linalg eliminates integers only.  Each pivot
+column of A[xi] becomes two real pivot columns, and each free column two
+free ones; the first of these, Re v_j, carries the kernel vector of free
+column j up to a real factor, which dividing by the first nonzero
+complex entry removes.
 
 Ellipticity here means the symbol A[xi] is injective for all real
 xi != 0; C-ellipticity extends that to complex xi.  The probe samples
 random rational frequencies, decides each symbol's rank exactly, and on
 a rank drop produces an exact witness pair (xi, v) with A[xi] v = 0.
-Full rank is first tried modulo a prime (linalg.residue) on s A[xi]:
-its residue has full rank only if s A[xi], and with it A[xi], has full
-rank, whatever the denominators of A.  Only a symbol whose residue loses
-rank goes through exact elimination, so a rank drop is always decided
-over the complex rationals.
+Full rank is first tried modulo a prime: re + I im reduced mod P, with I
+a square root of -1 mod P (linalg), has full rank only if re + i im, and
+with it A[xi], has full rank, whatever the denominators of A.  Only a
+symbol that loses rank mod P goes through exact elimination, so a rank
+drop is always decided exactly.
 """
 
 from __future__ import annotations
@@ -78,39 +89,8 @@ class ComplexRational:
             return self == ComplexRational.of(other)
         return NotImplemented
 
-    def __add__(self, other) -> "ComplexRational":
-        o = ComplexRational.of(other)
-        return ComplexRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
     def __neg__(self) -> "ComplexRational":
         return ComplexRational(-self.re, -self.im)
-
-    def __sub__(self, other) -> "ComplexRational":
-        return self + (-ComplexRational.of(other))
-
-    def __mul__(self, other) -> "ComplexRational":
-        o = ComplexRational.of(other)
-        return ComplexRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ComplexRational":
-        o = ComplexRational.of(other)
-        d = o.norm2()
-        if d == 0:
-            raise ZeroDivisionError("division by complex zero")
-        return ComplexRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -346,32 +326,78 @@ def apply_operator(A: DiffOperator, p: PolyVec) -> PolyVec:
 @dataclass(frozen=True)
 class SymbolMatrix:
     """Exact symbol A[xi] = sum_alpha xi^alpha A_alpha at a complex
-    rational frequency."""
+    rational frequency, in its Gaussian-integer form (module docstring):
+    A[xi] = (re + i im) / factor, with int matrices re and im and a
+    positive int factor.  rank, kernel and apply work on the realified
+    matrix."""
 
     xi: tuple[ComplexRational, ...]
-    matrix: tuple[tuple[ComplexRational, ...], ...]
-    order: int
+    re: tuple[tuple[int, ...], ...]
+    im: tuple[tuple[int, ...], ...]
+    factor: int
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.matrix), len(self.matrix[0]))
+    def _realified(self) -> list[list[int]]:
+        """Each entry x + iy as the block [[x, -y], [y, x]]: output w
+        gives the rows Re and Im, and input v_j the columns Re v_j and
+        Im v_j, side by side."""
+        rows = []
+        for re_row, im_row in zip(self.re, self.im):
+            rows.append([c for x, y in zip(re_row, im_row) for c in (x, -y)])
+            rows.append([c for x, y in zip(re_row, im_row) for c in (y, x)])
+        return rows
 
     def apply(self, v: Sequence) -> tuple[ComplexRational, ...]:
         vec = [ComplexRational.of(x) for x in v]
-        if len(vec) != self.shape[1]:
+        if len(vec) != len(self.re[0]):
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum((row[j] * vec[j] for j in range(len(vec))), CR_ZERO) for row in self.matrix
-        )
+        flat = [c for z in vec for c in (z.re, z.im)]
+        image = [
+            Fraction(sum(a * b for a, b in zip(row, flat)), self.factor) for row in self._realified()
+        ]
+        return tuple(ComplexRational(x, y) for x, y in zip(image[::2], image[1::2]))
 
     def rank(self) -> int:
-        return linalg.rank([list(row) for row in self.matrix], self.shape[1])
+        return linalg.rank(self._realified(), 2 * len(self.re[0])) // 2
 
     def kernel(self) -> list[tuple[ComplexRational, ...]]:
-        vecs = linalg.nullspace(
-            [list(row) for row in self.matrix], self.shape[1], zero=CR_ZERO, one=CR_ONE
-        )
-        return [tuple(v) for v in vecs]
+        """Exact kernel basis of A[xi], one vector per free column, first
+        nonzero entry normalised to one."""
+        # Each free column of A[xi] becomes the free columns Re and Im,
+        # side by side, of the realified matrix; the Re one carries its
+        # kernel vector, up to a real factor that the normalisation
+        # removes (module docstring).
+        vectors = linalg.nullspace(self._realified(), 2 * len(self.re[0]))[::2]
+        kernel = []
+        for flat in vectors:
+            pairs = list(zip(flat[::2], flat[1::2]))
+            c, d = next(z for z in pairs if any(z))
+            norm = c * c + d * d
+            # (a + bi) / (c + di) = ((ac + bd) + (bc - ad) i) / (c^2 + d^2)
+            kernel.append(
+                tuple(ComplexRational((a * c + b * d) / norm, (b * c - a * d) / norm) for a, b in pairs)
+            )
+        return kernel
+
+
+def _gaussian_symbol(
+    A: DiffOperator, xi: Sequence[ComplexRational]
+) -> tuple[list[list[int]], list[list[int]], int]:
+    """The Gaussian-integer form of A[xi]: int matrices re and im and the
+    factor d^k * scale with re + i im = factor * A[xi], d the lcm of the
+    denominators of xi and k the order of A."""
+    d = lcm(*(c.re.denominator for c in xi), *(c.im.denominator for c in xi))
+    z = [(c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator)) for c in xi]
+    re = [[0] * A.dimV for _ in range(A.dimW)]
+    im = [[0] * A.dimV for _ in range(A.dimW)]
+    for alpha, entries in A.integer_terms:
+        x, y = 1, 0  # (x + iy) = (d xi)^alpha
+        for (a, b), e in zip(z, alpha.entries):
+            for _ in range(e):
+                x, y = x * a - y * b, x * b + y * a
+        for w, v, m in entries:
+            re[w][v] += x * m
+            im[w][v] += y * m
+    return re, im, d**A.order * A.scale
 
 
 def symbol_matrix(A: DiffOperator, xi: Sequence) -> SymbolMatrix:
@@ -381,18 +407,8 @@ def symbol_matrix(A: DiffOperator, xi: Sequence) -> SymbolMatrix:
     z = tuple(ComplexRational.of(v) for v in xi)
     if len(z) != A.n:
         raise ValueError(f"frequency has {len(z)} entries, expected {A.n}")
-    rows = [[CR_ZERO] * A.dimV for _ in range(A.dimW)]
-    for alpha, entries in A.integer_terms:
-        # xi^alpha / scale, so power * m is A_alpha[w][v] xi^alpha.
-        power = ComplexRational(Fraction(1, A.scale))
-        for v, e in zip(z, alpha.entries):
-            for _ in range(e):
-                power = power * v
-        if not power:
-            continue
-        for w, v, m in entries:
-            rows[w][v] = rows[w][v] + power * m
-    return SymbolMatrix(xi=z, matrix=tuple(tuple(r) for r in rows), order=A.order)
+    re, im, factor = _gaussian_symbol(A, z)
+    return SymbolMatrix(xi=z, re=tuple(map(tuple, re)), im=tuple(map(tuple, im)), factor=factor)
 
 
 @dataclass(frozen=True)
@@ -437,20 +453,11 @@ def _witness_from(symbol: SymbolMatrix) -> Witness:
 
 
 def _full_rank_mod_p(A: DiffOperator, xi: Sequence[ComplexRational]) -> bool:
-    """True when the residue of scale * A[xi] has full column rank mod P,
-    which proves that A[xi] has full column rank, whatever the scale.
-    False proves nothing."""
-    z = [linalg.residue(c) for c in xi]
-    if None in z:
-        return False
-    rows = [[0] * A.dimV for _ in range(A.dimW)]
-    for alpha, entries in A.integer_terms:
-        power = 1
-        for c, e in zip(z, alpha.entries):
-            power = power * pow(c, e, linalg.P) % linalg.P
-        for w, v, m in entries:
-            rows[w][v] += power * m
-    image = [[x % linalg.P for x in row] for row in rows]
+    """True when the Gaussian-integer form re + i im of A[xi] has full
+    column rank mod P, with i sent to I, which proves that A[xi] has full
+    column rank.  False proves nothing."""
+    re, im, _ = _gaussian_symbol(A, xi)
+    image = [[(x + linalg.I * y) % linalg.P for x, y in zip(*rows)] for rows in zip(re, im)]
     return linalg.rank_mod_p(image, A.dimV) == A.dimV
 
 

@@ -40,7 +40,7 @@ from math import comb, perm, prod
 
 from . import linalg
 from .diffop import DiffOperator
-from .polyalg import MonomialBasis, MultiIndex, PolyVec, format_poly, format_rational, monomial_basis
+from .polyalg import PolyVec, compositions, format_poly, format_rational, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -83,23 +83,22 @@ def coefficient_matrix(A: DiffOperator, K: int) -> list[list[Fraction]]:
     _degree_blocks is zero, and each integer block is the slice of this
     matrix it covers times A.scale.
     """
-    source = monomial_basis(A.n, K)
     zero = Fraction(0)
     target_size = comb(A.n + max(K - A.order, 0), A.n)
-    rows = [[zero] * (A.dimV * source.size) for _ in range(A.dimW * target_size)]
-    for row, col, cols, block in _degree_blocks(A, source):
+    rows = [[zero] * (A.dimV * comb(A.n + K, A.n)) for _ in range(A.dimW * target_size)]
+    for row, col, cols, block in _degree_blocks(A, K):
         for i, block_row in enumerate(block):
             rows[row + i][col : col + cols] = [Fraction(v, A.scale) for v in block_row]
     return rows
 
 
-def _degree_block(A: DiffOperator, basis: MonomialBasis, d: int) -> list[list[int]]:
+def _degree_block(A: DiffOperator, d: int) -> list[list[int]]:
     """The degree-d block of the integer operator scale * A: the map from
     degree-d to degree-(d-k) coefficients, with no rows when d < k.
 
-    Columns are the degree-d monomials of basis times the dimV
-    components, rows the degree-(d-k) monomials times the dimW
-    components, in the PolyVec layout.  Because
+    Columns are the degree-d monomials times the dimV components, rows
+    the degree-(d-k) monomials times the dimW components, in the PolyVec
+    layout; only the monomials of these two degrees are built.  Because
 
         d^alpha x^beta = beta!/(beta - alpha)! x^(beta - alpha)   (beta >= alpha)
 
@@ -111,34 +110,32 @@ def _degree_block(A: DiffOperator, basis: MonomialBasis, d: int) -> list[list[in
     n, k = A.n, A.order
     if d < k:
         return []
-    first = comb(n - 1 + d, n)  # monomials of degree < d
-    count = comb(n - 1 + d, d)  # monomials of degree d
-    below = comb(n - 1 + d - k, n)  # monomials of degree < d - k
-    rows = [[0] * (A.dimV * count) for _ in range(A.dimW * comb(n - 1 + d - k, d - k))]
-    for j, beta in enumerate(basis.exponents[first : first + count]):
+    target = {gamma: t for t, gamma in enumerate(compositions(d - k, n))}
+    rows = [[0] * (A.dimV * comb(n - 1 + d, d)) for _ in range(A.dimW * len(target))]
+    for j, beta in enumerate(compositions(d, n)):
         for alpha, entries in A.integer_terms:
-            if not beta.dominates(alpha):
+            if any(b < a for b, a in zip(beta, alpha.entries)):
                 continue
-            factor = prod(perm(b, a) for b, a in zip(beta.entries, alpha.entries))
-            gamma = MultiIndex(tuple(b - a for b, a in zip(beta.entries, alpha.entries)))
-            t = basis.index_of(gamma) - below
+            factor = prod(perm(b, a) for b, a in zip(beta, alpha.entries))
+            t = target[tuple(b - a for b, a in zip(beta, alpha.entries))]
             for w, v, m in entries:
                 rows[t * A.dimW + w][j * A.dimV + v] = factor * m
     return rows
 
 
-def _degree_blocks(A: DiffOperator, basis: MonomialBasis):
+def _degree_blocks(A: DiffOperator, K: int):
     """Yield (row offset, column offset, column count, block) for the
-    integer degree blocks d = 0..basis.K of A.
+    integer degree blocks d = 0..K of A.
 
     Each block is assembled only when the caller reaches it, so a caller
-    that stops early assembles no higher block.
+    that stops early assembles no higher block and builds no monomial of
+    a higher degree.
     """
     n, k = A.n, A.order
-    for d in range(basis.K + 1):
+    for d in range(K + 1):
         row = A.dimW * comb(n - 1 + d - k, n) if d >= k else 0
         col = A.dimV * comb(n - 1 + d, n)
-        yield row, col, A.dimV * comb(n - 1 + d, d), _degree_block(A, basis, d)
+        yield row, col, A.dimV * comb(n - 1 + d, d), _degree_block(A, d)
 
 
 def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
@@ -159,7 +156,7 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
     m = A.dimV * source.size
     zero = Fraction(0)
     basis = []
-    for _, col, cols, block in _degree_blocks(A, source):
+    for _, col, cols, block in _degree_blocks(A, K):
         vectors = linalg.nullspace(block, cols)
         if not vectors:
             break  # every higher block is trivial too (module docstring)
@@ -173,11 +170,12 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
 def kernel_dim_profile(A: DiffOperator, K_max: int) -> DimProfile:
     """Kernel dimension at each degree bound K = 0..K_max: a running sum
     of the nullities of the degree blocks.  The blocks above the first
-    trivial one have nullity 0 and are never assembled."""
+    trivial one have nullity 0 and are never assembled, so their
+    monomials are never built either."""
     if K_max < 0:
         raise ValueError(f"need K_max >= 0, got {K_max}")
     nullities = [0] * (K_max + 1)
-    for d, (_, _, cols, block) in enumerate(_degree_blocks(A, monomial_basis(A.n, K_max))):
+    for d, (_, _, cols, block) in enumerate(_degree_blocks(A, K_max)):
         nullities[d] = cols - linalg.rank(block, cols)
         if not nullities[d]:
             break

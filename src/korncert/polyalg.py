@@ -86,13 +86,15 @@ class MultiIndex:
         return all(a >= b for a, b in zip(self.entries, other.entries))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # Exponent tuples of fixed length summing to `total`, descending lex.
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The exponent tuples of length parts summing to total, in
+    descending lex order: the degree-total monomials of P_K in
+    graded-lex order."""
     if parts == 1:
         yield (total,)
         return
     for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -125,7 +127,7 @@ def monomial_basis(n: int, K: int) -> MonomialBasis:
         raise ValueError(f"need n >= 1, got {n}")
     if K < 0:
         raise ValueError(f"need K >= 0, got {K}")
-    exps = tuple(MultiIndex(t) for d in range(K + 1) for t in _compositions(d, n))
+    exps = tuple(MultiIndex(t) for d in range(K + 1) for t in compositions(d, n))
     assert len(exps) == comb(n + K, K)
     return MonomialBasis(n=n, K=K, exponents=exps)
 

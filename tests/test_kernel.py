@@ -22,9 +22,6 @@ import korncert.kernel
 import korncert.linalg
 from korncert.cli import build_operator
 from korncert.diffop import (
-    CR_ONE,
-    CR_ZERO,
-    ComplexRational,
     apply_operator,
     builtin_operator,
     custom_operator,
@@ -37,7 +34,7 @@ from korncert.kernel import (
     kernel_dim_profile,
     kernel_to_json,
 )
-from korncert.linalg import I, P, nullspace, rank, rank_mod_p, residue, rref
+from korncert.linalg import I, P, nullspace, rank, rank_mod_p, rref
 from korncert.polyalg import PolyVec, format_rational, monomial_basis
 from polyfields import embed, poly
 
@@ -134,15 +131,6 @@ class TestLinalg:
         assert P > 10**6
         assert P % 4 == 1
         assert I * I % P == P - 1
-
-    def test_residue(self):
-        half = residue(Fraction(1, 2))
-        assert 2 * half % P == 1
-        assert residue(ComplexRational(Fraction(1, 2), Fraction(3))) == (half + 3 * I) % P
-        assert residue(ComplexRational(Fraction(0), Fraction(1))) == I
-        assert residue(Fraction(-1)) == P - 1
-        assert residue(Fraction(5, P)) is None
-        assert residue(ComplexRational(Fraction(1), Fraction(1, 3 * P))) is None
 
 
 _DIM_TABLE = [
@@ -272,7 +260,7 @@ class TestKernelContents:
             scale = op.scale
             for K in range(op.order + 3):
                 whole = coefficient_matrix(op, K)
-                for row, col, cols, block in korncert.kernel._degree_blocks(op, monomial_basis(op.n, K)):
+                for row, col, cols, block in korncert.kernel._degree_blocks(op, K):
                     assert all(type(v) is int for r in block for v in r), (op.name, op.n, K)
                     assert block == [[scale * v for v in r[col : col + cols]] for r in whole[row : row + len(block)]]
                     assert all(len(r) == cols for r in block), (op.name, op.n, K)
@@ -281,9 +269,9 @@ class TestKernelContents:
         degrees = []
         build = korncert.kernel._degree_block
 
-        def traced(A, basis, d):
+        def traced(A, d):
             degrees.append(d)
-            return build(A, basis, d)
+            return build(A, d)
 
         monkeypatch.setattr(korncert.kernel, "_degree_block", traced)
         op = builtin_operator("sym_grad", 3)
@@ -292,6 +280,23 @@ class TestKernelContents:
         degrees.clear()
         assert kernel_dim_profile(op, 4).dims == (3, 6, 6, 6, 6)
         assert degrees == [0, 1, 2]
+
+    def test_profile_builds_no_monomial_above_first_trivial(self, monkeypatch):
+        # sym_grad on R^3 has its first trivial block at degree 2, so a
+        # profile to K_max = 200 builds the monomials of degrees 0..2
+        # only, and no monomial basis at all.
+        degrees, bases = [], []
+        for name, calls in (("compositions", degrees), ("monomial_basis", bases)):
+            real = getattr(korncert.kernel, name)
+            monkeypatch.setattr(
+                korncert.kernel, name, lambda a, b, _real=real, _calls=calls: _calls.append(a) or _real(a, b)
+            )
+        op = builtin_operator("sym_grad", 3)
+        profile = kernel_dim_profile(op, 200)
+        assert profile.dims == (3, 6) + (6,) * 199
+        assert max(degrees) == 2
+        assert bases == []
+        assert profile.dims[:4] == kernel_dim_profile(op, 3).dims
 
     def test_kernel_inclusion_across_degrees(self):
         op = builtin_operator("sym_grad", 2)
@@ -441,11 +446,8 @@ def _dense_rref(matrix, ncols):
     for col in range(ncols):
         best, best_size = None, None
         for i in range(rank_, len(rows)):
-            if rows[i][col] != 0:
-                x = rows[i][col]
-                size = x.norm2() if isinstance(x, ComplexRational) else abs(x)
-                if best is None or size > best_size:
-                    best, best_size = i, size
+            if rows[i][col] != 0 and (best is None or abs(rows[i][col]) > best_size):
+                best, best_size = i, abs(rows[i][col])
         if best is None:
             continue
         rows[rank_], rows[best] = rows[best], rows[rank_]
@@ -462,28 +464,18 @@ def _dense_rref(matrix, ncols):
     return rows, pivots
 
 
-# Mostly zeros, as in the coefficient blocks.
-_sparse = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), _coords)
-_complex = st.builds(ComplexRational, _sparse, _sparse)
-
-
 _small = st.builds(Fraction, st.integers(-3, 3))
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [_small, st.builds(ComplexRational, _small, _small)],
-    ids=["fraction", "complex"],
-)
+@pytest.mark.parametrize("entry", [_small], ids=["fraction"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rank_mod_p_of_small_integer_matrices_is_the_exact_rank(entry, data):
-    # A nonzero minor here is a Gaussian integer of norm below P (Hadamard),
-    # and a + bi with a^2 + b^2 < P is never 0 mod P: a = -I b would give
-    # a^2 + b^2 = 0 (mod P).  So the two ranks agree exactly.
+    # A nonzero minor here is an integer of absolute value below P
+    # (Hadamard), so it is never 0 mod P and the two ranks agree exactly.
     ncols = data.draw(st.integers(1, 7))
     matrix = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
-    assert rank_mod_p([[residue(x) for x in row] for row in matrix], ncols) == rank(matrix, ncols)
+    assert rank_mod_p([[int(x) % P for x in row] for row in matrix], ncols) == rank(matrix, ncols)
 
 
 # Rows mixing ints and Fractions whose denominators run up to 97, so that
@@ -496,22 +488,18 @@ _rational = st.one_of(
 )
 
 
-@pytest.mark.parametrize(
-    "entries,zero,one",
-    [(_rational, Fraction(0), Fraction(1)), (_complex, CR_ZERO, CR_ONE)],
-    ids=["fraction", "complex"],
-)
+@pytest.mark.parametrize("entries", [_rational], ids=["fraction"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_rref_skipping_zeros_matches_dense_loop(entries, zero, one, data):
+def test_rref_skipping_zeros_matches_dense_loop(entries, data):
     ncols = data.draw(st.integers(1, 7))
     matrix = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=6))
     # The reference divides, so its ints become Fractions first.
-    exact = [[x if isinstance(x, ComplexRational) else Fraction(x) for x in row] for row in matrix]
+    exact = [[Fraction(x) for x in row] for row in matrix]
     assert rref(matrix, ncols) == _dense_rref(exact, ncols)
-    for v in nullspace(matrix, ncols, zero=zero, one=one):
+    for v in nullspace(matrix, ncols):
         for row in matrix:
-            assert sum((a * b for a, b in zip(row, v)), zero) == 0
+            assert sum(a * b for a, b in zip(row, v)) == 0
 
 
 @pytest.mark.parametrize(
