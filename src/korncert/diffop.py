@@ -31,11 +31,15 @@ Ellipticity here means the symbol A[xi] is injective for all real
 xi != 0; C-ellipticity extends that to complex xi.  The probe samples
 random rational frequencies, decides each symbol's rank exactly, and on
 a rank drop produces an exact witness pair (xi, v) with A[xi] v = 0.
-Full rank is first tried modulo a prime: re + I im reduced mod P, with I
-a square root of -1 mod P (linalg), has full rank only if re + i im, and
-with it A[xi], has full rank, whatever the denominators of A.  Only a
-symbol that loses rank mod P goes through exact elimination, so a rank
-drop is always decided exactly.
+It keeps each draw as the integer pair (numerator, denominator) it was
+drawn as, and screens it mod a prime first: with z = d xi as above,
+reduced mod P, the same walk over integer_terms gives re + i im mod P,
+and re + I im, with I a square root of -1 mod P (linalg), has full rank
+mod P only if re + i im, and with it A[xi], has full rank, whatever the
+denominators of A.  A frequency that passes the screen is settled
+without a Fraction.  Only one whose symbol loses rank mod P becomes
+Fractions, ComplexRationals and a SymbolMatrix and goes through exact
+elimination, so a rank drop is always decided exactly.
 """
 
 from __future__ import annotations
@@ -249,20 +253,21 @@ def builtin_operator(name: str, n: int, order: int | None = None) -> DiffOperato
     if name != "grad_k" and order is not None:
         raise ValueError(f"{name} does not take an order argument")
 
-    inv_n = Fraction(1, n)
-    half = Fraction(1, 2)
-    # entry(i, j, k, l) of each first-order matrix operator (_first_order).
-    entries = {
-        "grad": lambda i, j, k, l: Fraction(int(k == i and j == l)),
-        "sym_grad": lambda i, j, k, l: half * (int(j == l and k == i) + int(i == l and k == j)),
-        "dev_grad": lambda i, j, k, l: Fraction(int(k == i and j == l)) - inv_n * int(i == j and k == l),
-        "dev_sym_grad": lambda i, j, k, l: half * (int(j == l and k == i) + int(i == l and k == j))
-        - inv_n * int(i == j and k == l),
+    # entry(i, j, k, l) of each first-order matrix operator (_first_order),
+    # as its integer numerator over the common denominator 2n.
+    numerators = {
+        "grad": lambda i, j, k, l: 2 * n * (k == i and j == l),
+        "sym_grad": lambda i, j, k, l: n * ((j == l and k == i) + (i == l and k == j)),
+        "dev_grad": lambda i, j, k, l: 2 * n * (k == i and j == l) - 2 * (i == j and k == l),
+        "dev_sym_grad": lambda i, j, k, l: n * ((j == l and k == i) + (i == l and k == j))
+        - 2 * (i == j and k == l),
     }
-    if name in entries:
-        return _first_order(n, entries[name], name)
+    zero, one = Fraction(0), Fraction(1)
+    if name in numerators:
+        numerator = numerators[name]
+        return _first_order(n, lambda *ijkl: Fraction(v, 2 * n) if (v := numerator(*ijkl)) else zero, name)
     if name == "div":
-        terms = [(_unit_alpha(n, l), [[Fraction(int(k == l)) for k in range(n)]]) for l in range(n)]
+        terms = [(_unit_alpha(n, l), [[one if k == l else zero for k in range(n)]]) for l in range(n)]
         return custom_operator(terms, name=name)
     if name == "grad_k":
         if order is None or order < 1:
@@ -276,9 +281,7 @@ def builtin_operator(name: str, n: int, order: int | None = None) -> DiffOperato
         alphas = [mi for mi in monomial_basis(n, order).exponents if mi.order == order]
         terms = []
         for alpha in alphas:
-            matrix = [
-                [Fraction(int(k == i and c == alpha.entries)) for k in range(n)] for i, c in rows
-            ]
+            matrix = [[one if k == i and c == alpha.entries else zero for k in range(n)] for i, c in rows]
             terms.append((alpha, matrix))
         return custom_operator(terms, name=f"grad_{order}")
     raise ValueError(f"unknown operator name: {name}")
@@ -379,36 +382,43 @@ class SymbolMatrix:
         return kernel
 
 
-def _gaussian_symbol(
-    A: DiffOperator, xi: Sequence[ComplexRational]
-) -> tuple[list[list[int]], list[list[int]], int]:
-    """The Gaussian-integer form of A[xi]: int matrices re and im and the
-    factor d^k * scale with re + i im = factor * A[xi], d the lcm of the
-    denominators of xi and k the order of A."""
-    d = lcm(*(c.re.denominator for c in xi), *(c.im.denominator for c in xi))
-    z = [(c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator)) for c in xi]
+def _scaled(xi: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """d xi as ints and d, the lcm of the denominators, for rationals xi
+    given as (numerator, denominator) pairs."""
+    d = lcm(*(q for _, q in xi))
+    return [p * (d // q) for p, q in xi], d
+
+
+def _gaussian_symbol(A: DiffOperator, z: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Int matrices re and im with re + i im = sum_alpha z^alpha (scale *
+    A_alpha), for Gaussian-integer coordinates z given as their real and
+    imaginary parts in turn."""
+    coords = list(zip(z[::2], z[1::2]))
     re = [[0] * A.dimV for _ in range(A.dimW)]
     im = [[0] * A.dimV for _ in range(A.dimW)]
     for alpha, entries in A.integer_terms:
-        x, y = 1, 0  # (x + iy) = (d xi)^alpha
-        for (a, b), e in zip(z, alpha.entries):
+        x, y = 1, 0  # (x + iy) = z^alpha
+        for (a, b), e in zip(coords, alpha.entries):
             for _ in range(e):
                 x, y = x * a - y * b, x * b + y * a
         for w, v, m in entries:
             re[w][v] += x * m
             im[w][v] += y * m
-    return re, im, d**A.order * A.scale
+    return re, im
 
 
 def symbol_matrix(A: DiffOperator, xi: Sequence) -> SymbolMatrix:
     """Evaluate the symbol exactly; xi entries may be ints, Fractions,
     rational strings, floats, or complex numbers (floats keep their
     exact binary value)."""
-    z = tuple(ComplexRational.of(v) for v in xi)
-    if len(z) != A.n:
-        raise ValueError(f"frequency has {len(z)} entries, expected {A.n}")
-    re, im, factor = _gaussian_symbol(A, z)
-    return SymbolMatrix(xi=z, re=tuple(map(tuple, re)), im=tuple(map(tuple, im)), factor=factor)
+    xi = tuple(ComplexRational.of(v) for v in xi)
+    if len(xi) != A.n:
+        raise ValueError(f"frequency has {len(xi)} entries, expected {A.n}")
+    z, d = _scaled([(x.numerator, x.denominator) for c in xi for x in (c.re, c.im)])
+    re, im = _gaussian_symbol(A, z)
+    return SymbolMatrix(
+        xi=xi, re=tuple(map(tuple, re)), im=tuple(map(tuple, im)), factor=d**A.order * A.scale
+    )
 
 
 @dataclass(frozen=True)
@@ -452,11 +462,13 @@ def _witness_from(symbol: SymbolMatrix) -> Witness:
     return Witness(xi=symbol.xi, v=v)
 
 
-def _full_rank_mod_p(A: DiffOperator, xi: Sequence[ComplexRational]) -> bool:
-    """True when the Gaussian-integer form re + i im of A[xi] has full
-    column rank mod P, with i sent to I, which proves that A[xi] has full
-    column rank.  False proves nothing."""
-    re, im, _ = _gaussian_symbol(A, xi)
+def _full_rank_mod_p(A: DiffOperator, xi: Sequence[tuple[int, int]]) -> bool:
+    """True when A[xi] has full column rank mod P, which proves that it
+    has full column rank; False proves nothing.  xi holds the real and
+    imaginary part of each coordinate in turn, as (numerator,
+    denominator) pairs (module docstring)."""
+    z, _ = _scaled(xi)
+    re, im = _gaussian_symbol(A, [x % linalg.P for x in z])
     image = [[(x + linalg.I * y) % linalg.P for x, y in zip(*rows)] for rows in zip(re, im)]
     return linalg.rank_mod_p(image, A.dimV) == A.dimV
 
@@ -478,46 +490,48 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
+    bound = _PROBE_COEFF_BOUND
+    zero, one = (0, 1), (1, 1)
 
-    def rand_xi(parts: int) -> list[ComplexRational]:
+    def rand_xi(parts: int) -> list[tuple[int, int]]:
         # parts = 1 draws a real frequency, 2 a complex one (re, then im).
-        bound = _PROBE_COEFF_BOUND
         while True:
-            draws = [
-                Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-                for _ in range(parts * A.n)
-            ]
-            xi = [ComplexRational(*draws[c * parts : (c + 1) * parts]) for c in range(A.n)]
-            if any(xi):
-                return xi
+            draws = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(parts * A.n)]
+            if any(p for p, _ in draws):
+                return draws if parts == 2 else [c for re in draws for c in (re, zero)]
 
-    i_unit = ComplexRational(Fraction(0), Fraction(1))
+    def exact_symbol(xi: list[tuple[int, int]]) -> SymbolMatrix:
+        parts = [Fraction(p, q) for p, q in xi]
+        return symbol_matrix(A, tuple(map(ComplexRational, parts[::2], parts[1::2])))
+
     # (real?, xi) in a fixed order: every frequency is drawn and checked,
     # so the random stream, and with it the witness, never depends on
     # which earlier checks failed.
     frequencies = [
-        (False, [CR_ONE if m == 0 else i_unit if m == j else CR_ZERO for m in range(A.n)])
+        (False, [c for m in range(A.n) for c in (one if m == 0 else zero, one if m == j else zero)])
         for j in range(1, A.n)
     ]
     frequencies += [(False, rand_xi(2)) for _ in range(trials)]
     frequencies += [(True, rand_xi(1)) for _ in range(trials)]
+
     elliptic = c_elliptic = True
     witness: Witness | None = None
     for real, xi in frequencies:
         # With fewer outputs than inputs every symbol is deficient by its
-        # shape; otherwise a full rank mod P settles the frequency.
+        # shape; otherwise a full rank mod P settles the frequency.  Only
+        # a frequency that neither settles becomes Fractions.
         symbol = None
         if A.dimW >= A.dimV:
             if _full_rank_mod_p(A, xi):
                 continue
-            symbol = symbol_matrix(A, xi)
+            symbol = exact_symbol(xi)
             if symbol.rank() == A.dimV:
                 continue
         # A real rank drop is also a complex one.
         c_elliptic = False
         elliptic = elliptic and not real
         if witness is None:
-            witness = _witness_from(symbol or symbol_matrix(A, xi))
+            witness = _witness_from(symbol or exact_symbol(xi))
     return EllipticityReport(
         elliptic=elliptic,
         elliptic_trials=trials,

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, perm, prod
+from math import comb, perm
 
 from . import linalg
 from .diffop import DiffOperator
@@ -111,15 +111,29 @@ def _degree_block(A: DiffOperator, d: int) -> list[list[int]]:
     if d < k:
         return []
     target = {gamma: t for t, gamma in enumerate(compositions(d - k, n))}
+    # Each term by its support: the coordinates i it differentiates, with
+    # alpha_i > 0.  Only these decide whether beta >= alpha, and only
+    # they change from beta to beta - alpha.
+    terms = [
+        ([(i, a) for i, a in enumerate(alpha.entries) if a], entries)
+        for alpha, entries in A.integer_terms
+    ]
     rows = [[0] * (A.dimV * comb(n - 1 + d, d)) for _ in range(A.dimW * len(target))]
     for j, beta in enumerate(compositions(d, n)):
-        for alpha, entries in A.integer_terms:
-            if any(b < a for b, a in zip(beta, alpha.entries)):
-                continue
-            factor = prod(perm(b, a) for b, a in zip(beta, alpha.entries))
-            t = target[tuple(b - a for b, a in zip(beta, alpha.entries))]
-            for w, v, m in entries:
-                rows[t * A.dimW + w][j * A.dimV + v] = factor * m
+        col = j * A.dimV
+        for support, entries in terms:
+            gamma = list(beta)
+            factor = 1
+            for i, a in support:
+                b = beta[i]
+                if b < a:
+                    break
+                factor *= perm(b, a)
+                gamma[i] = b - a
+            else:
+                row = target[tuple(gamma)] * A.dimW
+                for w, v, m in entries:
+                    rows[row + w][col + v] = factor * m
     return rows
 
 
@@ -160,10 +174,8 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
         vectors = linalg.nullspace(block, cols)
         if not vectors:
             break  # every higher block is trivial too (module docstring)
-        for v in vectors:
-            coeffs = [zero] * m
-            coeffs[col : col + cols] = v
-            basis.append(PolyVec(source, A.dimV, tuple(coeffs)))
+        head, tail = (zero,) * col, (zero,) * (m - col - cols)
+        basis.extend(PolyVec(source, A.dimV, head + tuple(v) + tail) for v in vectors)
     return KernelBasis(operator=A, K=K, basis=tuple(basis), m=m, rank=m - len(basis))
 
 

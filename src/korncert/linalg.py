@@ -6,14 +6,16 @@ multiplied by the lcm of its denominators, which leaves its span alone;
 each update r_i <- p r_i - f r_p, with p the pivot and f the entry of
 r_i in the pivot column, multiplies and subtracts without dividing; and
 each updated row is divided by the gcd of its entries, so the integers
-stay as small as the row allows.  On exit each nonzero entry of a pivot
-row is divided by the row's pivot, once.  The pivot is the first nonzero
-entry of its column: exact arithmetic needs no pivoting for stability.
-Inputs are never mutated and results are fully deterministic: the
-reduced echelon form is unique, so it does not depend on the scaling of
-any row, and nullspace vectors are normalised so their first nonzero
-entry is one.  A complex matrix comes here realified, as an integer
-matrix (diffop.SymbolMatrix).
+stay as small as the row allows.  rref returns these primitive integer
+rows undivided, with their pivot columns: nothing divides on its exit.
+Dividing a row by its pivot gives the reduced echelon form, which is
+unique, so it does not depend on the scaling of any row.  rank counts
+the pivots, and nullspace forms each kernel vector in ints over the lcm
+of the pivots it touches and divides once, by its first nonzero entry,
+so that entry is one.  The pivot is the first nonzero entry of its
+column: exact arithmetic needs no pivoting for stability.  Inputs are
+never mutated and results are fully deterministic.  A complex matrix
+comes here realified, as an integer matrix (diffop.SymbolMatrix).
 
 A modular helper proves full rank cheaply.  P is a prime with
 P = 1 (mod 4) and I a square root of -1 mod P, so a + bi -> a + I b
@@ -38,10 +40,11 @@ I = 583529827753931384  # I * I = -1 (mod P)
 
 def rref(
     matrix: Sequence[Sequence[int | Fraction]], ncols: int
-) -> tuple[list[list[int | Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column list, by the
-    fraction-free loop of the module docstring.  The nonzero entries of
-    the result are Fractions and the zeros ints."""
+) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form by the fraction-free loop of the module
+    docstring: primitive integer rows, pivot rows first and zero rows
+    last, and the pivot column list.  Row i divided by its entry in
+    column pivots[i] is row i of the reduced row echelon form."""
     if any(len(r) != ncols for r in matrix):
         raise ValueError("ragged matrix")
     if set(map(type, chain.from_iterable(matrix))) <= {int}:
@@ -65,9 +68,6 @@ def rref(
         rank += 1
         if rank == len(rows):
             break
-    for i, col in enumerate(pivots):
-        p = rows[i][col]
-        rows[i] = [Fraction(v, p) if v else v for v in rows[i]]
     return rows, pivots
 
 
@@ -89,29 +89,34 @@ def rank(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> int:
 
 def nullspace(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> list[list[Fraction]]:
     """Exact kernel basis, one vector per free column, first nonzero entry
-    normalised to one.  A matrix with no rows has full kernel."""
+    normalised to one.  The zero entries are one shared Fraction.  A
+    matrix with no rows has full kernel."""
     if ncols < 1:
         raise ValueError("need at least one column")
-    reduced, pivots = rref(matrix, ncols) if len(matrix) else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
-    zero, one = Fraction(0), Fraction(1)
+    rows, pivots = rref(matrix, ncols) if len(matrix) else ([], [])
+    pivot_set = set(pivots)
+    zero = Fraction(0)
     basis: list[list[Fraction]] = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        # v[f] = 1 and v[p] = -row[f] / row[p] for the pivot column p of
+        # each row; over the lcm of the pivots involved, all are ints.
+        touched = [(p, row) for p, row in zip(pivots, rows) if row[f]]
+        scale = lcm(*(row[p] for p, row in touched))
+        ints = [(p, -row[f] * (scale // row[p])) for p, row in touched] + [(f, scale)]
+        lead = ints[0][1]  # pivots ascend, and each touched one lies left of f
         v = [zero] * ncols
-        v[f] = one
-        for r, p in enumerate(pivots):
-            coeff = reduced[r][f]
-            if coeff:
-                v[p] = -coeff
-        lead = next(x for x in v if x)
-        if lead != one:
-            v = [x / lead if x else zero for x in v]
+        for c, x in ints:
+            v[c] = Fraction(x, lead)
         basis.append(v)
     return basis
 
 
 def rank_mod_p(matrix: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank of a matrix of residues (ints in [0, P)) over the integers mod P."""
+    """Rank of a matrix of residues (ints in [0, P)) over the integers mod
+    P, by fraction-free updates r_i <- p r_i - f r_p: p is a unit mod P,
+    so no inverse is needed."""
     rows = [list(r) for r in matrix]
     rank = 0
     for col in range(ncols):
@@ -119,12 +124,12 @@ def rank_mod_p(matrix: Sequence[Sequence[int]], ncols: int) -> int:
         if best is None:
             continue
         rows[rank], rows[best] = rows[best], rows[rank]
-        inv = pow(rows[rank][col], -1, P)
-        pivot_row = [v * inv % P for v in rows[rank]]
+        pivot_row = rows[rank]
+        p = pivot_row[col]
         for i in range(rank + 1, len(rows)):
             f = rows[i][col]
             if f:
-                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], pivot_row)]
+                rows[i] = [(p * a - f * b) % P for a, b in zip(rows[i], pivot_row)]
         rank += 1
         if rank == len(rows):
             break

@@ -157,8 +157,10 @@ class PolyVec:
 
     @classmethod
     def from_floats(cls, basis: MonomialBasis, dimV: int, values: Sequence[float]) -> "PolyVec":
-        """Adopt float coefficients exactly (binary value, no rounding)."""
-        return cls(basis, dimV, tuple(Fraction(float(v)) for v in values))
+        """Adopt float coefficients exactly (binary value, no rounding).
+        The zeros, 0.0 and -0.0 alike, become one shared Fraction(0)."""
+        zero = Fraction(0)
+        return cls(basis, dimV, tuple(Fraction(x) if (x := float(v)) else zero for v in values))
 
 
 def eval_poly(p: PolyVec, x: Sequence) -> tuple:

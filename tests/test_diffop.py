@@ -1,6 +1,7 @@
 """Operators: construction, application, symbols, and the randomized
 ellipticity probe."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import korncert.diffop
 from korncert.diffop import (
     CR_ONE,
     CR_ZERO,
@@ -109,6 +111,67 @@ class TestBuiltins:
     def test_order_argument_only_for_grad_k(self):
         with pytest.raises(ValueError):
             builtin_operator("sym_grad", 2, order=2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "name, order",
+        [("grad", None), ("div", None), ("sym_grad", None), ("dev_grad", None), ("dev_sym_grad", None)]
+        + [("grad_k", k) for k in (1, 2, 3)],
+    )
+    def test_builtins_match_their_defining_formulas(self, name, order, n):
+        assert builtin_operator(name, n, order).to_json() == _reference_builtin(name, n, order)
+
+
+def _reference_builtin(name: str, n: int, order: int | None) -> dict:
+    """to_json() of a builtin, from its defining formula: the entry
+    joining input component k to output row w in the d^alpha term."""
+
+    def d(a, b):
+        return Fraction(int(a == b))
+
+    def first_order(entry):
+        # Output rows (i, j), row-major; alpha = e_l.
+        return lambda alpha, w, k: entry(*divmod(w, n), k, alpha.index(1))
+
+    formulas = {
+        # (grad u)_ij = d_j u_i
+        "grad": first_order(lambda i, j, k, l: d(i, k) * d(j, l)),
+        # (sym_grad u)_ij = (d_j u_i + d_i u_j) / 2
+        "sym_grad": first_order(lambda i, j, k, l: (d(i, k) * d(j, l) + d(j, k) * d(i, l)) / 2),
+        # (dev_grad u)_ij = d_j u_i - delta_ij div u / n
+        "dev_grad": first_order(lambda i, j, k, l: d(i, k) * d(j, l) - d(i, j) * d(k, l) / n),
+        "dev_sym_grad": first_order(
+            lambda i, j, k, l: (d(i, k) * d(j, l) + d(j, k) * d(i, l)) / 2 - d(i, j) * d(k, l) / n
+        ),
+        # div u = sum_k d_k u_k
+        "div": lambda alpha, w, k: d(alpha.index(1), k),
+    }
+    k = order or 1
+    if name == "grad_k":
+        # Row (i, j_1..j_k), row-major, holds d_{j_1}..d_{j_k} u_i.
+        rows = list(itertools.product(range(n), repeat=k + 1))
+        dim_w = len(rows)
+
+        def entry(alpha, w, c):
+            i, *js = rows[w]
+            return d(i, c) * d(tuple(js.count(m) for m in range(n)), alpha)
+
+    else:
+        dim_w = 1 if name == "div" else n * n
+        entry = formulas[name]
+    alphas = sorted((a for a in itertools.product(range(k + 1), repeat=n) if sum(a) == k), reverse=True)
+    return {
+        "order": k,
+        "dimV": n,
+        "dimW": dim_w,
+        "terms": [
+            {
+                "alpha": list(alpha),
+                "matrix": [[str(entry(alpha, w, c)) for c in range(n)] for w in range(dim_w)],
+            }
+            for alpha in alphas
+        ],
+    }
 
 
 class TestCustomOperators:
@@ -279,6 +342,33 @@ class TestSymbol:
 
 
 class TestProbe:
+    def test_passing_screen_does_no_exact_work(self, monkeypatch):
+        ops = [builtin_operator(name, 3) for name in ("grad", "sym_grad", "dev_grad", "dev_sym_grad")]
+        ops.append(builtin_operator("grad_k", 2, order=3))
+        calls = []
+
+        class CountedComplexRational(ComplexRational):
+            def __init__(self, *args, **kwargs):
+                calls.append("ComplexRational")
+                super().__init__(*args, **kwargs)
+
+        def counted_symbol_matrix(*args, **kwargs):
+            calls.append("symbol_matrix")
+            return symbol_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(korncert.diffop, "ComplexRational", CountedComplexRational)
+        monkeypatch.setattr(korncert.diffop, "symbol_matrix", counted_symbol_matrix)
+        for op in ops:
+            for seed in range(4):
+                report = ellipticity_probe(op, seed=seed)
+                assert report.elliptic and report.c_elliptic
+        assert calls == []
+        # A rank drop is settled exactly, through both counted calls.
+        w = ellipticity_probe(builtin_operator("dev_sym_grad", 2)).witness
+        assert {"ComplexRational", "symbol_matrix"} <= set(calls)
+        assert w.xi == (CR_ONE, ComplexRational(Fraction(0), Fraction(1)))
+        assert w.v == (CR_ONE, ComplexRational(Fraction(0), Fraction(-1)))
+
     def test_sym_grad_fully_elliptic(self):
         report = ellipticity_probe(builtin_operator("sym_grad", 3))
         assert report.elliptic and report.c_elliptic

@@ -156,6 +156,12 @@ class TestPolyVec:
         assert d.coeffs == (0,)
         assert d.basis.K == 0
 
+    def test_from_floats_is_exact_with_one_shared_zero(self):
+        values = [0.0, -0.0, 0.5, 1e-300, 5e-324]
+        p = PolyVec.from_floats(monomial_basis(1, 4), 1, values)
+        assert all(type(c) is Fraction and c == Fraction(v) for c, v in zip(p.coeffs, values))
+        assert p.coeffs[0] is p.coeffs[1]
+
     def test_embed_preserves_identity(self):
         basis = monomial_basis(2, 1)
         p = poly(basis, 2, {((1, 0), 1): 5})
