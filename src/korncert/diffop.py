@@ -13,6 +13,12 @@ built: the lcm s of their denominators (scale) and, per term, the
 nonzero (w, v, entry) entries of s A (integer_terms).  s A has the
 kernel of A, so the kernel blocks (kernel.py) read A through it;
 apply_operator walks the rational matrices, as an independent reference.
+With it comes a basis of the output rows (output_basis): stack the terms
+side by side into one dimW x (terms * dimV) integer matrix, and keep the
+components w whose rows are no combination of earlier rows, the pivot
+columns of its transpose under linalg.rref.  A dependent component of
+A u is then the same combination of the kept ones for every field u, so
+the kept components alone have the kernel of A.
 
 The symbol takes the same form.  Let d be the lcm of the denominators of
 a complex rational frequency xi, so that z = d xi has Gaussian-integer
@@ -32,14 +38,18 @@ xi != 0; C-ellipticity extends that to complex xi.  The probe samples
 random rational frequencies, decides each symbol's rank exactly, and on
 a rank drop produces an exact witness pair (xi, v) with A[xi] v = 0.
 It keeps each draw as the integer pair (numerator, denominator) it was
-drawn as, and screens it mod a prime first: with z = d xi as above,
-reduced mod P, the same walk over integer_terms gives re + i im mod P,
-and re + I im, with I a square root of -1 mod P (linalg), has full rank
-mod P only if re + i im, and with it A[xi], has full rank, whatever the
-denominators of A.  A frequency that passes the screen is settled
-without a Fraction.  Only one whose symbol loses rank mod P becomes
-Fractions, ComplexRationals and a SymbolMatrix and goes through exact
-elimination, so a rank drop is always decided exactly.
+drawn as, and screens it mod a prime first.  With z = d xi as above,
+each Gaussian coordinate a + ib becomes its residue a + I b (mod P),
+with I a square root of -1 mod P (linalg).  That map is a ring
+homomorphism, so the walk over integer_terms with these residues gives
+the image re + I im (mod P) of the Gaussian-integer symbol.  The screen
+builds it transposed, dimV x dimW, and ranks that short side, since a
+transpose has the same rank.  It has full rank mod P only if re + i im,
+and with it A[xi], has full rank, whatever the denominators of A.  A
+frequency that passes the screen is settled without a Fraction.  Only
+one whose symbol loses rank mod P becomes Fractions, ComplexRationals
+and a SymbolMatrix and goes through exact elimination, so a rank drop
+is always decided exactly.
 """
 
 from __future__ import annotations
@@ -113,8 +123,9 @@ CR_ONE = ComplexRational(Fraction(1))
 class DiffOperator:
     """Immutable operator description: terms maps each multi-index of the
     shared order to a dimW x dimV rational matrix.  scale and
-    integer_terms, its integer form (module docstring), are derived from
-    terms and take no part in equality or repr."""
+    integer_terms, its integer form, and output_basis, a basis of its
+    output rows (module docstring), are derived from terms and take no
+    part in equality or repr."""
 
     n: int
     order: int
@@ -126,6 +137,7 @@ class DiffOperator:
     integer_terms: tuple[tuple[MultiIndex, tuple[tuple[int, int, int], ...]], ...] = field(
         init=False, compare=False, repr=False
     )
+    output_basis: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         scale = lcm(*(m.denominator for _, matrix in self.terms for row in matrix for m in row))
@@ -141,8 +153,16 @@ class DiffOperator:
             )
             for alpha, matrix in self.terms
         )
+        # The transpose of the stacked form: row (t, v) holds entry (w, v)
+        # of term t in column w.  Its pivot columns are the output rows
+        # that are no combination of earlier ones.
+        stacked = [[0] * self.dimW for _ in range(len(integer_terms) * self.dimV)]
+        for t, (_, entries) in enumerate(integer_terms):
+            for w, v, m in entries:
+                stacked[t * self.dimV + v][w] = m
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "integer_terms", integer_terms)
+        object.__setattr__(self, "output_basis", tuple(linalg.rref(stacked, self.dimW)[1]))
 
     def describe(self) -> dict:
         return {
@@ -468,9 +488,18 @@ def _full_rank_mod_p(A: DiffOperator, xi: Sequence[tuple[int, int]]) -> bool:
     imaginary part of each coordinate in turn, as (numerator,
     denominator) pairs (module docstring)."""
     z, _ = _scaled(xi)
-    re, im = _gaussian_symbol(A, [x % linalg.P for x in z])
-    image = [[(x + linalg.I * y) % linalg.P for x, y in zip(*rows)] for rows in zip(re, im)]
-    return linalg.rank_mod_p(image, A.dimV) == A.dimV
+    P = linalg.P
+    residues = [(a + linalg.I * b) % P for a, b in zip(z[::2], z[1::2])]
+    # The transpose of the symbol's image: dimV rows, one per input.
+    image = [[0] * A.dimW for _ in range(A.dimV)]
+    for alpha, entries in A.integer_terms:
+        x = 1
+        for r, e in zip(residues, alpha.entries):
+            if e:
+                x = x * r**e % P
+        for w, v, m in entries:
+            image[v][w] += x * m
+    return linalg.rank_mod_p([[x % P for x in row] for row in image], A.dimW) == A.dimV
 
 
 def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> EllipticityReport:

@@ -17,7 +17,12 @@ are integer matrices: they are built from the operator's integer form
 which leaves the kernel alone), so every entry is a falling-factorial
 product times an integer, and linalg.nullspace eliminates the block over
 the integers, fraction-free.  Only coefficient_matrix divides
-DiffOperator.scale back out.
+DiffOperator.scale back out.  kernel_basis and kernel_dim_profile build
+each block from a basis of the output rows only, the components in
+DiffOperator.output_basis.  A dependent component's block rows are the
+same combination of the kept components' rows, so the block keeps its
+row space, and with it its nullspace and its unique reduced echelon
+form; only coefficient_matrix builds every row.
 
 The dimension profile is exact evidence, not a heuristic.  The kernel
 splits by degree, and each partial derivative d_i commutes with A, so it
@@ -37,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, perm
+from typing import Sequence
 
 from . import linalg
 from .diffop import DiffOperator
@@ -86,19 +92,20 @@ def coefficient_matrix(A: DiffOperator, K: int) -> list[list[Fraction]]:
     zero = Fraction(0)
     target_size = comb(A.n + max(K - A.order, 0), A.n)
     rows = [[zero] * (A.dimV * comb(A.n + K, A.n)) for _ in range(A.dimW * target_size)]
-    for row, col, cols, block in _degree_blocks(A, K):
+    for row, col, cols, block in _degree_blocks(A, K, range(A.dimW)):
         for i, block_row in enumerate(block):
             rows[row + i][col : col + cols] = [Fraction(v, A.scale) for v in block_row]
     return rows
 
 
-def _degree_block(A: DiffOperator, d: int) -> list[list[int]]:
+def _degree_block(A: DiffOperator, d: int, outputs: Sequence[int]) -> list[list[int]]:
     """The degree-d block of the integer operator scale * A: the map from
     degree-d to degree-(d-k) coefficients, with no rows when d < k.
 
     Columns are the degree-d monomials times the dimV components, rows
-    the degree-(d-k) monomials times the dimW components, in the PolyVec
-    layout; only the monomials of these two degrees are built.  Because
+    the degree-(d-k) monomials times the output components listed in
+    outputs, in the PolyVec layout; only the monomials of these two
+    degrees are built.  Because
 
         d^alpha x^beta = beta!/(beta - alpha)! x^(beta - alpha)   (beta >= alpha)
 
@@ -111,14 +118,20 @@ def _degree_block(A: DiffOperator, d: int) -> list[list[int]]:
     if d < k:
         return []
     target = {gamma: t for t, gamma in enumerate(compositions(d - k, n))}
-    # Each term by its support: the coordinates i it differentiates, with
-    # alpha_i > 0.  Only these decide whether beta >= alpha, and only
-    # they change from beta to beta - alpha.
+    # Each term by its support, the coordinates i it differentiates, with
+    # alpha_i > 0 (only these decide whether beta >= alpha, and only they
+    # change from beta to beta - alpha), and by its entries in the rows
+    # of outputs, each w replaced by its position there.
+    position = {w: i for i, w in enumerate(outputs)}
     terms = [
-        ([(i, a) for i, a in enumerate(alpha.entries) if a], entries)
+        (
+            [(i, a) for i, a in enumerate(alpha.entries) if a],
+            [(position[w], v, m) for w, v, m in entries if w in position],
+        )
         for alpha, entries in A.integer_terms
     ]
-    rows = [[0] * (A.dimV * comb(n - 1 + d, d)) for _ in range(A.dimW * len(target))]
+    width = len(outputs)
+    rows = [[0] * (A.dimV * comb(n - 1 + d, d)) for _ in range(width * len(target))]
     for j, beta in enumerate(compositions(d, n)):
         col = j * A.dimV
         for support, entries in terms:
@@ -131,15 +144,16 @@ def _degree_block(A: DiffOperator, d: int) -> list[list[int]]:
                 factor *= perm(b, a)
                 gamma[i] = b - a
             else:
-                row = target[tuple(gamma)] * A.dimW
+                row = target[tuple(gamma)] * width
                 for w, v, m in entries:
                     rows[row + w][col + v] = factor * m
     return rows
 
 
-def _degree_blocks(A: DiffOperator, K: int):
+def _degree_blocks(A: DiffOperator, K: int, outputs: Sequence[int]):
     """Yield (row offset, column offset, column count, block) for the
-    integer degree blocks d = 0..K of A.
+    integer degree blocks d = 0..K of A, with the rows of the output
+    components in outputs (_degree_block).
 
     Each block is assembled only when the caller reaches it, so a caller
     that stops early assembles no higher block and builds no monomial of
@@ -147,9 +161,9 @@ def _degree_blocks(A: DiffOperator, K: int):
     """
     n, k = A.n, A.order
     for d in range(K + 1):
-        row = A.dimW * comb(n - 1 + d - k, n) if d >= k else 0
+        row = len(outputs) * comb(n - 1 + d - k, n) if d >= k else 0
         col = A.dimV * comb(n - 1 + d, n)
-        yield row, col, A.dimV * comb(n - 1 + d, d), _degree_block(A, d)
+        yield row, col, A.dimV * comb(n - 1 + d, d), _degree_block(A, d, outputs)
 
 
 def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
@@ -170,7 +184,7 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
     m = A.dimV * source.size
     zero = Fraction(0)
     basis = []
-    for _, col, cols, block in _degree_blocks(A, K):
+    for _, col, cols, block in _degree_blocks(A, K, A.output_basis):
         vectors = linalg.nullspace(block, cols)
         if not vectors:
             break  # every higher block is trivial too (module docstring)
@@ -187,7 +201,7 @@ def kernel_dim_profile(A: DiffOperator, K_max: int) -> DimProfile:
     if K_max < 0:
         raise ValueError(f"need K_max >= 0, got {K_max}")
     nullities = [0] * (K_max + 1)
-    for d, (_, _, cols, block) in enumerate(_degree_blocks(A, K_max)):
+    for d, (_, _, cols, block) in enumerate(_degree_blocks(A, K_max, A.output_basis)):
         nullities[d] = cols - linalg.rank(block, cols)
         if not nullities[d]:
             break

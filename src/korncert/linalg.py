@@ -1,19 +1,23 @@
 """Exact Gaussian elimination over the integers.
 
 rref, rank and nullspace take rational matrices: ints and Fractions.
-There is one fraction-free Gauss-Jordan loop.  On entry each row is
+There is one fraction-free elimination loop.  On entry each row is
 multiplied by the lcm of its denominators, which leaves its span alone;
 each update r_i <- p r_i - f r_p, with p the pivot and f the entry of
 r_i in the pivot column, multiplies and subtracts without dividing; and
 each updated row is divided by the gcd of its entries, so the integers
-stay as small as the row allows.  rref returns these primitive integer
-rows undivided, with their pivot columns: nothing divides on its exit.
-Dividing a row by its pivot gives the reduced echelon form, which is
-unique, so it does not depend on the scaling of any row.  rank counts
-the pivots, and nullspace forms each kernel vector in ints over the lcm
-of the pivots it touches and divides once, by its first nonzero entry,
-so that entry is one.  The pivot is the first nonzero entry of its
-column: exact arithmetic needs no pivoting for stability.  Inputs are
+stay as small as the row allows.  rref runs the loop Gauss-Jordan,
+updating the rows above each pivot as well as those below, and returns
+these primitive integer rows undivided, with their pivot columns:
+nothing divides on its exit.  Dividing a row by its pivot gives the
+reduced echelon form, which is unique, so it does not depend on the
+scaling of any row.  rank runs only the forward half, the updates below
+each pivot, and counts the pivots: the rows at or below the current
+rank get the same updates either way, so the pivots are the same.
+nullspace forms each kernel vector from rref's rows in ints over the
+lcm of the pivots it touches and divides once, by its first nonzero
+entry, so that entry is one.  The pivot is the first nonzero entry of
+its column: exact arithmetic needs no pivoting for stability.  Inputs are
 never mutated and results are fully deterministic.  A complex matrix
 comes here realified, as an integer matrix (diffop.SymbolMatrix).
 
@@ -45,6 +49,14 @@ def rref(
     docstring: primitive integer rows, pivot rows first and zero rows
     last, and the pivot column list.  Row i divided by its entry in
     column pivots[i] is row i of the reduced row echelon form."""
+    return _eliminate(matrix, ncols, reduced=True)
+
+
+def _eliminate(
+    matrix: Sequence[Sequence[int | Fraction]], ncols: int, reduced: bool
+) -> tuple[list[list[int]], list[int]]:
+    """The fraction-free loop: Gauss-Jordan when reduced, else only the
+    forward updates below each pivot."""
     if any(len(r) != ncols for r in matrix):
         raise ValueError("ragged matrix")
     if set(map(type, chain.from_iterable(matrix))) <= {int}:
@@ -60,7 +72,8 @@ def rref(
         rows[rank], rows[best] = rows[best], rows[rank]
         pivot_row = rows[rank]
         p = pivot_row[col]
-        for i, row in enumerate(rows):
+        for i in range(0 if reduced else rank + 1, len(rows)):
+            row = rows[i]
             f = row[col]
             if f and i != rank:
                 rows[i] = _primitive([p * a - f * b for a, b in zip(row, pivot_row)])
@@ -84,7 +97,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def rank(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> int:
-    return len(rref(matrix, ncols)[1])
+    return len(_eliminate(matrix, ncols, reduced=False)[1])
 
 
 def nullspace(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> list[list[Fraction]]:

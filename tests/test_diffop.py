@@ -2,6 +2,7 @@
 ellipticity probe."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from korncert.diffop import (
     CR_ZERO,
     ComplexRational,
     SymbolMatrix,
+    _full_rank_mod_p,
     apply_operator,
     builtin_operator,
     custom_operator,
@@ -527,6 +529,7 @@ def _probe_operators(draw):
 @given(op=_probe_operators(), seed=st.integers(0, 2**32), trials=st.integers(1, 8))
 @example(op=builtin_operator("dev_sym_grad", 2), seed=0, trials=8)
 @example(op=builtin_operator("div", 3), seed=1, trials=2)
+@example(op=custom_operator([((2, 0), [[1]]), ((0, 2), [[1]])], name="laplacian"), seed=0, trials=2)
 def test_probe_matches_exact_rank_loop(op, seed, trials):
     report = ellipticity_probe(op, trials=trials, seed=seed)
     assert report.to_json() == _exact_probe(op, trials, seed)
@@ -581,6 +584,44 @@ def test_symbol_matches_sympy_over_gaussian_rationals(op, data):
         for v in kernel:
             assert next(c for c in v if c) == 1
             assert sym.apply(v) == (CR_ZERO,) * op.dimW
+
+
+@st.composite
+def _small_first_order(draw):
+    """First-order operators with integer entries |m| <= 3 on R^n, n <= 3,
+    and dimV <= 3 <= dimW <= 4."""
+    n, dim_v, dim_w = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(3, 4))
+    alphas = [tuple(int(i == l) for i in range(n)) for l in range(n)]
+    chosen = draw(st.lists(st.sampled_from(alphas), min_size=1, unique=True))
+    row = st.lists(st.integers(-3, 3), min_size=dim_v, max_size=dim_v)
+    matrices = draw(
+        st.lists(
+            st.lists(row, min_size=dim_w, max_size=dim_w), min_size=len(chosen), max_size=len(chosen)
+        ).filter(lambda ms: any(v for m in ms for r in m for v in r))
+    )
+    return custom_operator(list(zip(chosen, matrices)))
+
+
+# Parts with numerators up to 5 and denominators up to 3: the real and
+# imaginary part of each coordinate in turn, the first 2n of them.
+_small_parts = st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 3)), min_size=6, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(op=_small_first_order(), parts=_small_parts)
+@example(op=builtin_operator("dev_sym_grad", 2), parts=[(1, 1), (0, 1), (0, 1), (1, 1), (0, 1), (0, 1)])
+def test_screen_decides_small_symbols_exactly(op, parts):
+    xi = parts[: 2 * op.n]
+    fractions = [Fraction(p, q) for p, q in xi]
+    sym = symbol_matrix(op, list(map(ComplexRational, fractions[::2], fractions[1::2])))
+    # Hadamard: a dimV-minor of the Gaussian-integer symbol re + i im has
+    # a norm of at most the product of its columns' squared lengths.  The
+    # residue map a + ib -> a + I b (mod P) sends a Gaussian integer to 0
+    # only when P divides its norm, so below P a nonzero minor stays
+    # nonzero mod P, and the screen's answer is the exact one.
+    columns = zip(zip(*sym.re), zip(*sym.im))
+    assert math.prod(sum(x * x + y * y for x, y in zip(*column)) for column in columns) < P
+    assert _full_rank_mod_p(op, xi) == (sym.rank() == op.dimV)
 
 
 # -- property suite ----------------------------------------------------

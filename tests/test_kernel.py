@@ -260,18 +260,24 @@ class TestKernelContents:
             scale = op.scale
             for K in range(op.order + 3):
                 whole = coefficient_matrix(op, K)
-                for row, col, cols, block in korncert.kernel._degree_blocks(op, K):
+                kept = op.output_basis
+                full_blocks = korncert.kernel._degree_blocks(op, K, range(op.dimW))
+                basis_blocks = korncert.kernel._degree_blocks(op, K, kept)
+                for (row, col, cols, block), (_, _, _, rows) in zip(full_blocks, basis_blocks):
                     assert all(type(v) is int for r in block for v in r), (op.name, op.n, K)
                     assert block == [[scale * v for v in r[col : col + cols]] for r in whole[row : row + len(block)]]
                     assert all(len(r) == cols for r in block), (op.name, op.n, K)
+                    # The basis block is the full block's rows of the kept
+                    # output components, monomial by monomial.
+                    assert rows == [block[t + w] for t in range(0, len(block), op.dimW) for w in kept]
 
     def test_no_block_assembled_above_first_trivial(self, monkeypatch):
         degrees = []
         build = korncert.kernel._degree_block
 
-        def traced(A, d):
+        def traced(A, d, outputs):
             degrees.append(d)
-            return build(A, d)
+            return build(A, d, outputs)
 
         monkeypatch.setattr(korncert.kernel, "_degree_block", traced)
         op = builtin_operator("sym_grad", 3)
@@ -280,6 +286,21 @@ class TestKernelContents:
         degrees.clear()
         assert kernel_dim_profile(op, 4).dims == (3, 6, 6, 6, 6)
         assert degrees == [0, 1, 2]
+
+    def test_output_basis_sizes(self):
+        # Symmetric outputs repeat across the diagonal, a deviatoric one
+        # also has a trace that the others determine, and the outputs of
+        # grad_k repeat under permuted derivatives.
+        cases = {
+            ("sym_grad", 3, None): (6, 9),
+            ("dev_sym_grad", 3, None): (5, 9),
+            ("dev_sym_grad", 2, None): (2, 4),
+            ("grad_k", 2, 3): (8, 16),
+            ("div", 3, None): (1, 1),
+        }
+        for (name, n, order), sizes in cases.items():
+            op = builtin_operator(name, n, order)
+            assert (len(op.output_basis), op.dimW) == sizes, name
 
     def test_profile_builds_no_monomial_above_first_trivial(self, monkeypatch):
         # sym_grad on R^3 has its first trivial block at degree 2, so a
@@ -438,6 +459,35 @@ def test_kernel_is_closed_under_combinations(data):
     assert not any(apply_operator(op, PolyVec(kb.basis[0].basis, op.dimV, coeffs)).coeffs)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dependent_output_rows_leave_the_kernel_alone(data):
+    # Insert output rows that are copies, negatives or integer
+    # combinations of the rows already there, the same combination in
+    # every term: the kernel and its echelon basis do not change.
+    name = data.draw(st.sampled_from(["grad", "div", "sym_grad", "dev_grad", "dev_sym_grad", "grad_k"]))
+    n = data.draw(st.integers(2, 3))
+    op = builtin_operator(name, n, data.draw(st.integers(1, 2)) if name == "grad_k" else None)
+    combination = st.one_of(
+        st.tuples(st.just(1), st.integers(0, op.dimW - 1)),
+        st.tuples(st.just(-1), st.integers(0, op.dimW - 1)),
+        st.lists(st.integers(-2, 2), min_size=op.dimW, max_size=op.dimW),
+    )
+    matrices = [list(matrix) for _, matrix in op.terms]
+    for _ in range(data.draw(st.integers(1, 3))):
+        drawn = data.draw(combination)
+        weights = [drawn[0] * (w == drawn[1]) for w in range(op.dimW)] if isinstance(drawn, tuple) else drawn
+        at = data.draw(st.integers(0, len(matrices[0])))
+        for matrix, (_, original) in zip(matrices, op.terms):
+            matrix.insert(at, [sum(c * row[v] for c, row in zip(weights, original)) for v in range(op.dimV)])
+    wider = custom_operator([(alpha, m) for (alpha, _), m in zip(op.terms, matrices)])
+    assert len(wider.output_basis) == len(op.output_basis)
+    for K in range(5):
+        got, want = kernel_basis(wider, K), kernel_basis(op, K)
+        assert [p.coeffs for p in got.basis] == [p.coeffs for p in want.basis], (op.name, K)
+    assert kernel_dim_profile(wider, 4).dims == kernel_dim_profile(op, 4).dims
+
+
 def _dense_rref(matrix, ncols):
     """Reference: the elimination loop that updates every entry."""
     rows = [list(r) for r in matrix]
@@ -497,6 +547,9 @@ def test_rank_mod_p_of_small_integer_matrices_is_the_exact_rank(entry, data):
     ncols = data.draw(st.integers(1, 7))
     matrix = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
     assert rank_mod_p([[int(x) % P for x in row] for row in matrix], ncols) == rank(matrix, ncols)
+    # A transpose has the same rank.
+    transpose = [[int(x) % P for x in column] for column in zip(*matrix)]
+    assert rank_mod_p(transpose, len(matrix)) == rank(matrix, ncols)
 
 
 # Rows mixing ints and Fractions whose denominators run up to 97, so that
