@@ -9,12 +9,15 @@ scriptable:
     korncert points  --config run.json                point-measure run
     korncert plot    --config run.json --out dir      run + CSV emission
 
+check and points also take --report PATH and --emit-plots DIR.
+
 Exit codes: 0 success, 1 verdict differs from the expected one, 2 config
 or schema violation (the message names the offending field), 3 geometry
-degeneracy.  Reports are deterministic for a fixed config and seed; the
-digest field identifies the payload with timings and plot paths
-excluded, so repeated runs can be compared byte for byte after dropping
-"timings" and "plots".
+degeneracy.  Output paths come from those flags and run_config's
+emit_plots only, never from a config.  Reports are deterministic for a
+fixed config and seed; the digest field identifies the payload with
+timings and plot paths excluded, so repeated runs can be compared byte
+for byte after dropping "timings" and "plots".
 
 One reader takes every JSON file in and refuses NaN, Infinity and
 numbers beyond the float range.  A config is validated once per run,
@@ -365,16 +368,10 @@ def _run(cfg: dict, expect: str | None, emit_plots: str | None) -> tuple[dict, i
         "expected_match": (verdict.tag == expected) if expected else None,
     }
 
-    if test["kind"] == "boundary":
-        plots_dir = emit_plots if emit_plots is not None else cfg.get("output", {}).get("plots")
-        if plots_dir:
-            report["plots"] = emit_plot_data(dom, coarse, dense, kind, verdict, plots_dir)
+    if test["kind"] == "boundary" and emit_plots:
+        report["plots"] = emit_plot_data(dom, coarse, dense, kind, verdict, emit_plots)
     report["digest"] = _canonical_digest(report)
     report["timings"] = timings
-
-    report_path = cfg.get("output", {}).get("report")
-    if report_path:
-        _write_json(report_path, report)
 
     exit_code = 0
     if expected is not None and verdict.tag != expected:

@@ -1,34 +1,36 @@
 """Exact Gaussian elimination over the integers.
 
 rref, rank and nullspace take rational matrices: ints and Fractions.
-There is one fraction-free elimination loop.  On entry each row is
-multiplied by the lcm of its denominators, which leaves its span alone;
-each update r_i <- p r_i - f r_p, with p the pivot and f the entry of
-r_i in the pivot column, multiplies and subtracts without dividing; and
-each updated row is divided by the gcd of its entries, so the integers
-stay as small as the row allows.  rref runs the loop Gauss-Jordan,
-updating the rows above each pivot as well as those below, and returns
-these primitive integer rows undivided, with their pivot columns:
-nothing divides on its exit.  Dividing a row by its pivot gives the
-reduced echelon form, which is unique, so it does not depend on the
-scaling of any row.  rank runs only the forward half, the updates below
-each pivot, and counts the pivots: the rows at or below the current
-rank get the same updates either way, so the pivots are the same.
-nullspace forms each kernel vector from rref's rows in ints over the
-lcm of the pivots it touches and divides once, by its first nonzero
+There is one fraction-free elimination loop, and it updates rows it
+owns.  rref and rank hand it each row times the lcm of its denominators,
+which leaves its span alone.  Each update r_i <- p r_i - f r_p, with p
+the pivot and f the entry of r_i in the pivot column, multiplies and
+subtracts without dividing, and each row is divided by the gcd of its
+entries, so the integers stay as small as the row allows.  rref runs
+the loop Gauss-Jordan, updating the rows above each pivot as well as
+those below, and returns these primitive integer rows undivided, with
+their pivot columns: nothing divides on its exit.  Dividing a row by its
+pivot gives the reduced echelon form, which is unique, so it does not
+depend on the scaling of any row.  rank runs only the forward half, the
+updates below each pivot, and counts the pivots: the rows at or below
+the current rank get the same updates either way, so the pivots are the
+same.  nullspace forms each kernel vector from rref's rows in ints over
+the lcm of the pivots it touches and divides once, by its first nonzero
 entry, so that entry is one.  The pivot is the first nonzero entry of
-its column: exact arithmetic needs no pivoting for stability.  Inputs are
-never mutated and results are fully deterministic.  A complex matrix
+its column: exact arithmetic needs no pivoting for stability.  Inputs
+are never mutated and results are fully deterministic.  A complex matrix
 comes here realified, as an integer matrix (diffop.SymbolMatrix).
 
-A modular helper proves full rank cheaply.  P is a prime with
+A modular rank proves full rank cheaply.  P is a prime with
 P = 1 (mod 4) and I a square root of -1 mod P, so a + bi -> a + I b
 (mod P) is a ring homomorphism from the Gaussian integers onto the
 integers mod P.  Minors map to minors, so an integer or Gaussian-integer
 matrix whose image has full column rank mod P has full column rank
 exactly; a rational matrix reaches it with its rows cleared to integers
-first.  A rank drop mod P proves nothing: only a full-rank answer may be
-taken from rank_mod_p.
+first.  rank_mod_p runs the forward half of the loop on a copy of the
+residues and reduces each updated row mod P, in place of the gcd: the
+pivot is a unit mod P.  A rank drop mod P proves nothing: only a
+full-rank answer may be taken from rank_mod_p.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 P = 2**61 - 31
 I = 583529827753931384  # I * I = -1 (mod P)
@@ -49,20 +51,15 @@ def rref(
     docstring: primitive integer rows, pivot rows first and zero rows
     last, and the pivot column list.  Row i divided by its entry in
     column pivots[i] is row i of the reduced row echelon form."""
-    return _eliminate(matrix, ncols, reduced=True)
+    return _eliminate(_integer_rows(matrix, ncols), ncols, reduced=True, shrink=_primitive)
 
 
 def _eliminate(
-    matrix: Sequence[Sequence[int | Fraction]], ncols: int, reduced: bool
+    rows: list[list[int]], ncols: int, reduced: bool, shrink: Callable[[list[int]], list[int]]
 ) -> tuple[list[list[int]], list[int]]:
-    """The fraction-free loop: Gauss-Jordan when reduced, else only the
-    forward updates below each pivot."""
-    if any(len(r) != ncols for r in matrix):
-        raise ValueError("ragged matrix")
-    if set(map(type, chain.from_iterable(matrix))) <= {int}:
-        rows = [_primitive(list(r)) for r in matrix]
-    else:
-        rows = [_primitive(_cleared(r)) for r in matrix]
+    """The fraction-free loop, on rows it owns: Gauss-Jordan when
+    reduced, else only the updates below each pivot.  Each updated row
+    goes through shrink: division by its gcd, or reduction mod P."""
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
@@ -76,12 +73,21 @@ def _eliminate(
             row = rows[i]
             f = row[col]
             if f and i != rank:
-                rows[i] = _primitive([p * a - f * b for a, b in zip(row, pivot_row)])
+                rows[i] = shrink([p * a - f * b for a, b in zip(row, pivot_row)])
         pivots.append(col)
         rank += 1
         if rank == len(rows):
             break
     return rows, pivots
+
+
+def _integer_rows(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> list[list[int]]:
+    """The rows of a rational matrix as new primitive integer rows."""
+    if any(len(r) != ncols for r in matrix):
+        raise ValueError("ragged matrix")
+    if set(map(type, chain.from_iterable(matrix))) <= {int}:
+        return [_primitive(list(r)) for r in matrix]
+    return [_primitive(_cleared(r)) for r in matrix]
 
 
 def _cleared(row: Sequence[int | Fraction]) -> list[int]:
@@ -97,7 +103,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def rank(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> int:
-    return len(_eliminate(matrix, ncols, reduced=False)[1])
+    return len(_eliminate(_integer_rows(matrix, ncols), ncols, reduced=False, shrink=_primitive)[1])
 
 
 def nullspace(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -127,23 +133,9 @@ def nullspace(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> list[li
 
 
 def rank_mod_p(matrix: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank of a matrix of residues (ints in [0, P)) over the integers mod
-    P, by fraction-free updates r_i <- p r_i - f r_p: p is a unit mod P,
-    so no inverse is needed."""
-    rows = [list(r) for r in matrix]
-    rank = 0
-    for col in range(ncols):
-        best = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if best is None:
-            continue
-        rows[rank], rows[best] = rows[best], rows[rank]
-        pivot_row = rows[rank]
-        p = pivot_row[col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [(p * a - f * b) % P for a, b in zip(rows[i], pivot_row)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank of a matrix of residues (ints in [0, P)) mod P."""
+    return len(_eliminate([list(r) for r in matrix], ncols, reduced=False, shrink=_mod_p)[1])
+
+
+def _mod_p(row: list[int]) -> list[int]:
+    return [v % P for v in row]

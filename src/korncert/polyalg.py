@@ -24,8 +24,6 @@ from itertools import repeat
 from math import comb
 from typing import Iterator, Sequence
 
-Rational = Fraction
-
 # Denominators above this print as decimals instead of p/q.  Exact small
 # rationals stay exact in text; float-derived coefficients (huge binary
 # denominators) print as shortest round-tripping decimals.

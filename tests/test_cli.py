@@ -394,6 +394,56 @@ class TestExitCodes:
         assert code == 2
         assert "test.domain.n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            (
+                _base_config(
+                    test={
+                        **_base_config()["test"],
+                        "coarse": {"counts": [6], "range": [[0, 3]]},
+                        "dense": {"counts": [48], "range": [[0, 2]]},
+                    }
+                ),
+                "test.dense.range: must match the coarse range",
+            ),
+            (
+                _base_config(test={**_base_config()["test"], "dense": {"counts": [6]}}),
+                "test.dense.counts: dense grid must be strictly finer than coarse",
+            ),
+            (
+                # The gradient of a scalar: dimV = 1 on R^2.
+                _base_config(
+                    operator={
+                        "terms": [{"alpha": [1, 0], "matrix": [[1], [0]]}, {"alpha": [0, 1], "matrix": [[0], [1]]}]
+                    }
+                ),
+                "test.trace: normal trace needs dimV == n, operator has dimV=1",
+            ),
+            (_base_config(operator={"builtin": "grad_k", "n": 2}), "operator.order: grad_k needs an order"),
+            (
+                _base_config(operator={"builtin": "sym_grad", "n": 3}, test={"kind": "points", "points": [[0, 0]]}),
+                "test.points: point [0, 0] is not in R^3",
+            ),
+            (
+                _base_config(operator={"builtin": "sym_grad", "n": 3}, test=_line_test()),
+                "test.lines: p0 and dir must be in R^3",
+            ),
+            (
+                # Output paths come from the command line, not the config.
+                _base_config(output={"report": "report.json", "plots": "plots"}),
+                "<root>: Additional properties are not allowed ('output' was unexpected)",
+            ),
+        ],
+        ids=[
+            "dense-range", "dense-counts", "trace-dimV", "grad_k-order", "point-dimension", "line-dimension",
+            "output-block",
+        ],
+    )
+    def test_config_error_message_names_field(self, tmp_path, capsys, cfg, message):
+        assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == f"error: config field {message}\n"
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_timings(self):
@@ -414,6 +464,32 @@ class TestDeterminism:
             plotted, _ = run_config(_base_config(), emit_plots=str(tmp_path / out))
             assert "plots" in plotted
             assert plotted["digest"] == r1["digest"], out
+
+    def test_one_digest_for_every_output_route(self, tmp_path, capsys, monkeypatch):
+        # Output paths come only from the caller, so where the report and
+        # the plot data go cannot reach the digest.
+        config = _CONFIG_DIR / "disk_symgrad_normal.json"
+        cfg = json.loads(config.read_text())
+        digests = {run_config(cfg)[0]["digest"]}
+        for out in ("a", "b"):
+            digests.add(run_config(cfg, emit_plots=str(tmp_path / out))[0]["digest"])
+        report_path = tmp_path / "report.json"
+        argv = ["check", "--config", str(config), "--report", str(report_path), "--emit-plots", str(tmp_path / "d")]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        printed = [line.split(":")[1].strip() for line in stdout.splitlines() if line.startswith("digest")]
+        assert printed == [json.loads(report_path.read_text())["digest"]]
+        digests.update(printed)
+        # plot prints no digest: take it from the report the run returns.
+        runs = []
+        run = korncert.cli._run
+        monkeypatch.setattr(korncert.cli, "_run", lambda *args: runs.append(run(*args)) or runs[-1])
+        assert main(["plot", "--config", str(config), "--out", str(tmp_path / "e")]) == 0
+        digests.update(report["digest"] for report, _ in runs)
+        assert len(runs) == 1 and len(digests) == 1
+        for out in "abde":
+            for name in ("boundary.csv", "residual.csv"):
+                assert (tmp_path / out / name).stat().st_size > 0, (out, name)
 
     @pytest.mark.parametrize("stem", ["ball3d_devsymgrad_normal", "axis_line_points"])
     def test_digest_independent_of_blas_threads(self, stem):
@@ -454,17 +530,17 @@ class TestDeterminism:
 
 
 class TestReportContent:
-    def test_report_fields(self, tmp_path):
-        cfg = _base_config(expected="A2")
-        cfg["output"] = {"report": str(tmp_path / "report.json")}
-        report, code = run_config(cfg)
+    def test_report_fields(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        code = main(["check", "--config", _write(tmp_path, _base_config(expected="A2")), "--report", str(report_path)])
         assert code == 0
-        on_disk = json.loads((tmp_path / "report.json").read_text())
+        on_disk = json.loads(report_path.read_text())
         assert on_disk["schema"] == "korncert-report/1"
         assert on_disk["verdict"]["verdict"] == "A2"
         assert on_disk["expected_match"] is True
         assert on_disk["kernel"]["dim"] == 3
-        assert on_disk["digest"] == report["digest"]
+        assert on_disk["digest"] == run_config(_base_config(expected="A2"))[0]["digest"]
+        assert f"digest      : {on_disk['digest']}" in capsys.readouterr().out
         cert = on_disk["verdict"]["certificates"][0]
         assert "pretty" in cert and "coeffs" in cert
 

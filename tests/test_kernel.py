@@ -6,6 +6,7 @@ and counts free parameters, so the two implementations share nothing
 but the operator definition.
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -615,6 +616,32 @@ def test_elimination_matches_sympy(case):
     assert all(type(x) is Fraction for v in vectors for x in v)
     assert all(next(x for x in v if x) == 1 for v in vectors)
     assert len({id(x) for v in vectors for x in v if not x}) <= 1
+
+
+def _typed(matrix):
+    """A matrix's entries with their types: Fraction(2) == 2, but a call
+    that turned one into the other would have changed its argument."""
+    return [[(type(x), x) for x in row] for row in matrix]
+
+
+# Residues at both ends of [0, P) and anywhere between, so that the
+# updates wrap around P.
+_residue = st.one_of(st.integers(0, 3), st.integers(P - 3, P - 1), st.integers(0, P - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_matrices(), data=st.data())
+def test_linalg_never_changes_its_inputs(case, data):
+    matrix, ncols = case
+    before = copy.deepcopy(matrix)
+    for call in (rref, rank, nullspace):
+        call(matrix, ncols)
+        assert _typed(matrix) == _typed(before), call.__name__
+    residues = [[Fraction(x).numerator % P for x in row] for row in matrix]
+    residues += data.draw(st.lists(st.lists(_residue, min_size=ncols, max_size=ncols), max_size=4))
+    before = copy.deepcopy(residues)
+    rank_mod_p(residues, ncols)
+    assert residues == before
 
 
 @pytest.mark.parametrize(
