@@ -502,11 +502,36 @@ def _full_rank_mod_p(A: DiffOperator, xi: Sequence[tuple[int, int]]) -> bool:
     return linalg.rank_mod_p([[x % P for x in row] for row in image], A.dimW) == A.dimV
 
 
+def _rational_draws(rng: random.Random, bound: int, count: int) -> list[tuple[int, int]]:
+    """count pairs (numerator, denominator), drawn uniformly from
+    [-bound, bound] and [1, bound].  Each integer comes from
+    rng.getrandbits(k), with k the bit length of the width of its range,
+    redrawn until it falls in that range.  That is how
+    rng.randint(-bound, bound) and rng.randint(1, bound) draw on CPython
+    3.10-3.12, so the pairs are the integers those calls give, drawn
+    alternately, without their per-call overhead."""
+    getrandbits = rng.getrandbits
+    width = 2 * bound + 1
+    k_num, k_den = width.bit_length(), bound.bit_length()
+    draws = []
+    for _ in range(count):
+        p = getrandbits(k_num)
+        while p >= width:
+            p = getrandbits(k_num)
+        q = getrandbits(k_den)
+        while q >= bound:
+            q = getrandbits(k_den)
+        draws.append((p - bound, q + 1))
+    return draws
+
+
 def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> EllipticityReport:
     """Randomized exact-rank test of the symbol.
 
     Real ellipticity evidence: `trials` random rational frequencies, each
-    with numerator and denominator bounded by 10^6.  Complex evidence
+    with numerator and denominator bounded by 10^6, drawn from
+    random.Random(seed) by getrandbits (_rational_draws), which gives the
+    integers randint gives on CPython 3.10-3.12.  Complex evidence
     additionally checks the deterministic family xi = e_1 + i e_j,
     j = 2..n, before the random complex draws; that family catches the
     classical failures (for the deviatoric symmetric gradient on R^2 it
@@ -525,7 +550,7 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
     def rand_xi(parts: int) -> list[tuple[int, int]]:
         # parts = 1 draws a real frequency, 2 a complex one (re, then im).
         while True:
-            draws = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(parts * A.n)]
+            draws = _rational_draws(rng, bound, parts * A.n)
             if any(p for p, _ in draws):
                 return draws if parts == 2 else [c for re in draws for c in (re, zero)]
 

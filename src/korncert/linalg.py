@@ -1,25 +1,36 @@
 """Exact Gaussian elimination over the integers.
 
 rref, rank and nullspace take rational matrices: ints and Fractions.
-There is one fraction-free elimination loop, and it updates rows it
-owns.  rref and rank hand it each row times the lcm of its denominators,
+They hand the elimination each row times the lcm of its denominators,
 which leaves its span alone.  Each update r_i <- p r_i - f r_p, with p
 the pivot and f the entry of r_i in the pivot column, multiplies and
 subtracts without dividing, and each row is divided by the gcd of its
-entries, so the integers stay as small as the row allows.  rref runs
-the loop Gauss-Jordan, updating the rows above each pivot as well as
-those below, and returns these primitive integer rows undivided, with
-their pivot columns: nothing divides on its exit.  Dividing a row by its
-pivot gives the reduced echelon form, which is unique, so it does not
-depend on the scaling of any row.  rank runs only the forward half, the
-updates below each pivot, and counts the pivots: the rows at or below
-the current rank get the same updates either way, so the pivots are the
-same.  nullspace forms each kernel vector from rref's rows in ints over
-the lcm of the pivots it touches and divides once, by its first nonzero
-entry, so that entry is one.  The pivot is the first nonzero entry of
-its column: exact arithmetic needs no pivoting for stability.  Inputs
-are never mutated and results are fully deterministic.  A complex matrix
-comes here realified, as an integer matrix (diffop.SymbolMatrix).
+entries, so the integers stay as small as the row allows.  The pivot is
+the first nonzero entry of its column: exact arithmetic needs no
+pivoting for stability.  Inputs are never mutated and results are fully
+deterministic.  A complex matrix comes here realified, as an integer
+matrix (diffop.SymbolMatrix).
+
+Elimination runs in two halves.  The forward half, which rank,
+rank_mod_p and rref share, runs only the updates below each pivot, on
+rows it owns, and returns the echelon rows with their pivot columns.
+rank counts the pivots.  rref goes on in one of two ways:
+
+- Identity exit.  When the forward half puts a pivot in every column,
+  the reduced echelon form is the identity over the zero rows, and rref
+  returns exactly that, with no back half.  The degree block at which
+  kernel.kernel_basis stops, the first with no kernel, is such a block.
+- Back half.  Otherwise rref clears the entries above each pivot, from
+  the last pivot row upward, so each pivot row it uses is already
+  cleared above the later pivots.
+
+Either way rref returns primitive integer rows undivided, with their
+pivot columns: nothing divides on its exit.  Dividing a row by its pivot
+gives the reduced echelon form, which is unique, so it does not depend
+on the order of the updates or the scaling of any row.  nullspace forms
+each kernel vector from rref's rows in ints over the lcm of the pivots
+it touches and divides once, by its first nonzero entry, so that entry
+is one.
 
 A modular rank proves full rank cheaply.  P is a prime with
 P = 1 (mod 4) and I a square root of -1 mod P, so a + bi -> a + I b
@@ -27,10 +38,10 @@ P = 1 (mod 4) and I a square root of -1 mod P, so a + bi -> a + I b
 integers mod P.  Minors map to minors, so an integer or Gaussian-integer
 matrix whose image has full column rank mod P has full column rank
 exactly; a rational matrix reaches it with its rows cleared to integers
-first.  rank_mod_p runs the forward half of the loop on a copy of the
-residues and reduces each updated row mod P, in place of the gcd: the
-pivot is a unit mod P.  A rank drop mod P proves nothing: only a
-full-rank answer may be taken from rank_mod_p.
+first.  rank_mod_p runs the forward half on a copy of the residues and
+reduces each updated row mod P, in place of the gcd: the pivot is a
+unit mod P.  A rank drop mod P proves nothing: only a full-rank answer
+may be taken from rank_mod_p.
 """
 
 from __future__ import annotations
@@ -47,19 +58,34 @@ I = 583529827753931384  # I * I = -1 (mod P)
 def rref(
     matrix: Sequence[Sequence[int | Fraction]], ncols: int
 ) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form by the fraction-free loop of the module
-    docstring: primitive integer rows, pivot rows first and zero rows
-    last, and the pivot column list.  Row i divided by its entry in
-    column pivots[i] is row i of the reduced row echelon form."""
-    return _eliminate(_integer_rows(matrix, ncols), ncols, reduced=True, shrink=_primitive)
+    """Row echelon form by the two halves of the module docstring:
+    primitive integer rows, pivot rows first and zero rows last, and the
+    pivot column list.  Row i divided by its entry in column pivots[i]
+    is row i of the reduced row echelon form."""
+    rows, pivots = _forward(_integer_rows(matrix, ncols), ncols, _primitive)
+    if len(pivots) == ncols:  # the identity exit
+        units = [[0] * ncols for _ in range(ncols)]
+        for col, row in enumerate(units):
+            row[col] = 1
+        return units + rows[ncols:], pivots
+    # The back half: row k is already clear above every later pivot.
+    for k in range(len(pivots) - 1, 0, -1):
+        pivot_row, col = rows[k], pivots[k]
+        p = pivot_row[col]
+        for i in range(k):
+            row = rows[i]
+            f = row[col]
+            if f:
+                rows[i] = _primitive([p * a - f * b for a, b in zip(row, pivot_row)])
+    return rows, pivots
 
 
-def _eliminate(
-    rows: list[list[int]], ncols: int, reduced: bool, shrink: Callable[[list[int]], list[int]]
+def _forward(
+    rows: list[list[int]], ncols: int, shrink: Callable[[list[int]], list[int]]
 ) -> tuple[list[list[int]], list[int]]:
-    """The fraction-free loop, on rows it owns: Gauss-Jordan when
-    reduced, else only the updates below each pivot.  Each updated row
-    goes through shrink: division by its gcd, or reduction mod P."""
+    """The forward half, on rows it owns: the updates below each pivot.
+    Each updated row goes through shrink: division by its gcd, or
+    reduction mod P."""
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
@@ -69,10 +95,10 @@ def _eliminate(
         rows[rank], rows[best] = rows[best], rows[rank]
         pivot_row = rows[rank]
         p = pivot_row[col]
-        for i in range(0 if reduced else rank + 1, len(rows)):
+        for i in range(rank + 1, len(rows)):
             row = rows[i]
             f = row[col]
-            if f and i != rank:
+            if f:
                 rows[i] = shrink([p * a - f * b for a, b in zip(row, pivot_row)])
         pivots.append(col)
         rank += 1
@@ -103,7 +129,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def rank(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> int:
-    return len(_eliminate(_integer_rows(matrix, ncols), ncols, reduced=False, shrink=_primitive)[1])
+    return len(_forward(_integer_rows(matrix, ncols), ncols, _primitive)[1])
 
 
 def nullspace(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -134,7 +160,7 @@ def nullspace(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> list[li
 
 def rank_mod_p(matrix: Sequence[Sequence[int]], ncols: int) -> int:
     """Rank of a matrix of residues (ints in [0, P)) mod P."""
-    return len(_eliminate([list(r) for r in matrix], ncols, reduced=False, shrink=_mod_p)[1])
+    return len(_forward([list(r) for r in matrix], ncols, _mod_p)[1])
 
 
 def _mod_p(row: list[int]) -> list[int]:

@@ -84,10 +84,10 @@ class TestExitCodes:
         cfg = _base_config()
         cfg["test"]["coarse"]["counts"] = [6, 6]
         code = main(["check", "--config", _write(tmp_path, cfg)])
-        # Grid arity mismatches surface as geometry-level failures of
-        # the boundary test, reported as config errors.
-        assert code in (2, 3)
-        assert capsys.readouterr().err
+        # sample_grid rejects the count list, and the run reports that as
+        # an error in the grid's config field, with both counts.
+        assert code == 2
+        assert capsys.readouterr().err == "error: config field test.coarse: expected 1 counts for n = 2, got 2\n"
 
     def test_low_degree_rejected_without_flag(self, tmp_path, capsys):
         cfg = _base_config()

@@ -19,6 +19,7 @@ from korncert.diffop import (
     ComplexRational,
     SymbolMatrix,
     _full_rank_mod_p,
+    _rational_draws,
     apply_operator,
     builtin_operator,
     custom_operator,
@@ -442,6 +443,19 @@ class TestProbe:
         assert calls == []
         assert report.elliptic and report.c_elliptic
         assert report.to_json() == _exact_probe(op, 3, 0)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 10**6, 2**61])
+def test_rational_draws_are_the_randint_stream(bound):
+    # The probe's draws, and with them every probe report, are the
+    # integers randint gives, drawn alternately; CI runs this on each
+    # Python it supports.
+    for seed in range(200):
+        want = random.Random(seed)
+        expected = [(want.randint(-bound, bound), want.randint(1, bound)) for _ in range(6)]
+        rng = random.Random(seed)
+        assert _rational_draws(rng, bound, 6) == expected
+        assert rng.getstate() == want.getstate()
 
 
 def _exact_probe(A, trials: int, seed: int) -> dict:

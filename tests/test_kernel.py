@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import korncert.kernel
@@ -107,6 +107,18 @@ class TestLinalg:
         rows, pivots = rref([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]], 2)
         assert rows == [[1, 0], [0, 1]]
         assert pivots == [0, 1]
+
+    def test_rref_of_a_full_rank_block_is_the_identity(self):
+        # sym_grad on R^3 has no kernel of degree 2: its 18 x 18 block
+        # has a pivot in every column, so rref takes the identity exit.
+        op = builtin_operator("sym_grad", 3)
+        blocks = korncert.kernel._degree_blocks(op, 2, op.output_basis)
+        _, _, cols, block = list(blocks)[2]
+        assert (len(block), cols) == (18, 18)
+        rows, pivots = rref(block, cols)
+        assert rows == [[int(i == j) for j in range(18)] for i in range(18)]
+        assert all(type(x) is int for row in rows for x in row)
+        assert pivots == list(range(18))
 
     def test_rank_of_dependent_rows(self):
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
@@ -599,6 +611,11 @@ def _matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_matrices())
+# Full column rank takes rref's identity exit: square, tall with
+# repeated rows, and a single column.
+@example(case=([[0, -2, 1], [3, 1, 0], [1, Fraction(1, 2), 4]], 3))
+@example(case=([[1, 2], [3, Fraction(-4, 3)], [1, 2], [3, Fraction(-4, 3)]], 2))
+@example(case=([[0], [Fraction(-3, 2)], [5]], 1))
 def test_elimination_matches_sympy(case):
     matrix, ncols = case
     ref = sympy.Matrix(len(matrix), ncols, [sympy.Rational(x) for row in matrix for x in row])
