@@ -22,7 +22,11 @@ each block from a basis of the output rows only, the components in
 DiffOperator.output_basis.  A dependent component's block rows are the
 same combination of the kept components' rows, so the block keeps its
 row space, and with it its nullspace and its unique reduced echelon
-form; only coefficient_matrix builds every row.
+form; only coefficient_matrix builds every row.  A block's monomials
+come from polyalg's memoised compositions, one table per degree and
+process.  linalg.nullspace makes every entry of a kernel vector a
+Fraction, so kernel_basis adopts the vectors through the private
+PolyVec._of_fractions, which scans no entry.
 
 The dimension profile is exact evidence, not a heuristic.  The kernel
 splits by degree, and each partial derivative d_i commutes with A, so it
@@ -189,7 +193,7 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
         if not vectors:
             break  # every higher block is trivial too (module docstring)
         head, tail = (zero,) * col, (zero,) * (m - col - cols)
-        basis.extend(PolyVec(source, A.dimV, head + tuple(v) + tail) for v in vectors)
+        basis.extend(PolyVec._of_fractions(source, A.dimV, head + tuple(v) + tail) for v in vectors)
     return KernelBasis(operator=A, K=K, basis=tuple(basis), m=m, rank=m - len(basis))
 
 

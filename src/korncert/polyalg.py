@@ -10,6 +10,14 @@ within one degree, by descending exponent tuple, so for n = 2, K = 2:
 The coefficient of monomial j for component c lives at index
 j * dimV + c.  A PolyVec is only that coefficient record; linear
 algebra on fields happens on coefficient vectors (kernel.py, normtest.py).
+The monomial tables are memoised: compositions(d, n) is one tuple per
+degree and monomial_basis(n, K) one MonomialBasis, index included, per
+(n, K), shared by every caller.  Both are pure functions of two small
+ints with immutable results; nothing else is kept between calls.  The
+public PolyVec constructor coerces ints, strings and floats to
+Fractions; the private PolyVec._of_fractions adopts coefficients that
+are Fractions by construction (kernel bases, from_floats) and checks
+only their number.
 Besides the basis, the module holds exact differentiation and evaluation
 (exact at rational points, float otherwise) and the rational parsing and
 printing shared by the reports.
@@ -19,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # Denominators above this print as decimals instead of p/q.  Exact small
 # rationals stay exact in text; float-derived coefficients (huge binary
@@ -84,16 +92,16 @@ class MultiIndex:
         return all(a >= b for a, b in zip(self.entries, other.entries))
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+@cache
+def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """The exponent tuples of length parts summing to total, in
     descending lex order: the degree-total monomials of P_K in
-    graded-lex order."""
+    graded-lex order.  Memoised: one table per (total, parts)."""
     if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return ((total,),)
+    return tuple(
+        (first,) + rest for first in range(total, -1, -1) for rest in compositions(total - first, parts - 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -119,8 +127,11 @@ class MonomialBasis:
             raise ValueError(f"{mi.entries} has degree > {self.K} or wrong length") from None
 
 
+@cache
 def monomial_basis(n: int, K: int) -> MonomialBasis:
-    """All multi-indices of order <= K, strictly increasing in graded-lex order."""
+    """All multi-indices of order <= K, strictly increasing in graded-lex
+    order.  Memoised: one basis, and so one index, per (n, K).  A bad n
+    or K raises on every call, since an exception is never memoised."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if K < 0:
@@ -147,18 +158,31 @@ class PolyVec:
     def __post_init__(self) -> None:
         if self.dimV < 1:
             raise ValueError(f"need dimV >= 1, got {self.dimV}")
-        expected = self.dimV * self.basis.size
-        if len(self.coeffs) != expected:
-            raise ValueError(f"expected {expected} coefficients, got {len(self.coeffs)}")
+        _check_length(self.basis, self.dimV, self.coeffs)
         if not all(map(isinstance, self.coeffs, repeat(Fraction))):
             object.__setattr__(self, "coeffs", tuple(parse_rational(c) for c in self.coeffs))
+
+    @classmethod
+    def _of_fractions(cls, basis: MonomialBasis, dimV: int, coeffs: tuple[Fraction, ...]) -> "PolyVec":
+        """A PolyVec of coefficients that are Fractions by construction.
+        Only the length is checked: no entry is scanned or coerced."""
+        _check_length(basis, dimV, coeffs)
+        p = object.__new__(cls)
+        vars(p).update(basis=basis, dimV=dimV, coeffs=coeffs)  # frozen: no __setattr__
+        return p
 
     @classmethod
     def from_floats(cls, basis: MonomialBasis, dimV: int, values: Sequence[float]) -> "PolyVec":
         """Adopt float coefficients exactly (binary value, no rounding).
         The zeros, 0.0 and -0.0 alike, become one shared Fraction(0)."""
         zero = Fraction(0)
-        return cls(basis, dimV, tuple(Fraction(x) if (x := float(v)) else zero for v in values))
+        return cls._of_fractions(basis, dimV, tuple(Fraction(x) if (x := float(v)) else zero for v in values))
+
+
+def _check_length(basis: MonomialBasis, dimV: int, coeffs: tuple) -> None:
+    expected = dimV * basis.size
+    if len(coeffs) != expected:
+        raise ValueError(f"expected {expected} coefficients, got {len(coeffs)}")
 
 
 def eval_poly(p: PolyVec, x: Sequence) -> tuple:

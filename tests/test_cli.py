@@ -24,9 +24,9 @@ from korncert.cli import (
     run_config,
     validate_config,
 )
-from korncert.diffop import builtin_operator
+from korncert.diffop import builtin_operator, ellipticity_probe
 from korncert.geometry import StarDomain, grid_frame, sample_grid
-from korncert.kernel import kernel_basis
+from korncert.kernel import kernel_basis, kernel_to_json
 from korncert.normtest import TraceKind, classify, trace_magnitudes
 
 _CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -637,8 +637,9 @@ class TestSubcommands:
 
     def test_kernel_json(self, tmp_path, capsys):
         out_file = tmp_path / "kernel.json"
-        main(["kernel", "--op", "dev_grad", "--n", "3", "--K", "1", "--json", str(out_file)])
+        assert main(["kernel", "--op", "dev_grad", "--n", "3", "--K", "1", "--json", str(out_file)]) == 0
         obj = json.loads(out_file.read_text())
+        assert obj == kernel_to_json(kernel_basis(builtin_operator("dev_grad", 3), 1))
         assert obj["dim"] == 4
 
     def test_probe_output(self, capsys):
@@ -647,6 +648,13 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "C-elliptic evidence : False" in out
         assert "xi=['1', '1i']" in out
+
+    def test_probe_json(self, tmp_path, capsys):
+        out_file = tmp_path / "probe.json"
+        assert main(["probe", "--op", "dev_sym_grad", "--n", "2", "--json", str(out_file)]) == 0
+        obj = json.loads(out_file.read_text())
+        assert obj == ellipticity_probe(builtin_operator("dev_sym_grad", 2)).to_json()
+        assert obj["witness"]["xi"] == ["1", "1i"]
 
     @pytest.mark.parametrize(
         "flags,kwargs",

@@ -455,6 +455,17 @@ def test_exact_layer_pin():
     assert h.hexdigest() == _EXACT_LAYER_SHA256
 
 
+def test_kernel_sweep_coefficients_are_fractions():
+    # kernel_basis adopts its vectors without scanning their entries, so
+    # each must be a Fraction by construction, not merely equal to one.
+    for name, n, order, degrees in _KERNEL_SWEEP:
+        op = builtin_operator(name, n, order)
+        for K in degrees:
+            for p in kernel_basis(op, K).basis:
+                assert p.basis is monomial_basis(n, K)
+                assert all(type(c) is Fraction for c in p.coeffs), (name, n, K)
+
+
 # -- property suite ----------------------------------------------------
 
 _coords = st.fractions(min_value=-10, max_value=10, max_denominator=12)

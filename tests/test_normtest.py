@@ -241,6 +241,13 @@ class TestClassifyVerdicts:
         angle = _max_principal_angle(verdict.certificates, [rot], basis2, 2)
         assert angle < 1e-8
 
+    def test_certificate_coefficients_are_fractions(self):
+        # from_floats adopts its coefficients without scanning them.
+        kb = kernel_basis(builtin_operator("dev_sym_grad", 3), 2)
+        verdict = classify(kb, _BALL3, TraceKind.NORMAL, *_grids(_BALL3, [4, 4]))
+        assert len(verdict.certificates) == 6
+        assert all(type(c) is Fraction for cert in verdict.certificates for c in cert.coeffs)
+
     def test_sym_grad_wavy_domain_normal_is_norm(self):
         op = builtin_operator("sym_grad", 2)
         kb = kernel_basis(op, 1)

@@ -3,6 +3,7 @@ differentiation, evaluation, formatting round trips."""
 
 import re
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from korncert.polyalg import (
     MultiIndex,
     PolyVec,
+    compositions,
     differentiate,
     eval_poly,
     format_poly,
@@ -95,6 +97,27 @@ class TestMonomialBasis:
         with pytest.raises(ValueError):
             basis.index_of(MultiIndex((2, 0)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tables_match_an_independent_enumeration(self, n):
+        # Every exponent tuple with entries up to 6, by degree and then
+        # descending lex order.
+        graded = sorted(
+            (t for t in product(range(7), repeat=n) if sum(t) <= 6), key=lambda t: (sum(t), [-e for e in t])
+        )
+        for d in range(7):
+            assert compositions(d, n) == tuple(t for t in graded if sum(t) == d)
+            assert compositions(d, n) is compositions(d, n)
+        for K in range(7):
+            basis = monomial_basis(n, K)
+            assert [mi.entries for mi in basis.exponents] == [t for t in graded if sum(t) <= K]
+            assert monomial_basis(n, K) is basis
+
+    @pytest.mark.parametrize("n,K", [(0, 1), (2, -1)])
+    def test_bad_arguments_raise_on_every_call(self, n, K):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                monomial_basis(n, K)
+
 
 class TestMultiIndex:
     def test_order(self):
@@ -155,6 +178,18 @@ class TestPolyVec:
         d = differentiate(p, (2, 0))
         assert d.coeffs == (0,)
         assert d.basis.K == 0
+
+    def test_coerced_zeros_are_fractions(self):
+        p = PolyVec(monomial_basis(2, 1), 2, (0,) * 6)
+        assert all(type(c) is Fraction and c == 0 for c in p.coeffs)
+
+    def test_of_fractions_checks_the_length(self):
+        basis = monomial_basis(2, 1)
+        coeffs = (Fraction(1),) * 6
+        assert PolyVec._of_fractions(basis, 2, coeffs).coeffs is coeffs
+        for wrong in (coeffs[:5], coeffs + (Fraction(0),)):
+            with pytest.raises(ValueError, match="expected 6 coefficients"):
+                PolyVec._of_fractions(basis, 2, wrong)
 
     def test_from_floats_is_exact_with_one_shared_zero(self):
         values = [0.0, -0.0, 0.5, 1e-300, 5e-324]
