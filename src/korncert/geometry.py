@@ -14,10 +14,13 @@ minimum: c for balls and for a zero frequency, else c - |a|, since a
 nonzero frequency makes the sine factor (or the product of the two)
 cover [-1, 1].  Points and outward unit normals come from analytic
 tangent frames, never finite differences, computed for a whole sample
-grid at once in numpy array operations; boundary_point and
-outward_normal are one-row calls of the same code.  3D sample grids
-offset the polar angle by half a step so the poles (where the frame
-degenerates) are never hit.
+grid at once, one component at a time.  A SampleGrid stores its axes,
+one angle array per coordinate, and a frame runs the trig once per
+axis: a 3D product grid broadcasts a column of polar angles against a
+row of azimuths, with the bits of the per-point formulas.
+boundary_point and outward_normal are one-point calls of the same
+code.  3D sample grids offset the polar angle by half a step so the
+poles (where the frame degenerates) are never hit.
 """
 
 from __future__ import annotations
@@ -129,66 +132,79 @@ class StarDomain:
         return {"n": self.n, "radial": radial}
 
 
-def _as_angles(dom: StarDomain, theta) -> np.ndarray:
-    """One angle tuple as a (1, n - 1) row for the array code."""
+def _as_angles(dom: StarDomain, theta) -> tuple[np.ndarray, ...]:
+    """One angle tuple as one-element angle arrays for the array code."""
     if isinstance(theta, (int, float)):
         angles = (float(theta),)
     else:
         angles = tuple(float(t) for t in theta)
     if len(angles) != dom.n - 1:
         raise ValueError(f"expected {dom.n - 1} angles for n = {dom.n}, got {len(angles)}")
-    return np.array([angles])
+    return tuple(np.array([t]) for t in angles)
 
 
-def _polar(dom: StarDomain, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """r, the unit direction u, and per angle k the partials (dr/dtheta_k,
-    du/dtheta_k), at every row of an (npoints, n - 1) angle array."""
+def _polar(dom: StarDomain, *angles: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """r, the components of the unit direction u, and per angle k the
+    partials (dr/dtheta_k, components of du/dtheta_k), for angle arrays
+    that broadcast against each other."""
     # A ball is the zero perturbation: r = c + 0.0 and dr = 0.0 exactly.
     a, m1, m2 = (0.0, 0, 0) if dom.family == "constant" else (dom.a, dom.m1, dom.m2)
     if dom.n == 2:
-        t = angles[:, 0]
+        (t,) = angles
         cos_t, sin_t = np.cos(t), np.sin(t)
-        u = np.stack([cos_t, sin_t], axis=1)
-        du = np.stack([-sin_t, cos_t], axis=1)
-        return dom.c + a * np.sin(m1 * t), u, [(a * m1 * np.cos(m1 * t), du)]
-    t1, t2 = angles[:, 0], angles[:, 1]
+        return dom.c + a * np.sin(m1 * t), [cos_t, sin_t], [(a * m1 * np.cos(m1 * t), [-sin_t, cos_t])]
+    t1, t2 = angles
     s1, c1 = np.sin(t1), np.cos(t1)
     s2, c2 = np.sin(t2), np.cos(t2)
-    u = np.stack([s1 * c2, s1 * s2, c1], axis=1)
-    du1 = np.stack([c1 * c2, c1 * s2, -s1], axis=1)
-    du2 = np.stack([-s1 * s2, s1 * c2, np.zeros(len(t1))], axis=1)
-    sin_m1, sin_m2 = np.sin(m1 * t1), np.sin(m2 * t2)
+    u = [s1 * c2, s1 * s2, c1]
+    # du/dtheta2 = (-s1 s2, s1 c2, 0) = (-u_2, u_1, 0), bit for bit.
+    du1, du2 = [c1 * c2, c1 * s2, -s1], [-u[1], u[0], 0.0]
+    phase1, phase2 = m1 * t1, m2 * t2
+    sin_m1, sin_m2 = np.sin(phase1), np.sin(phase2)
     r = dom.c + a * sin_m1 * sin_m2
-    dr1 = a * m1 * np.cos(m1 * t1) * sin_m2
-    dr2 = a * m2 * sin_m1 * np.cos(m2 * t2)
+    dr1 = a * m1 * np.cos(phase1) * sin_m2
+    dr2 = a * m2 * sin_m1 * np.cos(phase2)
     return r, u, [(dr1, du1), (dr2, du2)]
 
 
+def _rows(components: list) -> np.ndarray:
+    """Equal-shape component arrays as one contiguous (npoints, n) array,
+    points in C order; np.stack takes twice as long on small grids."""
+    out = np.empty((*np.shape(components[0]), len(components)))
+    for k, component in enumerate(components):
+        out[..., k] = component
+    return out.reshape(-1, len(components))
+
+
 def _row_dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """p[i] @ q[i] for every row, through the same dot routine as the
-    1-D product (np.linalg.norm of a row, ``row @ row``), so the bits match."""
+    """p[i] @ q[i] for every row of two contiguous (npoints, n) arrays,
+    through the same dot routine as the 1-D product (np.linalg.norm of a
+    row, ``row @ row``), so the bits match."""
     return (p[:, None, :] @ q[:, :, None])[:, 0, 0]
 
 
-def _frame(dom: StarDomain, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _frame(dom: StarDomain, *angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Boundary points x = r u and unit outward normals from the analytic
-    tangent frame, at every row of an (npoints, n - 1) angle array.
+    tangent frame, as (npoints, n) arrays over the broadcast angles in C
+    order.  The 3D normal is np.cross in its own operation order.
 
     Raises GeometryError when the frame degenerates (e.g. at the 3D
     poles, which grids built by sample_grid never hit) or its length is
     not finite (an overflow would turn every normal into 0).
     """
-    r, u, partials = _polar(dom, angles)
-    xs = r[:, None] * u
-    tangents = [dr[:, None] * u + r[:, None] * du for dr, du in partials]
+    r, u, partials = _polar(dom, *angles)
+    xs = _rows([r * ui for ui in u])
+    tangents = [[dr * ui + r * dui for ui, dui in zip(u, du)] for dr, du in partials]
     if dom.n == 2:
-        normals = np.stack([tangents[0][:, 1], -tangents[0][:, 0]], axis=1)
+        ((tx, ty),) = tangents
+        normals = _rows([ty, -tx])
     else:
-        normals = np.cross(tangents[0], tangents[1])
+        (a0, a1, a2), (b0, b1, b2) = tangents
+        normals = _rows([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
     lengths = np.sqrt(_row_dots(normals, normals))
     degenerate = (lengths < _FRAME_TOL) | ~np.isfinite(lengths)
     if degenerate.any():
-        at = tuple(float(t) for t in angles[np.argmax(degenerate)])
+        at = tuple(float(t.flat[np.argmax(degenerate)]) for t in np.broadcast_arrays(*angles))
         raise GeometryError(f"degenerate tangent frame at theta = {at}")
     normals = normals / lengths[:, None]
     inward = _row_dots(normals, xs) < 0.0
@@ -197,26 +213,34 @@ def _frame(dom: StarDomain, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def boundary_point(dom: StarDomain, theta) -> np.ndarray:
     """x(theta) = r(theta) * u(theta) on the boundary."""
-    r, u, _ = _polar(dom, _as_angles(dom, theta))
-    return r[0] * u[0]
+    r, u, _ = _polar(dom, *_as_angles(dom, theta))
+    return _rows([r * ui for ui in u])[0]
 
 
 def outward_normal(dom: StarDomain, theta) -> np.ndarray:
-    """Unit outward normal at one angle tuple: a one-row grid_frame."""
-    return _frame(dom, _as_angles(dom, theta))[1][0]
+    """Unit outward normal at one angle tuple: a one-point grid_frame."""
+    return _frame(dom, *_as_angles(dom, theta))[1][0]
 
 
 @dataclass(frozen=True, eq=False)
 class SampleGrid:
-    """Deterministic boundary sample angles: a (points, n - 1) float
-    array, one row per point."""
+    """Deterministic boundary sample angles: the product of the axes,
+    one float angle array per coordinate.  thetas is that product as a
+    (points, n - 1) array, the last angle varying fastest."""
 
-    thetas: np.ndarray
-    counts: tuple[int, ...]
+    axes: tuple[np.ndarray, ...]
     ranges: tuple[tuple[float, float], ...]
 
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(len(axis) for axis in self.axes)
+
+    @property
+    def thetas(self) -> np.ndarray:
+        return _rows(np.meshgrid(*self.axes, indexing="ij"))
+
     def __len__(self) -> int:
-        return len(self.thetas)
+        return math.prod(self.counts)
 
 
 def sample_grid(
@@ -233,11 +257,15 @@ def sample_grid(
     m2 hits the grid Nyquist rate (count2 = 2 m2): the grid then only
     sees sin(pi * offset) and cos(pi * offset) of the resonant mode, and
     a quarter step keeps both quadratures equally far from zero, where
-    aligned or half-step grids zero one of them out exactly.
+    aligned or half-step grids zero one of them out exactly.  Counts
+    must be ints, not bools; nothing is truncated.
     """
-    counts_t = (counts,) if isinstance(counts, int) else tuple(int(c) for c in counts)
+    counts_t = tuple(counts) if isinstance(counts, (list, tuple)) else (counts,)
     if len(counts_t) != dom.n - 1:
         raise ValueError(f"expected {dom.n - 1} counts for n = {dom.n}, got {len(counts_t)}")
+    for c in counts_t:
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"grid counts must be ints, got {c!r}")
     if any(c < 1 for c in counts_t):
         raise ValueError("grid counts must be >= 1")
     if ranges is None:
@@ -260,23 +288,22 @@ def sample_grid(
         step = (hi - lo) / count
         offset = (0.5, 0.25)[coord] if dom.n == 3 else 0.0
         axes.append(lo + (np.arange(count) + offset) * step)
-    if dom.n == 2:
-        thetas = axes[0][:, None]
-    else:
-        # The product grid, azimuth varying fastest.
-        thetas = np.empty((*counts_t, 2))
-        thetas[..., 0] = axes[0][:, None]
-        thetas[..., 1] = axes[1]
-        thetas = thetas.reshape(-1, 2)
-    return SampleGrid(thetas=thetas, counts=counts_t, ranges=ranges_t)
+    return SampleGrid(axes=tuple(axes), ranges=ranges_t)
 
 
 def grid_frame(dom: StarDomain, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
     """Boundary points and unit outward normals at every grid sample,
     each as an (npoints, n) array in grid order, in one array pass."""
+    if len(grid.axes) != dom.n - 1:
+        raise ValueError(
+            f"a {len(grid.axes) + 1}-dimensional sample grid does not fit a {dom.n}-dimensional domain"
+        )
     if len(grid) == 0:
         raise ValueError("empty sample grid")
-    return _frame(dom, np.asarray(grid.thetas, dtype=float))
+    axes = [np.asarray(axis, dtype=float) for axis in grid.axes]
+    if dom.n == 2:
+        return _frame(dom, axes[0])
+    return _frame(dom, axes[0][:, None], axes[1][None, :])
 
 
 def interior_points(dom: StarDomain, count: int, seed: int = 0) -> list[np.ndarray]:
@@ -292,8 +319,9 @@ def interior_points(dom: StarDomain, count: int, seed: int = 0) -> list[np.ndarr
             angles = (rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI))
         draws.append((*angles, rng.random()))
     table = np.array(draws, dtype=float).reshape(count, dom.n)
-    r, u, _ = _polar(dom, table[:, :-1])
-    return list((table[:, -1] * r)[:, None] * u)
+    r, u, _ = _polar(dom, *table.T[:-1])
+    radii = table[:, -1] * r
+    return list(_rows([radii * ui for ui in u]))
 
 
 def line_points(p0: Sequence[float], direction: Sequence[float], count: int, extent: float) -> list[np.ndarray]:

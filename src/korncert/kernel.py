@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import comb, perm
 from typing import Sequence
@@ -70,6 +71,23 @@ class KernelBasis:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def unit_columns(self):
+        """The float view normtest certifies with: an (m, dim) numpy array,
+        one column per basis element, unit-normalized in the Euclidean
+        coefficient norm, read-only.  Built on first use, once per basis;
+        the exact layer never imports numpy."""
+        import numpy as np
+
+        # Int true division is what float() does for a Fraction, bit for bit.
+        cols = np.array([[c.numerator / c.denominator for c in p.coeffs] for p in self.basis], dtype=float).T
+        norms = np.linalg.norm(cols, axis=0)
+        if np.any(norms == 0.0):
+            raise ValueError("kernel basis contains a zero element")
+        cols = cols / norms
+        cols.flags.writeable = False
+        return cols
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,11 @@ Trace kinds: FULL is the whole vector trace, NORMAL the scalar
 
 Every trace is evaluated by trace_values: a table of coordinate powers,
 one multiplication per degree and no pow per monomial, then one matrix
-product of the monomial values with the coefficient columns.  Float
-coefficients are converted from the exact ones on every call; nothing
-is cached.
+product of the monomial values with the coefficient columns.  A
+kernel's float coefficients are its KernelBasis.unit_columns, a
+read-only view built from the exact ones on the first float use of that
+basis; every other float (frames, traces, spectra, verdicts) is
+recomputed on every call.
 """
 
 from __future__ import annotations
@@ -128,15 +130,6 @@ def _coefficient_columns(polys: Sequence[PolyVec]) -> np.ndarray:
     """Float coefficient matrix, one column per polynomial.  Int true
     division is what float() does for a Fraction, bit for bit."""
     return np.array([[c.numerator / c.denominator for c in p.coeffs] for p in polys], dtype=float).T
-
-
-def _basis_columns(basis: KernelBasis) -> np.ndarray:
-    """Float coefficient matrix, one unit-normalized column per element."""
-    cols = _coefficient_columns(basis.basis)
-    norms = np.linalg.norm(cols, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("kernel basis contains a zero element")
-    return cols / norms
 
 
 def trace_values(
@@ -252,7 +245,7 @@ def _certify(
         return Verdict(tag="A1", diagnostics=diagnostics(note="trivial kernel; every seminorm is a norm"))
     diagnostics = partial(diagnostics, **dict(zip(("coarse_points", "dense_points"), sizes)))
     poly_basis = basis.basis[0].basis
-    columns = _basis_columns(basis)
+    columns = basis.unit_columns
     spectra: dict[str, tuple[float, ...]] = {}
     null = None
     for field_name, (xs, nus) in zip(("coarse_sv", "dense_sv"), frames):

@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from korncert.geometry import (
@@ -185,12 +185,17 @@ class TestNormals:
 
     def test_grid_with_a_pole_sample_degenerates(self):
         dom = StarDomain.ball(3)
-        grid = SampleGrid(
-            thetas=((0.5, 0.3), (0.0, 0.3), (1.0, 0.3)),
-            counts=(3, 1),
-            ranges=((0.0, math.pi), (0.0, 2 * math.pi)),
-        )
-        with pytest.raises(GeometryError):
+        grid = SampleGrid(axes=((0.5, 0.0, 1.0), (0.3,)), ranges=((0.0, math.pi), (0.0, 2 * math.pi)))
+        assert grid.counts == (3, 1)
+        with pytest.raises(GeometryError, match=r"at theta = \(0\.0, 0\.3\)"):
+            grid_frame(dom, grid)
+
+    @pytest.mark.parametrize("n_dom, n_grid", [(2, 3), (3, 2)])
+    def test_grid_of_another_dimension_is_refused(self, n_dom, n_grid):
+        dom = StarDomain.ball(n_dom)
+        grid = sample_grid(StarDomain.ball(n_grid), [3] * (n_grid - 1))
+        message = f"a {n_grid}-dimensional sample grid does not fit a {n_dom}-dimensional domain"
+        with pytest.raises(ValueError, match=message):
             grid_frame(dom, grid)
 
 
@@ -233,6 +238,14 @@ class TestSampleGrids:
             sample_grid(dom, [6, 6])
         with pytest.raises(ValueError):
             sample_grid(dom, [0])
+
+    @pytest.mark.parametrize("count", [4.7, 4.0, True, "4", None])
+    def test_counts_that_are_not_ints_are_refused(self, count):
+        # Nothing is truncated: 4.7 is not 4 points, nor True 1.
+        ball2, ball3 = StarDomain.ball(2), StarDomain.ball(3)
+        for dom, counts in ((ball2, count), (ball2, [count]), (ball3, [4, count])):
+            with pytest.raises(ValueError, match="grid counts must be ints, got"):
+                sample_grid(dom, counts)
 
     def test_polar_range_clamped_to_sphere(self):
         dom = StarDomain.ball(3)
@@ -389,11 +402,27 @@ def test_sample_grid_matches_per_sample_loop_bit_for_bit(data):
     assert grid.thetas.tobytes() == expected.tobytes()
 
 
+_SINE3 = StarDomain.sine3d(2, 1, 2, 3)
+_PATCH3 = StarDomain.sine3d(1, 0.5, 3, 1)
+_PATCH2 = StarDomain.sine2d(1, 0.5, 3)
+
+
+@st.composite
+def _domain_grids(draw):
+    dom = draw(_domains())
+    return dom, draw(_grids(dom))
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_grid_frame_matches_per_sample_reference_bit_for_bit(data):
-    dom = data.draw(_domains())
-    grid = data.draw(_grids(dom))
+@given(case=_domain_grids())
+@example(case=(_SINE3, sample_grid(_SINE3, [1, 9])))
+@example(case=(_SINE3, sample_grid(_SINE3, [9, 1])))
+@example(case=(_PATCH3, sample_grid(_PATCH3, [5, 7], [(0.2, 1.1), (4.0, 5.5)])))
+@example(case=(_PATCH2, sample_grid(_PATCH2, [6], [(2.0, 2.5)])))
+def test_grid_frame_matches_per_sample_reference_bit_for_bit(case):
+    """A grid's frame, built from its axes, against the per-sample
+    formulas; the examples pin 1 x k and k x 1 product grids and patches."""
+    dom, grid = case
     xs, nus = grid_frame(dom, grid)
     ref = [_reference_frame(dom, theta) for theta in grid.thetas]
     assert np.array_equal(xs, np.array([x for x, _ in ref]))

@@ -7,6 +7,7 @@ below the working tolerance; the one exception keeps a field with a
 small trace on purpose, under a loose threshold.
 """
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -320,6 +321,12 @@ class TestClassifyVerdicts:
         assert verdict.tag == "A1"
         assert sum(framed) == len(coarse)
 
+    def test_grid_of_another_dimension_is_refused(self):
+        kb = kernel_basis(builtin_operator("sym_grad", 3), 1)
+        coarse, dense = _grids(_BALL2, [6])
+        with pytest.raises(ValueError, match="2-dimensional sample grid does not fit a 3-dimensional domain"):
+            classify(kb, _BALL3, TraceKind.NORMAL, coarse, dense)
+
     def test_dense_grid_must_be_strictly_finer(self):
         op = builtin_operator("sym_grad", 2)
         kb = kernel_basis(op, 1)
@@ -334,6 +341,46 @@ class TestClassifyVerdicts:
         fine = sample_grid(_BALL2, [6 * 32])
         for cert in verdict.certificates:
             assert certificate_residual(cert, _BALL2, TraceKind.NORMAL, fine) < 1e-12
+
+
+class _CountingFraction(Fraction):
+    """A Fraction that counts reads of its numerator: one per float
+    conversion."""
+
+    reads = 0
+
+    @property
+    def numerator(self):
+        _CountingFraction.reads += 1
+        return super().numerator
+
+
+class TestKernelFloatView:
+    def test_built_once_bit_for_bit_and_read_only(self, monkeypatch):
+        exact = kernel_basis(builtin_operator("dev_sym_grad", 3), 2)
+        polys = tuple(PolyVec(p.basis, p.dimV, tuple(map(_CountingFraction, p.coeffs))) for p in exact.basis)
+        kb = dataclasses.replace(exact, basis=polys)
+        monkeypatch.setattr(_CountingFraction, "reads", 0)
+        assert "unit_columns" not in vars(kb)  # nothing is converted up front
+        expected = np.array([[c.numerator / c.denominator for c in p.coeffs] for p in exact.basis]).T
+        expected = expected / np.linalg.norm(expected, axis=0)
+        for _ in range(2):
+            classify(kb, _BALL3, TraceKind.NORMAL, *_grids(_BALL3, [4, 4], factor=4))
+            point_measure_test(kb, [boundary_point(_BALL3, (0.5 + t, 0.3 * t)) for t in range(12)])
+        assert _CountingFraction.reads == kb.m * kb.dim
+        view = kb.unit_columns
+        assert view.shape == (kb.m, kb.dim)
+        assert view.tobytes() == expected.tobytes()
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+
+    def test_zero_element_is_refused(self):
+        exact = kernel_basis(builtin_operator("sym_grad", 2), 1)
+        zero = PolyVec(exact.basis[0].basis, exact.basis[0].dimV, (0,) * exact.m)
+        kb = dataclasses.replace(exact, basis=(*exact.basis, zero))
+        with pytest.raises(ValueError, match="zero element"):
+            classify(kb, _BALL2, TraceKind.NORMAL, *_grids(_BALL2, [6]))
 
 
 class TestTangentialCases:
