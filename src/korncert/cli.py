@@ -7,9 +7,9 @@ scriptable:
     korncert probe   --op dev_sym_grad --n 2          ellipticity probe
     korncert check   --config run.json [--expect A2]  full certification run
     korncert points  --config run.json                point-measure run
-    korncert plot    --config run.json --out dir      run + CSV emission
 
-check and points also take --report PATH and --emit-plots DIR.
+check and points also take --report PATH and --emit-plots DIR, the one
+route to the CSV plot data, which a points test refuses (exit 2).
 
 Exit codes: 0 success, 1 verdict differs from the expected one, 2 config
 or schema violation (the message names the offending field), 3 geometry
@@ -224,18 +224,13 @@ def _build_domain(spec: dict, n: int) -> StarDomain:
 
 
 def _build_grids(test: dict, dom: StarDomain) -> tuple[SampleGrid, SampleGrid]:
-    coarse_spec = test["coarse"]
     with _field("test.coarse"):
-        coarse = sample_grid(dom, coarse_spec["counts"], coarse_spec.get("range"))
+        coarse = sample_grid(dom, test["coarse"]["counts"], test["coarse"].get("range"))
     dense_spec = test.get("dense", {"counts": [_DENSE_FACTOR_DEFAULT * c for c in coarse.counts]})
     with _field("test.dense"):
-        dense = sample_grid(dom, dense_spec["counts"], dense_spec.get("range", coarse_spec.get("range")))
-    if dense.ranges != coarse.ranges:
-        raise ConfigError("config field test.dense.range: must match the coarse range")
+        dense = sample_grid(dom, dense_spec["counts"], coarse.ranges)
     if not all(dc > cc for cc, dc in zip(coarse.counts, dense.counts)):
-        raise ConfigError(
-            "config field test.dense.counts: dense grid must be strictly finer than coarse"
-        )
+        raise ConfigError("config field test.dense.counts: dense grid must be strictly finer than coarse")
     return coarse, dense
 
 
@@ -287,6 +282,9 @@ def run_config(
 
 def _run(cfg: dict, expect: str | None, emit_plots: str | None) -> tuple[dict, int]:
     """run_config on a validated config."""
+    test = cfg["test"]
+    if emit_plots and test["kind"] != "boundary":
+        raise ConfigError(f"config field test.kind: plot data needs kind 'boundary', got {test['kind']!r}")
     seed = cfg.get("seed", 0)
     env_seed = os.environ.get(_SEED_ENV)
     if env_seed is not None:
@@ -314,7 +312,6 @@ def _run(cfg: dict, expect: str | None, emit_plots: str | None) -> tuple[dict, i
     kb = kernel_basis(op, K)
     timings["kernel_s"] = time.perf_counter() - t0
 
-    test = cfg["test"]
     t0 = time.perf_counter()
     # The test stage rejects non-finite values itself, so numpy's
     # overflow warnings would only print ahead of that error.
@@ -368,7 +365,7 @@ def _run(cfg: dict, expect: str | None, emit_plots: str | None) -> tuple[dict, i
         "expected_match": (verdict.tag == expected) if expected else None,
     }
 
-    if test["kind"] == "boundary" and emit_plots:
+    if emit_plots:
         report["plots"] = emit_plot_data(dom, coarse, dense, kind, verdict, emit_plots)
     report["digest"] = _canonical_digest(report)
     report["timings"] = timings
@@ -541,10 +538,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--emit-plots", metavar="DIR", help="write CSV plot data here")
         p.add_argument("--report", metavar="PATH", help="write the JSON report here")
 
-    p_plot = sub.add_parser("plot", help="run a config and emit CSV plot data")
-    p_plot.add_argument("--config", required=True)
-    p_plot.add_argument("--out", required=True, metavar="DIR")
-
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
@@ -586,27 +579,18 @@ def _dispatch(args) -> int:
             _write_json(args.json, report.to_json())
         return 0
 
-    if args.command in ("check", "points", "plot"):
-        cfg = _load_json(args.config)
-        validate_config(cfg)
-        kind = {"points": "points", "plot": "boundary"}.get(args.command)
-        if kind not in (None, cfg["test"]["kind"]):
-            raise ConfigError(
-                f"config field test.kind: this subcommand needs kind {kind!r}, got {cfg['test']['kind']!r}"
-            )
-        if args.command == "plot":
-            report, code = _run(cfg, None, args.out)
-            plots = report.get("plots", {})
-            print(f"boundary data : {plots.get('boundary')}")
-            print(f"residual data : {plots.get('residual') or plots.get('note')}")
-            return code
-        report, code = _run(cfg, args.expect, args.emit_plots)
-        if args.report:
-            _write_json(args.report, report)
-        _print_run_summary(report)
-        return code
-
-    raise AssertionError(f"unhandled command {args.command}")
+    # check or points: argparse admits no other command.
+    cfg = _load_json(args.config)
+    validate_config(cfg)
+    if args.command == "points" and cfg["test"]["kind"] != "points":
+        raise ConfigError(
+            f"config field test.kind: this subcommand needs kind 'points', got {cfg['test']['kind']!r}"
+        )
+    report, code = _run(cfg, args.expect, args.emit_plots)
+    if args.report:
+        _write_json(args.report, report)
+    _print_run_summary(report)
+    return code
 
 
 if __name__ == "__main__":

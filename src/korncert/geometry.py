@@ -12,7 +12,8 @@ positive x3-axis and azimuth theta2 in 3D).  Radial families:
 Construction checks that r is strictly positive through its exact
 minimum: c for balls and for a zero frequency, else c - |a|, since a
 nonzero frequency makes the sine factor (or the product of the two)
-cover [-1, 1].  Points and outward unit normals come from analytic
+cover [-1, 1].  The frequencies must be ints, not bools; nothing is
+truncated.  Points and outward unit normals come from analytic
 tangent frames, never finite differences, computed for a whole sample
 grid at once, one component at a time.  A SampleGrid stores its axes,
 one angle array per coordinate, and a frame runs the trig once per
@@ -68,6 +69,9 @@ class StarDomain:
     m2: int = 0
 
     def __post_init__(self) -> None:
+        for m in (self.m1, self.m2):
+            if not isinstance(m, int) or isinstance(m, bool):
+                raise ValueError(f"radial frequencies must be ints, got {m!r}")
         if self.n not in (2, 3):
             raise GeometryError(f"only n in {{2, 3}} supported, got {self.n}")
         expected_n = {"constant": self.n, "sine2d": 2, "sine3d": 3}.get(self.family)
@@ -94,11 +98,11 @@ class StarDomain:
 
     @classmethod
     def sine2d(cls, c, a, m: int) -> "StarDomain":
-        return cls(n=2, family="sine2d", c=_scalar(c), a=_scalar(a), m1=int(m))
+        return cls(n=2, family="sine2d", c=_scalar(c), a=_scalar(a), m1=m)
 
     @classmethod
     def sine3d(cls, c, a, m1: int, m2: int) -> "StarDomain":
-        return cls(n=3, family="sine3d", c=_scalar(c), a=_scalar(a), m1=int(m1), m2=int(m2))
+        return cls(n=3, family="sine3d", c=_scalar(c), a=_scalar(a), m1=m1, m2=m2)
 
     @classmethod
     def from_json(cls, obj: dict) -> "StarDomain":

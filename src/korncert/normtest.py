@@ -24,8 +24,8 @@ Trace kinds: FULL is the whole vector trace, NORMAL the scalar
 (trace . nu), TANGENTIAL the projection trace - (trace . nu) nu.
 
 Every trace is evaluated by trace_values: a table of coordinate powers,
-one multiplication per degree and no pow per monomial, then one matrix
-product of the monomial values with the coefficient columns.  A
+one multiplication per degree, gathered by MonomialBasis.exponent_table,
+then one matrix product of the monomial values with the coefficients.  A
 kernel's float coefficients are its KernelBasis.unit_columns, a
 read-only view built from the exact ones on the first float use of that
 basis; every other float (frames, traces, spectra, verdicts) is
@@ -160,7 +160,7 @@ def trace_values(
             raise ValueError(f"{kind.value} trace needs normals of shape {xs.shape}, got {got}")
         if dim_v != n:
             raise ValueError(f"{kind.value} trace needs dimV == n, got dimV={dim_v}, n={n}")
-    exponents = np.array([mi.entries for mi in basis.exponents])
+    exponents = basis.exponent_table
     powers = np.empty((xs.shape[0], n, basis.K + 1))
     powers[:, :, 0] = 1.0
     for k in range(1, basis.K + 1):

@@ -11,13 +11,13 @@ The coefficient of monomial j for component c lives at index
 j * dimV + c.  A PolyVec is only that coefficient record; linear
 algebra on fields happens on coefficient vectors (kernel.py, normtest.py).
 The monomial tables are memoised: compositions(d, n) is one tuple per
-degree and monomial_basis(n, K) one MonomialBasis, index included, per
-(n, K), shared by every caller.  Both are pure functions of two small
-ints with immutable results; nothing else is kept between calls.  The
-public PolyVec constructor coerces ints, strings and floats to
-Fractions; the private PolyVec._of_fractions adopts coefficients that
-are Fractions by construction (kernel bases, from_floats) and checks
-only their number.
+degree and monomial_basis(n, K) one MonomialBasis per (n, K), index and
+numpy exponent_table included, shared by every caller.  Both are pure
+functions of two small ints with immutable results; nothing else is kept
+between calls.  The public PolyVec constructor coerces ints, strings and
+floats to Fractions; the private PolyVec._of_fractions adopts
+coefficients that are Fractions by construction (kernel bases,
+from_floats) and checks only their number.
 Besides the basis, the module holds exact differentiation and evaluation
 (exact at rational points, float otherwise) and the rational parsing and
 printing shared by the reports.
@@ -119,6 +119,15 @@ class MonomialBasis:
     @property
     def size(self) -> int:
         return len(self.exponents)
+
+    @cached_property
+    def exponent_table(self):
+        """The exponents as a read-only (size, n) numpy array, built once."""
+        import numpy as np
+
+        table = np.array([mi.entries for mi in self.exponents])
+        table.flags.writeable = False
+        return table
 
     def index_of(self, mi: MultiIndex) -> int:
         try:

@@ -291,10 +291,9 @@ class TestExitCodes:
         assert code == 2
         assert f"error: config field {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["check", "points", "plot"])
+    @pytest.mark.parametrize("command", ["check", "points"])
     def test_non_object_config_names_root(self, tmp_path, capsys, command):
-        argv = [command, "--config", _write(tmp_path, [1, 2])]
-        code = main(argv + (["--out", str(tmp_path / "plots")] if command == "plot" else []))
+        code = main([command, "--config", _write(tmp_path, [1, 2])])
         assert code == 2
         assert "config field <root>: [1, 2] is not of type 'object'" in capsys.readouterr().err
         with pytest.raises(ConfigError, match=r"^config field <root>: "):
@@ -356,9 +355,8 @@ class TestExitCodes:
             (lambda cfg, x: cfg.update(test=_line_test(dir=[x, 1])), "test.lines"),
             (lambda cfg, x: cfg.update(test={"kind": "points", "points": [[0.5, 0], [x, 0]]}), "test.points"),
             (lambda cfg, x: cfg["test"]["coarse"].update(range=[[0, x]]), "test.coarse"),
-            (lambda cfg, x: cfg["test"].update(dense={"counts": [48], "range": [[0, x]]}), "test.dense"),
         ],
-        ids=["c", "a", "extent", "p0", "dir", "points", "coarse-range", "dense-range"],
+        ids=["c", "a", "extent", "p0", "dir", "points", "coarse-range"],
     )
     def test_non_finite_number_in_a_dict_config_names_field(self, place, field, value):
         # A dict config never passes the JSON reader, so the number reaches
@@ -405,7 +403,8 @@ class TestExitCodes:
                         "dense": {"counts": [48], "range": [[0, 2]]},
                     }
                 ),
-                "test.dense.range: must match the coarse range",
+                # The dense grid takes the coarse range; it has none of its own.
+                "test.dense: Additional properties are not allowed ('range' was unexpected)",
             ),
             (
                 _base_config(test={**_base_config()["test"], "dense": {"counts": [6]}}),
@@ -465,7 +464,7 @@ class TestDeterminism:
             assert "plots" in plotted
             assert plotted["digest"] == r1["digest"], out
 
-    def test_one_digest_for_every_output_route(self, tmp_path, capsys, monkeypatch):
+    def test_one_digest_for_every_output_route(self, tmp_path, capsys):
         # Output paths come only from the caller, so where the report and
         # the plot data go cannot reach the digest.
         config = _CONFIG_DIR / "disk_symgrad_normal.json"
@@ -480,14 +479,8 @@ class TestDeterminism:
         printed = [line.split(":")[1].strip() for line in stdout.splitlines() if line.startswith("digest")]
         assert printed == [json.loads(report_path.read_text())["digest"]]
         digests.update(printed)
-        # plot prints no digest: take it from the report the run returns.
-        runs = []
-        run = korncert.cli._run
-        monkeypatch.setattr(korncert.cli, "_run", lambda *args: runs.append(run(*args)) or runs[-1])
-        assert main(["plot", "--config", str(config), "--out", str(tmp_path / "e")]) == 0
-        digests.update(report["digest"] for report, _ in runs)
-        assert len(runs) == 1 and len(digests) == 1
-        for out in "abde":
+        assert len(digests) == 1
+        for out in "abd":
             for name in ("boundary.csv", "residual.csv"):
                 assert (tmp_path / out / name).stat().st_size > 0, (out, name)
 
@@ -617,14 +610,32 @@ class TestPlots:
         assert report["plots"]["residual"] is None
         assert "note" in report["plots"]
 
-    def test_plot_subcommand(self, tmp_path, capsys):
-        code = main([
-            "plot",
-            "--config", _write(tmp_path, _base_config()),
-            "--out", str(tmp_path / "plots"),
-        ])
-        assert code == 0
-        assert (tmp_path / "plots" / "boundary.csv").exists()
+    @pytest.mark.parametrize("route", ["check", "points", "run_config"])
+    def test_plot_data_refused_for_points_test(self, tmp_path, monkeypatch, capsys, route):
+        # Refused before the probe runs, and nothing is written.
+        def probe(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(korncert.cli, "ellipticity_probe", probe)
+        config = str(_CONFIG_DIR / "axis_line_points.json")
+        outdir = tmp_path / "plots"
+        message = "config field test.kind: plot data needs kind 'boundary', got 'points'"
+        if route == "run_config":
+            with pytest.raises(ConfigError) as exc:
+                run_config(config, emit_plots=str(outdir))
+            assert str(exc.value) == message
+        else:
+            assert main([route, "--config", config, "--emit-plots", str(outdir)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_plot_subcommand(self, tmp_path, capsys):
+        # check --emit-plots is the one command that writes plot data.
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--config", _write(tmp_path, _base_config()), "--out", str(tmp_path / "plots")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'plot'" in capsys.readouterr().err
+        assert not (tmp_path / "plots").exists()
 
 
 class TestSubcommands:
@@ -674,8 +685,8 @@ class TestSubcommands:
         assert main(["probe", "--op", "sym_grad", "--n", "2", *flags]) == 0
         assert seen == [kwargs]
 
-    @pytest.mark.parametrize("command", ["check", "points", "plot"])
-    def test_config_validated_once_per_run(self, tmp_path, monkeypatch, capsys, command):
+    @pytest.mark.parametrize("command", ["check", "points"])
+    def test_config_validated_once_per_run(self, monkeypatch, capsys, command):
         calls = []
         validate = korncert.cli.validate_config
 
@@ -685,8 +696,7 @@ class TestSubcommands:
 
         monkeypatch.setattr(korncert.cli, "validate_config", counting)
         config = "axis_line_points.json" if command == "points" else "disk_symgrad_normal.json"
-        argv = [command, "--config", str(_CONFIG_DIR / config)]
-        assert main(argv + (["--out", str(tmp_path)] if command == "plot" else [])) == 0
+        assert main([command, "--config", str(_CONFIG_DIR / config)]) == 0
         assert len(calls) == 1
 
     def test_operator_args_validated(self, capsys):

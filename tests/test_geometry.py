@@ -90,6 +90,22 @@ class TestDomains:
         assert dom.family == "constant"
         assert dom.c == 2.0
 
+    @pytest.mark.parametrize(
+        "build,value",
+        [
+            (lambda: StarDomain.sine2d(1, 0.5, 2.5), "2.5"),
+            (lambda: StarDomain.sine3d(1, 0.5, True, 1), "True"),
+            (lambda: StarDomain.sine3d(1, 0.5, 1, 1.9), "1.9"),
+            (lambda: StarDomain(n=2, family="sine2d", c=1.0, a=0.5, m1=2.0), "2.0"),
+            (lambda: StarDomain.from_json({"n": 2, "radial": {"family": "sine2d", "c": 1, "a": 0.5, "m": 2.7}}), "2.7"),
+        ],
+        ids=["sine2d", "sine3d-bool", "sine3d-float", "init", "from_json"],
+    )
+    def test_non_int_frequency_rejected(self, build, value):
+        # A frequency is never truncated: 2.5 used to become 2, True 1.
+        with pytest.raises(ValueError, match=rf"^radial frequencies must be ints, got {value}$"):
+            build()
+
     def test_dimension_family_mismatch_rejected(self):
         with pytest.raises(GeometryError):
             StarDomain(n=3, family="sine2d", c=2.0, a=1.0, m1=2)

@@ -331,8 +331,17 @@ class TestClassifyVerdicts:
         op = builtin_operator("sym_grad", 2)
         kb = kernel_basis(op, 1)
         grid = sample_grid(_BALL2, [6])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dense grid must be strictly finer than coarse in every coordinate$"):
             classify(kb, _BALL2, TraceKind.NORMAL, grid, grid)
+
+    def test_dense_grid_must_cover_the_coarse_range(self):
+        # A run config cannot give the dense grid a range of its own; a
+        # library caller can.
+        kb = kernel_basis(builtin_operator("sym_grad", 2), 1)
+        coarse = sample_grid(_BALL2, [6], [(0.0, 3.0)])
+        dense = sample_grid(_BALL2, [48], [(0.0, 2.0)])
+        with pytest.raises(ValueError, match=r"^coarse and dense grids must cover the same angular ranges$"):
+            classify(kb, _BALL2, TraceKind.NORMAL, coarse, dense)
 
     def test_certificates_vanish_on_much_finer_grid(self):
         op = builtin_operator("sym_grad", 2)

@@ -111,6 +111,9 @@ class TestMonomialBasis:
             basis = monomial_basis(n, K)
             assert [mi.entries for mi in basis.exponents] == [t for t in graded if sum(t) <= K]
             assert monomial_basis(n, K) is basis
+            table = basis.exponent_table
+            assert table.tolist() == [list(t) for t in graded if sum(t) <= K]
+            assert basis.exponent_table is table and not table.flags.writeable
 
     @pytest.mark.parametrize("n,K", [(0, 1), (2, -1)])
     def test_bad_arguments_raise_on_every_call(self, n, K):
