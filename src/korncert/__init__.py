@@ -7,6 +7,10 @@ a star-shaped :class:`StarDomain` and a trace kind, and let
 :func:`classify` decide whether the sampled seminorm is a norm on that
 kernel.  Verdicts carry explicit certificate fields whenever the answer
 is no on a proper subspace.
+
+Importing the package loads every module but not numpy: the exact layer
+(diffop, kernel, linalg, polyalg) never uses it, and geometry and
+normtest import it on their first float call.
 """
 
 from .diffop import (

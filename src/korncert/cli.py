@@ -24,13 +24,16 @@ numbers beyond the float range.  A config is validated once per run,
 against the packaged config-schema.json, by a small interpreter of the
 keywords it uses, so no JSON Schema library is imported.  Unlike JSON
 Schema, it does not count a whole-number float such as 2.0 as an integer.
+
+kernel and probe are exact and load no numpy.  numpy loads on the first
+float call into geometry or normtest, and this module imports numpy,
+hashlib and csv only in the functions that use them, which only check
+and points reach.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import math
 import os
@@ -39,8 +42,6 @@ import time
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .diffop import DiffOperator, builtin_operator, ellipticity_probe, operator_from_json
 from .geometry import (
@@ -235,6 +236,8 @@ def _build_grids(test: dict, dom: StarDomain) -> tuple[SampleGrid, SampleGrid]:
 
 
 def _gather_points(test: dict, n: int, dom: StarDomain | None, default_seed: int) -> list:
+    import numpy as np
+
     points: list = []
     for p in test.get("points", ()):
         if len(p) != n:
@@ -257,6 +260,8 @@ def _gather_points(test: dict, n: int, dom: StarDomain | None, default_seed: int
 
 
 def _canonical_digest(report: dict) -> str:
+    import hashlib
+
     payload = {k: v for k, v in report.items() if k not in ("timings", "plots", "digest")}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -282,6 +287,8 @@ def run_config(
 
 def _run(cfg: dict, expect: str | None, emit_plots: str | None) -> tuple[dict, int]:
     """run_config on a validated config."""
+    import numpy as np
+
     test = cfg["test"]
     if emit_plots and test["kind"] != "boundary":
         raise ConfigError(f"config field test.kind: plot data needs kind 'boundary', got {test['kind']!r}")
@@ -428,6 +435,10 @@ def _write_csv(path: Path, header: list[str], blocks: list) -> None:
     """One header row, then the column blocks side by side, every value
     as %.17g, with csv.writer's \r\n line ends.  The values need no
     quoting, so each row is one format string."""
+    import csv
+
+    import numpy as np
+
     rows = np.column_stack([np.asarray(b, dtype=float) for b in blocks]).tolist()
     line = ",".join([_FLOAT_FMT] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -12,16 +12,20 @@ positive x3-axis and azimuth theta2 in 3D).  Radial families:
 Construction checks that r is strictly positive through its exact
 minimum: c for balls and for a zero frequency, else c - |a|, since a
 nonzero frequency makes the sine factor (or the product of the two)
-cover [-1, 1].  The frequencies must be ints, not bools; nothing is
-truncated.  Points and outward unit normals come from analytic
-tangent frames, never finite differences, computed for a whole sample
-grid at once, one component at a time.  A SampleGrid stores its axes,
-one angle array per coordinate, and a frame runs the trig once per
-axis: a 3D product grid broadcasts a column of polar angles against a
-row of azimuths, with the bits of the per-point formulas.
+cover [-1, 1].  The dimension and the frequencies must be ints, not
+bools; nothing is truncated.  Points and outward unit normals come from
+analytic tangent frames, never finite differences, computed for a whole
+sample grid at once, one component at a time.  A SampleGrid stores its
+axes, one angle array per coordinate, and a frame runs the trig once
+per axis: a 3D product grid broadcasts a column of polar angles against
+a row of azimuths, with the bits of the per-point formulas.
 boundary_point and outward_normal are one-point calls of the same
 code.  3D sample grids offset the polar angle by half a step so the
 poles (where the frame degenerates) are never hit.
+
+StarDomain is plain Python, so building and validating a domain loads
+no numpy.  Every function that computes with floats imports numpy
+itself, so numpy loads on the first float call, not with the module.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .polyalg import parse_rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,6 +74,8 @@ class StarDomain:
     m2: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ValueError(f"the dimension must be an int, got {self.n!r}")
         for m in (self.m1, self.m2):
             if not isinstance(m, int) or isinstance(m, bool):
                 raise ValueError(f"radial frequencies must be ints, got {m!r}")
@@ -107,7 +114,7 @@ class StarDomain:
     @classmethod
     def from_json(cls, obj: dict) -> "StarDomain":
         try:
-            n = int(obj["n"])
+            n = obj["n"]
             radial = obj["radial"]
             family = radial["family"]
         except (KeyError, TypeError) as exc:
@@ -138,6 +145,8 @@ class StarDomain:
 
 def _as_angles(dom: StarDomain, theta) -> tuple[np.ndarray, ...]:
     """One angle tuple as one-element angle arrays for the array code."""
+    import numpy as np
+
     if isinstance(theta, (int, float)):
         angles = (float(theta),)
     else:
@@ -151,6 +160,8 @@ def _polar(dom: StarDomain, *angles: np.ndarray) -> tuple[np.ndarray, list, list
     """r, the components of the unit direction u, and per angle k the
     partials (dr/dtheta_k, components of du/dtheta_k), for angle arrays
     that broadcast against each other."""
+    import numpy as np
+
     # A ball is the zero perturbation: r = c + 0.0 and dr = 0.0 exactly.
     a, m1, m2 = (0.0, 0, 0) if dom.family == "constant" else (dom.a, dom.m1, dom.m2)
     if dom.n == 2:
@@ -174,6 +185,8 @@ def _polar(dom: StarDomain, *angles: np.ndarray) -> tuple[np.ndarray, list, list
 def _rows(components: list) -> np.ndarray:
     """Equal-shape component arrays as one contiguous (npoints, n) array,
     points in C order; np.stack takes twice as long on small grids."""
+    import numpy as np
+
     out = np.empty((*np.shape(components[0]), len(components)))
     for k, component in enumerate(components):
         out[..., k] = component
@@ -196,6 +209,8 @@ def _frame(dom: StarDomain, *angles: np.ndarray) -> tuple[np.ndarray, np.ndarray
     poles, which grids built by sample_grid never hit) or its length is
     not finite (an overflow would turn every normal into 0).
     """
+    import numpy as np
+
     r, u, partials = _polar(dom, *angles)
     xs = _rows([r * ui for ui in u])
     tangents = [[dr * ui + r * dui for ui, dui in zip(u, du)] for dr, du in partials]
@@ -241,6 +256,8 @@ class SampleGrid:
 
     @property
     def thetas(self) -> np.ndarray:
+        import numpy as np
+
         return _rows(np.meshgrid(*self.axes, indexing="ij"))
 
     def __len__(self) -> int:
@@ -264,6 +281,8 @@ def sample_grid(
     aligned or half-step grids zero one of them out exactly.  Counts
     must be ints, not bools; nothing is truncated.
     """
+    import numpy as np
+
     counts_t = tuple(counts) if isinstance(counts, (list, tuple)) else (counts,)
     if len(counts_t) != dom.n - 1:
         raise ValueError(f"expected {dom.n - 1} counts for n = {dom.n}, got {len(counts_t)}")
@@ -298,6 +317,8 @@ def sample_grid(
 def grid_frame(dom: StarDomain, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray]:
     """Boundary points and unit outward normals at every grid sample,
     each as an (npoints, n) array in grid order, in one array pass."""
+    import numpy as np
+
     if len(grid.axes) != dom.n - 1:
         raise ValueError(
             f"a {len(grid.axes) + 1}-dimensional sample grid does not fit a {dom.n}-dimensional domain"
@@ -312,6 +333,8 @@ def grid_frame(dom: StarDomain, grid: SampleGrid) -> tuple[np.ndarray, np.ndarra
 
 def interior_points(dom: StarDomain, count: int, seed: int = 0) -> list[np.ndarray]:
     """Random points strictly inside the domain; deterministic per seed."""
+    import numpy as np
+
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = random.Random(seed)
@@ -330,6 +353,8 @@ def interior_points(dom: StarDomain, count: int, seed: int = 0) -> list[np.ndarr
 
 def line_points(p0: Sequence[float], direction: Sequence[float], count: int, extent: float) -> list[np.ndarray]:
     """count points p0 + t * dir, t equally spaced over [-extent, extent]."""
+    import numpy as np
+
     if count < 2:
         raise ValueError("need at least two points per line")
     extent = float(extent)  # OverflowError for an integer beyond the float range

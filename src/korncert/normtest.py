@@ -29,7 +29,9 @@ then one matrix product of the monomial values with the coefficients.  A
 kernel's float coefficients are its KernelBasis.unit_columns, a
 read-only view built from the exact ones on the first float use of that
 basis; every other float (frames, traces, spectra, verdicts) is
-recomputed on every call.
+recomputed on every call.  The module loads no numpy: each function
+that computes with floats imports it itself, so numpy loads on the
+first float call.
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .geometry import SampleGrid, StarDomain, grid_frame
 from .kernel import KernelBasis
 from .polyalg import MonomialBasis, PolyVec, format_poly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SIGMA_REL_DEFAULT = 1e-10
 _TOL_DENSE_DEFAULT = 1e-8
@@ -129,6 +132,8 @@ class Verdict:
 def _coefficient_columns(polys: Sequence[PolyVec]) -> np.ndarray:
     """Float coefficient matrix, one column per polynomial.  Int true
     division is what float() does for a Fraction, bit for bit."""
+    import numpy as np
+
     return np.array([[c.numerator / c.denominator for c in p.coeffs] for p in polys], dtype=float).T
 
 
@@ -150,6 +155,8 @@ def trace_values(
     one multiplication per degree, gathered by exponent: no pow per
     monomial.  The values of all columns are then one matrix product.
     """
+    import numpy as np
+
     n = basis.n
     if xs.ndim != 2 or xs.shape[1] != n:
         raise ValueError(f"points must be an (npoints, {n}) array, got shape {xs.shape}")
@@ -187,6 +194,8 @@ def trace_magnitudes(
 ) -> np.ndarray:
     """|trace| of each polynomial at each point, max over components:
     (npoints, npolys)."""
+    import numpy as np
+
     values = trace_values(polys[0].basis, _coefficient_columns(polys), xs, kind, nus)
     return np.max(np.abs(values), axis=1)
 
@@ -196,6 +205,8 @@ def numeric_nullspace(
 ) -> NullspaceResult:
     """SVD nullspace with the relative threshold
     sigma_i <= sigma_rel * max(sigma_max, 1)."""
+    import numpy as np
+
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise ValueError("empty constraint matrix")
@@ -210,6 +221,8 @@ def numeric_nullspace(
 
 
 def _sign_fixed(vec: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     cutoff = _SIGN_CUTOFF * float(np.max(np.abs(vec)))
     for v in vec:
         if abs(v) > cutoff:
@@ -222,6 +235,8 @@ def certificate_residual(
 ) -> float:
     """Sup over the grid of the trace magnitude of rho (max over
     components for the vector-valued kinds)."""
+    import numpy as np
+
     return float(np.max(trace_magnitudes([rho], TraceKind.of(kind), *grid_frame(dom, grid))))
 
 
@@ -237,6 +252,8 @@ def _certify(
     each stage keeps the part of the previous nullspace whose trace
     vanishes on its frame.  sizes are the sample counts the diagnostics
     report, one per stage."""
+    import numpy as np
+
     if not (0.0 < sigma_rel < np.inf and 0.0 < tol < np.inf):  # NaN fails every comparison
         name, value = ("tol_dense", tol) if 0.0 < sigma_rel < np.inf else ("sigma_rel", sigma_rel)
         raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -318,6 +335,8 @@ def point_measure_test(
     stage's part: certificates vanish at every input point within
     tol_dense, the same bound and name as in classify and the run config.
     """
+    import numpy as np
+
     if len(points) == 0:
         raise ValueError("need at least one evaluation point")
     xs = np.asarray(points, dtype=float)

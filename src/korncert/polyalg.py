@@ -150,7 +150,7 @@ def monomial_basis(n: int, K: int) -> MonomialBasis:
     return MonomialBasis(n=n, K=K, exponents=exps)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PolyVec:
     """Vector-valued polynomial: an immutable record of exact rational
     coefficients.
@@ -158,6 +158,7 @@ class PolyVec:
     coeffs[j * dimV + c] is the coefficient of basis.exponents[j] in
     component c.  There is no arithmetic and no value equality: callers
     work on the coefficient tuples (or float arrays of them) directly.
+    Slotted: a kernel basis holds many, and none carries a __dict__.
     """
 
     basis: MonomialBasis
@@ -177,7 +178,9 @@ class PolyVec:
         Only the length is checked: no entry is scanned or coerced."""
         _check_length(basis, dimV, coeffs)
         p = object.__new__(cls)
-        vars(p).update(basis=basis, dimV=dimV, coeffs=coeffs)  # frozen: no __setattr__
+        object.__setattr__(p, "basis", basis)  # past the frozen __setattr__
+        object.__setattr__(p, "dimV", dimV)
+        object.__setattr__(p, "coeffs", coeffs)
         return p
 
     @classmethod

@@ -433,10 +433,23 @@ class TestExitCodes:
                 _base_config(output={"report": "report.json", "plots": "plots"}),
                 "<root>: Additional properties are not allowed ('output' was unexpected)",
             ),
+            # The domain's dimension is an int, never truncated or parsed.
+            (
+                _base_config(test={**_base_config()["test"], "domain": {"n": 2.0, "radial": {"family": "constant"}}}),
+                "test.domain.n: 2.0 is not of type 'integer'",
+            ),
+            (
+                _base_config(test={**_base_config()["test"], "domain": {"n": 2.7, "radial": {"family": "constant"}}}),
+                "test.domain.n: 2.7 is not of type 'integer'",
+            ),
+            (
+                _base_config(test={**_base_config()["test"], "domain": {"n": "3", "radial": {"family": "constant"}}}),
+                "test.domain.n: '3' is not of type 'integer'",
+            ),
         ],
         ids=[
             "dense-range", "dense-counts", "trace-dimV", "grad_k-order", "point-dimension", "line-dimension",
-            "output-block",
+            "output-block", "domain-n-whole-float", "domain-n-float", "domain-n-str",
         ],
     )
     def test_config_error_message_names_field(self, tmp_path, capsys, cfg, message):

@@ -106,6 +106,24 @@ class TestDomains:
         with pytest.raises(ValueError, match=rf"^radial frequencies must be ints, got {value}$"):
             build()
 
+    @pytest.mark.parametrize(
+        "build,value",
+        [
+            (lambda: StarDomain.from_json({"n": 2.0, "radial": {"family": "constant", "c": 1}}), "2.0"),
+            (lambda: StarDomain.from_json({"n": 2.7, "radial": {"family": "constant", "c": 1}}), "2.7"),
+            (lambda: StarDomain.from_json({"n": "3", "radial": {"family": "constant", "c": 1}}), "'3'"),
+            (lambda: StarDomain.from_json({"n": True, "radial": {"family": "constant", "c": 1}}), "True"),
+            (lambda: StarDomain.ball(3.0), "3.0"),
+            (lambda: StarDomain(n=2.0, family="sine2d", c=1.0, a=0.5, m1=2), "2.0"),
+        ],
+        ids=["from_json-whole-float", "from_json-float", "from_json-str", "from_json-bool", "ball", "init"],
+    )
+    def test_non_int_dimension_rejected(self, build, value):
+        # The dimension is never truncated or parsed: 2.7 used to give a
+        # disk and "3" a ball.
+        with pytest.raises(ValueError, match=rf"^the dimension must be an int, got {value}$"):
+            build()
+
     def test_dimension_family_mismatch_rejected(self):
         with pytest.raises(GeometryError):
             StarDomain(n=3, family="sine2d", c=2.0, a=1.0, m1=2)

@@ -1,6 +1,7 @@
 """Exact polynomial algebra: bases, coefficient records,
 differentiation, evaluation, formatting round trips."""
 
+import dataclasses
 import re
 from fractions import Fraction
 from itertools import product
@@ -193,6 +194,21 @@ class TestPolyVec:
         for wrong in (coeffs[:5], coeffs + (Fraction(0),)):
             with pytest.raises(ValueError, match="expected 6 coefficients"):
                 PolyVec._of_fractions(basis, 2, wrong)
+
+    def test_slotted_record(self):
+        # No per-instance __dict__: kernel bases hold many PolyVecs.
+        basis = monomial_basis(2, 1)
+        p = PolyVec._of_fractions(basis, 2, (Fraction(1),) * 6)
+        assert not hasattr(p, "__dict__")
+        assert (p.basis, p.dimV) == (basis, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.dimV = 3
+        q = dataclasses.replace(p, coeffs=(1, 0, "1/2", 0, 0, 0))
+        assert q.coeffs == (1, 0, Fraction(1, 2), 0, 0, 0)
+        assert all(type(c) is Fraction for c in q.coeffs)
+        assert q.basis is basis and p.coeffs == (Fraction(1),) * 6
+        with pytest.raises(ValueError, match="expected 6 coefficients"):
+            dataclasses.replace(p, coeffs=(1,))
 
     def test_from_floats_is_exact_with_one_shared_zero(self):
         values = [0.0, -0.0, 0.5, 1e-300, 5e-324]
