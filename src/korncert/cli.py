@@ -9,7 +9,10 @@ scriptable:
     korncert points  --config run.json                point-measure run
 
 check and points also take --report PATH and --emit-plots DIR, the one
-route to the CSV plot data, which a points test refuses (exit 2).
+route to the CSV plot data, which a points test refuses (exit 2).  Both
+test kinds take one path: _samples builds the sample set of the test
+block, one certify call decides on it, and the report's test block and
+the plot data come from that set and the frames it holds.
 
 Exit codes: 0 success, 1 verdict differs from the expected one, 2 config
 or schema violation (the message names the offending field), 3 geometry
@@ -49,13 +52,12 @@ from .geometry import (
     SampleGrid,
     SpecError,
     StarDomain,
-    grid_frame,
     interior_points,
     line_points,
     sample_grid,
 )
 from .kernel import kernel_basis, kernel_dim_profile, kernel_to_json
-from .normtest import TraceKind, Verdict, classify, point_measure_test, trace_magnitudes
+from .normtest import BoundaryGrids, PointSet, TraceKind, Verdict, certify, trace_magnitudes
 from .polyalg import format_poly
 
 _DENSE_FACTOR_DEFAULT = 8
@@ -216,47 +218,49 @@ def build_operator(spec: dict) -> DiffOperator:
         return operator_from_json(spec)
 
 
-def _build_domain(spec: dict, n: int) -> StarDomain:
-    with _field("test.domain"):  # OverflowError: an exact value beyond the float range
-        dom = StarDomain.from_json(spec)
-    if dom.n != n:
-        raise ConfigError(f"config field test.domain.n: domain is in R^{dom.n}, operator in R^{n}")
-    return dom
-
-
-def _build_grids(test: dict, dom: StarDomain) -> tuple[SampleGrid, SampleGrid]:
-    with _field("test.coarse"):
-        coarse = sample_grid(dom, test["coarse"]["counts"], test["coarse"].get("range"))
-    dense_spec = test.get("dense", {"counts": [_DENSE_FACTOR_DEFAULT * c for c in coarse.counts]})
-    with _field("test.dense"):
-        dense = sample_grid(dom, dense_spec["counts"], coarse.ranges)
-    if not all(dc > cc for cc, dc in zip(coarse.counts, dense.counts)):
-        raise ConfigError("config field test.dense.counts: dense grid must be strictly finer than coarse")
-    return coarse, dense
-
-
-def _gather_points(test: dict, n: int, dom: StarDomain | None, default_seed: int) -> list:
+def _samples(test: dict, op: DiffOperator, seed: int) -> BoundaryGrids | PointSet:
+    """The sample set of a validated test block, checked against the
+    operator; seed is the interior points' default seed."""
     import numpy as np
 
+    dom = None
+    if "domain" in test:
+        with _field("test.domain"):  # OverflowError: an exact value beyond the float range
+            dom = StarDomain.from_json(test["domain"])
+        if dom.n != op.n:
+            raise ConfigError(f"config field test.domain.n: domain is in R^{dom.n}, operator in R^{op.n}")
+    if test["kind"] == "boundary":
+        kind = TraceKind.of(test["trace"])
+        if kind is not TraceKind.FULL and op.dimV != dom.n:
+            raise ConfigError(
+                f"config field test.trace: {kind.value} trace needs dimV == n, "
+                f"operator has dimV={op.dimV}"
+            )
+        with _field("test.coarse"):
+            coarse = sample_grid(dom, test["coarse"]["counts"], test["coarse"].get("range"))
+        dense_spec = test.get("dense", {"counts": [_DENSE_FACTOR_DEFAULT * c for c in coarse.counts]})
+        with _field("test.dense"):
+            dense = sample_grid(dom, dense_spec["counts"], coarse.ranges)
+        with _field("test.dense.counts"):
+            return BoundaryGrids(dom, kind, coarse, dense)
     points: list = []
     for p in test.get("points", ()):
-        if len(p) != n:
-            raise ConfigError(f"config field test.points: point {p} is not in R^{n}")
+        if len(p) != op.n:
+            raise ConfigError(f"config field test.points: point {p} is not in R^{op.n}")
         with _field("test.points"):  # OverflowError: an integer beyond the float range
             point = np.array(p, dtype=float)
             if not np.isfinite(point).all():
                 raise ValueError(f"point {point.tolist()} is not finite")
             points.append(point)
     for line in test.get("lines", ()):
-        if len(line["p0"]) != n or len(line["dir"]) != n:
-            raise ConfigError(f"config field test.lines: p0 and dir must be in R^{n}")
+        if len(line["p0"]) != op.n or len(line["dir"]) != op.n:
+            raise ConfigError(f"config field test.lines: p0 and dir must be in R^{op.n}")
         with _field("test.lines"):
             points.extend(line_points(line["p0"], line["dir"], line["count"], line["extent"]))
-    interior = test.get("interior")
-    if interior is not None:
-        assert dom is not None  # enforced by validate_config
-        points.extend(interior_points(dom, interior["count"], interior.get("seed", default_seed)))
-    return points
+    if "interior" in test:  # validate_config makes sure of a domain
+        interior = test["interior"]
+        points.extend(interior_points(dom, interior["count"], interior.get("seed", seed)))
+    return PointSet(points, op.n)
 
 
 def _canonical_digest(report: dict) -> str:
@@ -322,35 +326,9 @@ def _run(cfg: dict, expect: str | None, emit_plots: str | None) -> tuple[dict, i
     t0 = time.perf_counter()
     # The test stage rejects non-finite values itself, so numpy's
     # overflow warnings would only print ahead of that error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if test["kind"] == "boundary":
-            dom = _build_domain(test["domain"], op.n)
-            kind = TraceKind.of(test["trace"])
-            if kind is not TraceKind.FULL and op.dimV != dom.n:
-                raise ConfigError(
-                    f"config field test.trace: {kind.value} trace needs dimV == n, "
-                    f"operator has dimV={op.dimV}"
-                )
-            coarse, dense = _build_grids(test, dom)
-            with _field("test"):
-                verdict = classify(kb, dom, kind, coarse, dense, **tolerances)
-            test_info = {
-                "kind": "boundary",
-                "trace": kind.value,
-                "domain": dom.to_json(),
-                "coarse_points": len(coarse),
-                "dense_points": len(dense),
-            }
-        else:
-            dom = _build_domain(test["domain"], op.n) if "domain" in test else None
-            points = _gather_points(test, op.n, dom, seed)
-            with _field("test"):
-                verdict = point_measure_test(kb, points, **tolerances)
-            test_info = {
-                "kind": "points",
-                "point_count": len(points),
-                "points": [[float(c) for c in p] for p in points],
-            }
+    with np.errstate(over="ignore", invalid="ignore"), _field("test"):
+        samples = _samples(test, op, seed)
+        verdict = certify(kb, samples, **tolerances)
     timings["test_s"] = time.perf_counter() - t0
 
     expected = expect if expect is not None else cfg.get("expected")
@@ -366,14 +344,14 @@ def _run(cfg: dict, expect: str | None, emit_plots: str | None) -> tuple[dict, i
             "rank": kb.rank,
             "basis": [format_poly(p) for p in kb.basis],
         },
-        "test": test_info,
+        "test": samples.to_json(),
         "verdict": verdict.to_json(),
         "expected": expected,
         "expected_match": (verdict.tag == expected) if expected else None,
     }
 
     if emit_plots:
-        report["plots"] = emit_plot_data(dom, coarse, dense, kind, verdict, emit_plots)
+        report["plots"] = _plot_files(samples, verdict, emit_plots)
     report["digest"] = _canonical_digest(report)
     report["timings"] = timings
 
@@ -403,16 +381,21 @@ def emit_plot_data(
     """Write boundary.csv (coarse grid geometry) and, when certificates
     exist, residual.csv (per-certificate trace magnitude on the dense
     grid).  Floats carry 17 significant digits."""
+    return _plot_files(BoundaryGrids(dom, kind, coarse, dense), verdict, outdir)
+
+
+def _plot_files(samples: BoundaryGrids, verdict: Verdict, outdir: str | Path) -> dict:
+    """emit_plot_data from the frames that samples holds."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    n = dom.n
+    n = samples.dom.n
     theta_cols = ["theta1"] if n == 2 else ["theta1", "theta2"]
 
     boundary_path = outdir / "boundary.csv"
     _write_csv(
         boundary_path,
         theta_cols + [f"x{i+1}" for i in range(n)] + [f"nu{i+1}" for i in range(n)],
-        [coarse.thetas, *grid_frame(dom, coarse)],
+        [samples.coarse.thetas, *samples.coarse_frame],
     )
 
     info: dict = {"boundary": str(boundary_path), "residual": None}
@@ -421,11 +404,11 @@ def emit_plot_data(
         return info
 
     residual_path = outdir / "residual.csv"
-    mags = trace_magnitudes(verdict.certificates, kind, *grid_frame(dom, dense))
+    mags = trace_magnitudes(verdict.certificates, samples.kind, *samples.dense_frame)
     _write_csv(
         residual_path,
         theta_cols + [f"res_{i+1}" for i in range(len(verdict.certificates))],
-        [dense.thetas, mags],
+        [samples.dense.thetas, mags],
     )
     info["residual"] = str(residual_path)
     return info

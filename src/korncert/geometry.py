@@ -126,12 +126,15 @@ class StarDomain:
                 raise SpecError(f"radial.{key}", f"{value} is not a finite number")
             return value
 
-        if family in ("constant", "ball"):
-            return cls.ball(n, number("c", 1))
-        if family == "sine2d":
-            return cls.sine2d(number("c"), number("a"), radial["m"])
-        if family == "sine3d":
-            return cls.sine3d(number("c"), number("a"), radial["m1"], radial["m2"])
+        try:
+            if family in ("constant", "ball"):
+                return cls.ball(n, number("c", 1))
+            if family == "sine2d":
+                return cls.sine2d(number("c"), number("a"), radial["m"])
+            if family == "sine3d":
+                return cls.sine3d(number("c"), number("a"), radial["m1"], radial["m2"])
+        except KeyError as exc:  # a missing family parameter
+            raise GeometryError(f"malformed domain spec: {exc}") from exc
         raise GeometryError(f"unknown radial family: {family}")
 
     def to_json(self) -> dict:
@@ -335,6 +338,8 @@ def interior_points(dom: StarDomain, count: int, seed: int = 0) -> list[np.ndarr
     """Random points strictly inside the domain; deterministic per seed."""
     import numpy as np
 
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = random.Random(seed)
@@ -355,6 +360,8 @@ def line_points(p0: Sequence[float], direction: Sequence[float], count: int, ext
     """count points p0 + t * dir, t equally spaced over [-extent, extent]."""
     import numpy as np
 
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 2:
         raise ValueError("need at least two points per line")
     extent = float(extent)  # OverflowError for an integer beyond the float range
@@ -362,6 +369,8 @@ def line_points(p0: Sequence[float], direction: Sequence[float], count: int, ext
         raise ValueError(f"extent must be positive and finite, got {extent}")
     p0 = np.asarray(p0, dtype=float)
     d = np.asarray(direction, dtype=float)
+    if p0.shape != d.shape:
+        raise ValueError(f"p0 and dir must have the same length, got shapes {p0.shape} and {d.shape}")
     for name, values in (("p0", p0), ("dir", d)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite, got {values.tolist()}")

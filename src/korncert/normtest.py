@@ -14,11 +14,13 @@ set, restricted to the directions the earlier stages left.
     survivors     directions left after the last stage are certificates
                   of failure (A2).
 
-classify runs a coarse and a strictly finer dense boundary grid.
+certify runs that loop on a sample set, which owns its stage sizes,
+its checks, its report block and its frames, built on first use and
+kept.  BoundaryGrids, behind classify, is a coarse and a strictly finer
+dense grid on a domain's boundary; PointSet, behind point_measure_test,
+is given points with the full trace, one stage, so never A3.
 Certificates are kernel elements with numerically vanishing trace on
 the last set; they are strong numerical evidence, not exact proofs.
-point_measure_test runs one stage on given points (full values), where
-A3 cannot occur.
 
 Trace kinds: FULL is the whole vector trace, NORMAL the scalar
 (trace . nu), TANGENTIAL the projection trace - (trace . nu) nu.
@@ -28,18 +30,18 @@ one multiplication per degree, gathered by MonomialBasis.exponent_table,
 then one matrix product of the monomial values with the coefficients.  A
 kernel's float coefficients are its KernelBasis.unit_columns, a
 read-only view built from the exact ones on the first float use of that
-basis; every other float (frames, traces, spectra, verdicts) is
-recomputed on every call.  The module loads no numpy: each function
-that computes with floats imports it itself, so numpy loads on the
-first float call.
+basis, and a sample set keeps its frames; every other float (traces,
+spectra, verdicts) is recomputed on every call.  The module loads no
+numpy: each function that computes with floats imports it itself, so
+numpy loads on the first float call.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import partial
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .geometry import SampleGrid, StarDomain, grid_frame
 from .kernel import KernelBasis
@@ -63,7 +65,7 @@ class TraceKind(enum.Enum):
         if isinstance(value, TraceKind):
             return value
         try:
-            return cls(value.lower())
+            return cls(value.lower() if isinstance(value, str) else value)
         except ValueError:
             raise ValueError(f"unknown trace kind: {value!r}") from None
 
@@ -240,33 +242,83 @@ def certificate_residual(
     return float(np.max(trace_magnitudes([rho], TraceKind.of(kind), *grid_frame(dom, grid))))
 
 
-def _certify(
+class BoundaryGrids:
+    """The trace of kind on a coarse grid, then on a strictly finer dense
+    grid over the same ranges.  A grid's frame is built on first use and
+    kept: the dense one only if the coarse stage leaves a nullspace."""
+
+    def __init__(self, dom: StarDomain, kind: TraceKind | str, coarse: SampleGrid, dense: SampleGrid) -> None:
+        if coarse.ranges != dense.ranges:
+            raise ValueError("coarse and dense grids must cover the same angular ranges")
+        if not all(dc > cc for cc, dc in zip(coarse.counts, dense.counts)):
+            raise ValueError("dense grid must be strictly finer than coarse in every coordinate")
+        self.dom, self.kind, self.coarse, self.dense = dom, TraceKind.of(kind), coarse, dense
+        self.sizes = (len(coarse), len(dense))
+
+    @cached_property
+    def coarse_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        return grid_frame(self.dom, self.coarse)
+
+    @cached_property
+    def dense_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        return grid_frame(self.dom, self.dense)
+
+    def frames(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        yield self.coarse_frame
+        yield self.dense_frame
+
+    def to_json(self) -> dict:
+        sizes = dict(zip(("coarse_points", "dense_points"), self.sizes))
+        return {"kind": "boundary", "trace": self.kind.value, "domain": self.dom.to_json(), **sizes}
+
+
+class PointSet:
+    """The full value of the field at each given point of R^n: one stage."""
+
+    kind = TraceKind.FULL
+
+    def __init__(self, points: Sequence[Sequence[float]], n: int) -> None:
+        import numpy as np
+
+        if len(points) == 0:
+            raise ValueError("need at least one evaluation point")
+        self.points = np.asarray(points, dtype=float)
+        if self.points.ndim != 2 or self.points.shape[1] != n:
+            raise ValueError(f"points must have {n} coordinates")
+        self.sizes = (len(points),)
+
+    def frames(self) -> tuple[tuple[np.ndarray, None]]:
+        return ((self.points, None),)
+
+    def to_json(self) -> dict:
+        return {"kind": "points", "point_count": self.sizes[0], "points": self.points.tolist()}
+
+
+def certify(
     basis: KernelBasis,
-    kind: TraceKind,
-    frames: Iterable[tuple[np.ndarray, np.ndarray | None]],
-    sizes: Sequence[int],
-    sigma_rel: float,
-    tol: float,
+    samples: BoundaryGrids | PointSet,
+    sigma_rel: float = _SIGMA_REL_DEFAULT,
+    tol_dense: float = _TOL_DENSE_DEFAULT,
 ) -> Verdict:
-    """The staged decision over (points, normals) frames, drawn lazily:
+    """The staged decision over the frames of samples, drawn lazily:
     each stage keeps the part of the previous nullspace whose trace
-    vanishes on its frame.  sizes are the sample counts the diagnostics
-    report, one per stage."""
+    vanishes on its frame.  The diagnostics report samples.sizes, one
+    count per stage."""
     import numpy as np
 
-    if not (0.0 < sigma_rel < np.inf and 0.0 < tol < np.inf):  # NaN fails every comparison
-        name, value = ("tol_dense", tol) if 0.0 < sigma_rel < np.inf else ("sigma_rel", sigma_rel)
+    if not (0.0 < sigma_rel < np.inf and 0.0 < tol_dense < np.inf):  # NaN fails every comparison
+        name, value = ("tol_dense", tol_dense) if 0.0 < sigma_rel < np.inf else ("sigma_rel", sigma_rel)
         raise ValueError(f"{name} must be finite and > 0, got {value}")
-    diagnostics = partial(Diagnostics, sigma_rel=sigma_rel, tol_dense=tol)
+    diagnostics = partial(Diagnostics, sigma_rel=sigma_rel, tol_dense=tol_dense)
     if basis.dim == 0:
         return Verdict(tag="A1", diagnostics=diagnostics(note="trivial kernel; every seminorm is a norm"))
-    diagnostics = partial(diagnostics, **dict(zip(("coarse_points", "dense_points"), sizes)))
+    diagnostics = partial(diagnostics, **dict(zip(("coarse_points", "dense_points"), samples.sizes)))
     poly_basis = basis.basis[0].basis
     columns = basis.unit_columns
     spectra: dict[str, tuple[float, ...]] = {}
     null = None
-    for field_name, (xs, nus) in zip(("coarse_sv", "dense_sv"), frames):
-        values = trace_values(poly_basis, columns, xs, kind, nus)
+    for field_name, (xs, nus) in zip(("coarse_sv", "dense_sv"), samples.frames()):
+        values = trace_values(poly_basis, columns, xs, samples.kind, nus)
         rows = values.reshape(-1, values.shape[2])  # point order, then component
         if not np.all(np.isfinite(rows)):
             raise ValueError("non-finite constraint entries")
@@ -285,11 +337,11 @@ def _certify(
     # Unit-normalized and sign-fixed.  The residuals come from the very
     # floats the certificates adopt exactly, so they are their own.
     cert_columns = np.stack([_sign_fixed(w / np.linalg.norm(w)) for w in (columns @ null).T], axis=1)
-    values = trace_values(poly_basis, cert_columns, xs, kind, nus)
+    values = trace_values(poly_basis, cert_columns, xs, samples.kind, nus)
     residuals = tuple(float(r) for r in np.max(np.abs(values), axis=(0, 1)))
     for res in residuals:
-        if not res < tol:
-            raise ValueError(f"certificate residual {res:.3e} exceeds tol_dense={tol:.1e}")
+        if not res < tol_dense:
+            raise ValueError(f"certificate residual {res:.3e} exceeds tol_dense={tol_dense:.1e}")
     certificates = tuple(PolyVec.from_floats(poly_basis, basis.basis[0].dimV, w) for w in cert_columns.T)
     return Verdict(tag="A2", certificates=certificates, diagnostics=diagnostics(**spectra, residuals=residuals))
 
@@ -303,22 +355,15 @@ def classify(
     sigma_rel: float = _SIGMA_REL_DEFAULT,
     tol_dense: float = _TOL_DENSE_DEFAULT,
 ) -> Verdict:
-    """Two-stage boundary trace classification: the coarse grid, then the
-    dense one, whose frame is built only if the coarse nullspace is not
-    empty.
+    """Two-stage boundary trace classification: certify on the coarse
+    grid, then on the dense one.
 
     The kernel basis is unit-normalized (Euclidean coefficient norm)
     before assembly, so singular values are comparable across bases.
     The verdict tag and the certificate span are invariant under
     invertible recombination of the basis.
     """
-    if coarse.ranges != dense.ranges:
-        raise ValueError("coarse and dense grids must cover the same angular ranges")
-    if not all(dc > cc for cc, dc in zip(coarse.counts, dense.counts)):
-        raise ValueError("dense grid must be strictly finer than coarse in every coordinate")
-    frames = (grid_frame(dom, grid) for grid in (coarse, dense))
-    sizes = (len(coarse), len(dense))
-    return _certify(basis, TraceKind.of(kind), frames, sizes, sigma_rel, tol_dense)
+    return certify(basis, BoundaryGrids(dom, kind, coarse, dense), sigma_rel, tol_dense)
 
 
 def point_measure_test(
@@ -335,11 +380,4 @@ def point_measure_test(
     stage's part: certificates vanish at every input point within
     tol_dense, the same bound and name as in classify and the run config.
     """
-    import numpy as np
-
-    if len(points) == 0:
-        raise ValueError("need at least one evaluation point")
-    xs = np.asarray(points, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != basis.operator.n:
-        raise ValueError(f"points must have {basis.operator.n} coordinates")
-    return _certify(basis, TraceKind.FULL, [(xs, None)], (len(points),), sigma_rel, tol_dense)
+    return certify(basis, PointSet(points, basis.operator.n), sigma_rel, tol_dense)

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,15 +20,16 @@ import korncert
 from korncert.cli import (
     CONFIG_SCHEMA,
     ConfigError,
+    build_operator,
     emit_plot_data,
     main,
     run_config,
     validate_config,
 )
 from korncert.diffop import builtin_operator, ellipticity_probe
-from korncert.geometry import StarDomain, grid_frame, sample_grid
+from korncert.geometry import StarDomain, grid_frame, interior_points, line_points, sample_grid
 from korncert.kernel import kernel_basis, kernel_to_json
-from korncert.normtest import TraceKind, classify, trace_magnitudes
+from korncert.normtest import TraceKind, classify, point_measure_test, trace_magnitudes
 
 _CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 _SCHEMA_FILE = Path(__file__).resolve().parent.parent / "src" / "korncert" / "config-schema.json"
@@ -408,7 +410,8 @@ class TestExitCodes:
             ),
             (
                 _base_config(test={**_base_config()["test"], "dense": {"counts": [6]}}),
-                "test.dense.counts: dense grid must be strictly finer than coarse",
+                # The sample set's own check, under the config field.
+                "test.dense.counts: dense grid must be strictly finer than coarse in every coordinate",
             ),
             (
                 # The gradient of a scalar: dimV = 1 on R^2.
@@ -615,6 +618,21 @@ class TestPlots:
         expected = reference(header, dense.thetas, mags)
         assert (tmp_path / "residual.csv").read_bytes() == expected
 
+    def test_plotted_run_builds_each_frame_once(self, tmp_path, monkeypatch):
+        # certify builds the coarse and the dense frame, and the plot data
+        # reuses both: every frame goes through geometry._frame.
+        framed = []
+        frame = korncert.geometry._frame
+
+        def counting(dom, *angles):
+            framed.append(np.broadcast(*angles).size)
+            return frame(dom, *angles)
+
+        monkeypatch.setattr(korncert.geometry, "_frame", counting)
+        report, code = run_config(str(_CONFIG_DIR / "ball3d_devsymgrad_normal.json"), emit_plots=str(tmp_path))
+        assert code == 0 and report["plots"]["residual"] is not None
+        assert framed == [16, 1024]
+
     def test_no_residual_csv_for_a1(self, tmp_path):
         cfg = _base_config()
         cfg["operator"]["builtin"] = "dev_grad"
@@ -747,6 +765,31 @@ class TestShippedConfigs:
         report, code = run_config(str(config_path))
         assert code == 0, f"{config_path.stem}: verdict {report['verdict']['verdict']}"
         assert report["expected_match"] is True
+
+    @pytest.mark.parametrize("config_path", sorted(_CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_run_verdict_is_the_library_verdict(self, config_path, monkeypatch):
+        # The public wrappers, fed the domain, grids or points built here
+        # from the library, decide as the run path does.
+        monkeypatch.delenv("KORNCERT_SEED", raising=False)
+        cfg = json.loads(config_path.read_text())
+        report, _ = run_config(cfg)
+        test, tolerances = cfg["test"], cfg.get("tolerances", {})
+        kb = kernel_basis(build_operator(cfg["operator"]), cfg["K"])
+        dom = StarDomain.from_json(test["domain"]) if "domain" in test else None
+        if test["kind"] == "boundary":
+            coarse = sample_grid(dom, test["coarse"]["counts"], test["coarse"].get("range"))
+            dense_counts = test.get("dense", {"counts": [8 * c for c in coarse.counts]})["counts"]
+            dense = sample_grid(dom, dense_counts, coarse.ranges)
+            verdict = classify(kb, dom, test["trace"], coarse, dense, **tolerances)
+        else:
+            points = list(test.get("points", ()))
+            for line in test.get("lines", ()):
+                points += line_points(line["p0"], line["dir"], line["count"], line["extent"])
+            if "interior" in test:
+                seed = test["interior"].get("seed", cfg.get("seed", 0))
+                points += interior_points(dom, test["interior"]["count"], seed)
+            verdict = point_measure_test(kb, points, **tolerances)
+        assert report["verdict"] == verdict.to_json()
 
     def test_schema_file_matches_embedded_schema(self):
         # The packaged schema file is the one CONFIG_SCHEMA loads, and it

@@ -9,6 +9,7 @@ and the exact radial identity on balls.
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,23 @@ class TestDomains:
         # disk and "3" a ball.
         with pytest.raises(ValueError, match=rf"^the dimension must be an int, got {value}$"):
             build()
+
+    @pytest.mark.parametrize(
+        "n,radial,key",
+        [
+            (2, {"family": "sine2d", "c": 2, "a": 1}, "m"),
+            (2, {"family": "sine2d", "c": 2, "m": 2}, "a"),
+            (3, {"family": "sine3d", "c": 2, "a": 1, "m1": 2}, "m2"),
+            (3, {"family": "sine3d", "a": 1, "m1": 2, "m2": 3}, "c"),
+        ],
+        ids=["sine2d-m", "sine2d-a", "sine3d-m2", "sine3d-c"],
+    )
+    def test_from_json_missing_family_parameter(self, n, radial, key):
+        # The same error as a missing n, radial or family, not a bare KeyError.
+        with pytest.raises(GeometryError, match=rf"^malformed domain spec: '{key}'$"):
+            StarDomain.from_json({"n": n, "radial": radial})
+        with pytest.raises(GeometryError, match=r"^malformed domain spec: 'radial'$"):
+            StarDomain.from_json({"n": n})
 
     def test_dimension_family_mismatch_rejected(self):
         with pytest.raises(GeometryError):
@@ -317,6 +335,19 @@ class TestPointGenerators:
             line_points([0, 0], [1, 0], 1, 1.0)
         with pytest.raises(ValueError):
             line_points([0, 0], [0, 0], 3, 1.0)
+
+    @pytest.mark.parametrize("p0,direction", [([0, 0], [1, 0, 0]), ([0, 0, 0], [1, 0])])
+    def test_line_p0_and_dir_of_different_lengths(self, p0, direction):
+        with pytest.raises(ValueError, match=r"^p0 and dir must have the same length, got shapes "):
+            line_points(p0, direction, 3, 1.0)
+
+    @pytest.mark.parametrize("count", [3.0, True, "3", None])
+    def test_point_counts_must_be_ints(self, count):
+        # As for sample_grid: nothing is truncated, and a bool is no count.
+        with pytest.raises(ValueError, match=rf"^count must be an int, got {re.escape(repr(count))}$"):
+            line_points([0, 0], [1, 0], count, 1.0)
+        with pytest.raises(ValueError, match=rf"^count must be an int, got {re.escape(repr(count))}$"):
+            interior_points(StarDomain.ball(2), count)
 
 
 # -- property suite ----------------------------------------------------

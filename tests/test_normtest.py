@@ -10,6 +10,7 @@ small trace on purpose, under a loose threshold.
 import dataclasses
 import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -553,6 +554,17 @@ def test_tolerance_must_be_finite_and_positive(test, tolerances):
             point_measure_test(kb, [np.array([0.0, 0.0])], **tolerances)
         else:
             classify(kb, _BALL2, TraceKind.NORMAL, *_grids(_BALL2, [6]), **tolerances)
+
+
+@pytest.mark.parametrize("value", [None, 1, 2.5, ["normal"], b"normal", "bogus"])
+def test_trace_kind_of_refuses_what_names_no_kind(value):
+    # Only a TraceKind or the name of one, in any case, is a trace kind.
+    with pytest.raises(ValueError, match=rf"^unknown trace kind: {re.escape(repr(value))}$"):
+        TraceKind.of(value)
+    kb = kernel_basis(builtin_operator("sym_grad", 2), 1)
+    with pytest.raises(ValueError, match=r"^unknown trace kind: "):
+        classify(kb, _BALL2, value, *_grids(_BALL2, [6]))
+    assert TraceKind.of("Normal") is TraceKind.of(TraceKind.NORMAL) is TraceKind.NORMAL
 
 
 class TestInvariance:
