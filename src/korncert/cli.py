@@ -99,15 +99,18 @@ def _field(name: str):
 
 
 def _load_json(path: str | Path):
-    """The JSON value in a file; NaN, Infinity and numbers beyond the
-    float range raise ConfigError.  Finite numbers parse as json does."""
+    """The JSON value in a file; NaN, Infinity, numbers beyond the float
+    range, text that is not UTF-8 and too deep nesting raise ConfigError."""
 
     def finite(text: str) -> float:
         if abs(value := float(text)) < math.inf:
             return value
         raise ConfigError(f"{path}: {text} is not a finite JSON number")
 
-    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=finite, parse_float=finite)
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=finite, parse_float=finite)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def _is_type(value, name: str) -> bool:

@@ -68,6 +68,7 @@ from .polyalg import (
     differentiate,
     format_rational,
     monomial_basis,
+    parse_int,
     parse_rational,
 )
 
@@ -266,8 +267,7 @@ def builtin_operator(name: str, n: int, order: int | None = None) -> DiffOperato
     Matrix-valued outputs are flattened row-major, so dimW = n^2 for the
     first-order matrix operators and n^(k+1) for grad_k.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = parse_int(n, "n", 1)
     if name in {"sym_grad", "dev_grad", "dev_sym_grad"} and n < 2:
         raise ValueError(f"{name} needs n >= 2")
     if name != "grad_k" and order is not None:
@@ -290,8 +290,7 @@ def builtin_operator(name: str, n: int, order: int | None = None) -> DiffOperato
         terms = [(_unit_alpha(n, l), [[one if k == l else zero for k in range(n)]]) for l in range(n)]
         return custom_operator(terms, name=name)
     if name == "grad_k":
-        if order is None or order < 1:
-            raise ValueError("grad_k needs an order >= 1")
+        order = parse_int(order, "order", 1)
         # Output row (i, j_1..j_k), row-major, holds d_{j_1}..d_{j_k} u_i,
         # so it belongs to the term whose alpha counts the j's.
         rows = [
@@ -541,8 +540,7 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
     an exact witness.  Full rank at sampled frequencies is only evidence
     of ellipticity, not proof.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = parse_int(trials, "trials", 1)
     rng = random.Random(seed)
     bound = _PROBE_COEFF_BOUND
     zero, one = (0, 1), (1, 1)

@@ -12,8 +12,8 @@ positive x3-axis and azimuth theta2 in 3D).  Radial families:
 Construction checks that r is strictly positive through its exact
 minimum: c for balls and for a zero frequency, else c - |a|, since a
 nonzero frequency makes the sine factor (or the product of the two)
-cover [-1, 1].  The dimension and the frequencies must be ints, not
-bools; nothing is truncated.  Points and outward unit normals come from
+cover [-1, 1].  Every integer passes polyalg.parse_int, and the family
+fixes the dimension.  Points and outward unit normals come from
 analytic tangent frames, never finite differences, computed for a whole
 sample grid at once, one component at a time.  A SampleGrid stores its
 axes, one angle array per coordinate, and a frame runs the trig once
@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .polyalg import parse_rational
+from .polyalg import parse_int, parse_rational
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,11 +74,8 @@ class StarDomain:
     m2: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ValueError(f"the dimension must be an int, got {self.n!r}")
-        for m in (self.m1, self.m2):
-            if not isinstance(m, int) or isinstance(m, bool):
-                raise ValueError(f"radial frequencies must be ints, got {m!r}")
+        for key, what in (("n", "the dimension"), ("m1", "a radial frequency"), ("m2", "a radial frequency")):
+            object.__setattr__(self, key, parse_int(getattr(self, key), what))
         if self.n not in (2, 3):
             raise GeometryError(f"only n in {{2, 3}} supported, got {self.n}")
         expected_n = {"constant": self.n, "sine2d": 2, "sine3d": 3}.get(self.family)
@@ -130,9 +127,9 @@ class StarDomain:
             if family in ("constant", "ball"):
                 return cls.ball(n, number("c", 1))
             if family == "sine2d":
-                return cls.sine2d(number("c"), number("a"), radial["m"])
+                return cls(n, family, number("c"), number("a"), radial["m"])
             if family == "sine3d":
-                return cls.sine3d(number("c"), number("a"), radial["m1"], radial["m2"])
+                return cls(n, family, number("c"), number("a"), radial["m1"], radial["m2"])
         except KeyError as exc:  # a missing family parameter
             raise GeometryError(f"malformed domain spec: {exc}") from exc
         raise GeometryError(f"unknown radial family: {family}")
@@ -281,19 +278,14 @@ def sample_grid(
     m2 hits the grid Nyquist rate (count2 = 2 m2): the grid then only
     sees sin(pi * offset) and cos(pi * offset) of the resonant mode, and
     a quarter step keeps both quadratures equally far from zero, where
-    aligned or half-step grids zero one of them out exactly.  Counts
-    must be ints, not bools; nothing is truncated.
+    aligned or half-step grids zero one of them out exactly.
     """
     import numpy as np
 
     counts_t = tuple(counts) if isinstance(counts, (list, tuple)) else (counts,)
     if len(counts_t) != dom.n - 1:
         raise ValueError(f"expected {dom.n - 1} counts for n = {dom.n}, got {len(counts_t)}")
-    for c in counts_t:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError(f"grid counts must be ints, got {c!r}")
-    if any(c < 1 for c in counts_t):
-        raise ValueError("grid counts must be >= 1")
+    counts_t = tuple(parse_int(c, "grid count", 1) for c in counts_t)
     if ranges is None:
         ranges_t = ((0.0, TWO_PI),) if dom.n == 2 else ((0.0, math.pi), (0.0, TWO_PI))
     else:
@@ -338,10 +330,7 @@ def interior_points(dom: StarDomain, count: int, seed: int = 0) -> list[np.ndarr
     """Random points strictly inside the domain; deterministic per seed."""
     import numpy as np
 
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ValueError(f"count must be an int, got {count!r}")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    count = parse_int(count, "count", 0)
     rng = random.Random(seed)
     draws = []
     for _ in range(count):
@@ -360,10 +349,7 @@ def line_points(p0: Sequence[float], direction: Sequence[float], count: int, ext
     """count points p0 + t * dir, t equally spaced over [-extent, extent]."""
     import numpy as np
 
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ValueError(f"count must be an int, got {count!r}")
-    if count < 2:
-        raise ValueError("need at least two points per line")
+    count = parse_int(count, "count", 2)
     extent = float(extent)  # OverflowError for an integer beyond the float range
     if not 0 < extent < math.inf:
         raise ValueError(f"extent must be positive and finite, got {extent}")

@@ -51,7 +51,7 @@ from typing import Sequence
 
 from . import linalg
 from .diffop import DiffOperator
-from .polyalg import PolyVec, compositions, format_poly, format_rational, monomial_basis
+from .polyalg import PolyVec, compositions, float_columns, format_poly, format_rational, monomial_basis, parse_int
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ class KernelBasis:
         the exact layer never imports numpy."""
         import numpy as np
 
-        # Int true division is what float() does for a Fraction, bit for bit.
-        cols = np.array([[c.numerator / c.denominator for c in p.coeffs] for p in self.basis], dtype=float).T
+        cols = float_columns(self.basis)
         norms = np.linalg.norm(cols, axis=0)
         if np.any(norms == 0.0):
             raise ValueError("kernel basis contains a zero element")
@@ -200,8 +199,7 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
     follow the echelon convention (first nonzero coefficient equal to
     one) and are uniquely determined by A and K.
     """
-    if K < 0:
-        raise ValueError(f"need K >= 0, got {K}")
+    K = parse_int(K, "K", 0)
     source = monomial_basis(A.n, K)
     m = A.dimV * source.size
     zero = Fraction(0)
@@ -220,8 +218,7 @@ def kernel_dim_profile(A: DiffOperator, K_max: int) -> DimProfile:
     of the nullities of the degree blocks.  The blocks above the first
     trivial one have nullity 0 and are never assembled, so their
     monomials are never built either."""
-    if K_max < 0:
-        raise ValueError(f"need K_max >= 0, got {K_max}")
+    K_max = parse_int(K_max, "K_max", 0)
     nullities = [0] * (K_max + 1)
     for d, (_, _, cols, block) in enumerate(_degree_blocks(A, K_max, A.output_basis)):
         nullities[d] = cols - linalg.rank(block, cols)

@@ -27,13 +27,13 @@ Trace kinds: FULL is the whole vector trace, NORMAL the scalar
 
 Every trace is evaluated by trace_values: a table of coordinate powers,
 one multiplication per degree, gathered by MonomialBasis.exponent_table,
-then one matrix product of the monomial values with the coefficients.  A
-kernel's float coefficients are its KernelBasis.unit_columns, a
-read-only view built from the exact ones on the first float use of that
-basis, and a sample set keeps its frames; every other float (traces,
-spectra, verdicts) is recomputed on every call.  The module loads no
-numpy: each function that computes with floats imports it itself, so
-numpy loads on the first float call.
+then one matrix product of the monomial values with the coefficients;
+a magnitude is its max over components.  Float coefficients come from
+polyalg.float_columns, a kernel's once, as KernelBasis.unit_columns.  A
+sample set keeps its frames; every other float (traces, spectra,
+verdicts) is recomputed on every call.  The module loads no numpy: each
+function that computes with floats imports it itself, so numpy loads on
+the first float call.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .geometry import SampleGrid, StarDomain, grid_frame
 from .kernel import KernelBasis
-from .polyalg import MonomialBasis, PolyVec, format_poly
+from .polyalg import MonomialBasis, PolyVec, float_columns, format_poly
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,14 +131,6 @@ class Verdict:
         }
 
 
-def _coefficient_columns(polys: Sequence[PolyVec]) -> np.ndarray:
-    """Float coefficient matrix, one column per polynomial.  Int true
-    division is what float() does for a Fraction, bit for bit."""
-    import numpy as np
-
-    return np.array([[c.numerator / c.denominator for c in p.coeffs] for p in polys], dtype=float).T
-
-
 def trace_values(
     basis: MonomialBasis,
     columns: np.ndarray,
@@ -188,18 +180,20 @@ def trace_values(
     return values - nus[:, :, None] * normal_part
 
 
+def _magnitudes(basis: MonomialBasis, columns: np.ndarray, xs, kind: TraceKind, nus) -> np.ndarray:
+    """|trace| of each column at each point, max over components:
+    (npoints, ncols)."""
+    return abs(trace_values(basis, columns, xs, kind, nus)).max(axis=1)
+
+
 def trace_magnitudes(
     polys: Sequence[PolyVec],
     kind: TraceKind,
     xs: np.ndarray,
     nus: np.ndarray | None = None,
 ) -> np.ndarray:
-    """|trace| of each polynomial at each point, max over components:
-    (npoints, npolys)."""
-    import numpy as np
-
-    values = trace_values(polys[0].basis, _coefficient_columns(polys), xs, kind, nus)
-    return np.max(np.abs(values), axis=1)
+    """_magnitudes of the polynomials: (npoints, npolys)."""
+    return _magnitudes(polys[0].basis, float_columns(polys), xs, kind, nus)
 
 
 def numeric_nullspace(
@@ -237,9 +231,7 @@ def certificate_residual(
 ) -> float:
     """Sup over the grid of the trace magnitude of rho (max over
     components for the vector-valued kinds)."""
-    import numpy as np
-
-    return float(np.max(trace_magnitudes([rho], TraceKind.of(kind), *grid_frame(dom, grid))))
+    return float(trace_magnitudes([rho], TraceKind.of(kind), *grid_frame(dom, grid)).max())
 
 
 class BoundaryGrids:
@@ -337,8 +329,8 @@ def certify(
     # Unit-normalized and sign-fixed.  The residuals come from the very
     # floats the certificates adopt exactly, so they are their own.
     cert_columns = np.stack([_sign_fixed(w / np.linalg.norm(w)) for w in (columns @ null).T], axis=1)
-    values = trace_values(poly_basis, cert_columns, xs, samples.kind, nus)
-    residuals = tuple(float(r) for r in np.max(np.abs(values), axis=(0, 1)))
+    magnitudes = _magnitudes(poly_basis, cert_columns, xs, samples.kind, nus)
+    residuals = tuple(float(r) for r in magnitudes.max(axis=0))
     for res in residuals:
         if not res < tol_dense:
             raise ValueError(f"certificate residual {res:.3e} exceeds tol_dense={tol_dense:.1e}")

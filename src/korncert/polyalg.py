@@ -19,12 +19,14 @@ floats to Fractions; the private PolyVec._of_fractions adopts
 coefficients that are Fractions by construction (kernel bases,
 from_floats) and checks only their number.
 Besides the basis, the module holds exact differentiation and evaluation
-(exact at rational points, float otherwise) and the rational parsing and
-printing shared by the reports.
+(exact at rational points, float otherwise), the rational parsing and
+printing shared by the reports, float_columns and parse_int, the one
+integer rule: what operator.index takes but a bool, as a plain int.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -60,6 +62,21 @@ def parse_rational(value: int | str | Fraction | float) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
 
 
+def parse_int(value, what: str, minimum: int | None = None) -> int:
+    """value as a plain int: anything operator.index accepts except a
+    bool.  Anything else, and a value below minimum, raises ValueError
+    naming what; nothing is truncated or parsed."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ValueError(f"need {what} >= {minimum}, got {number}")
+    return number
+
+
 def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
@@ -77,8 +94,7 @@ class MultiIndex:
     def __post_init__(self) -> None:
         if len(self.entries) == 0:
             raise ValueError("multi-index needs at least one entry")
-        if any(not isinstance(e, int) or e < 0 for e in self.entries):
-            raise ValueError(f"multi-index entries must be nonnegative ints: {self.entries}")
+        object.__setattr__(self, "entries", tuple(parse_int(e, "a multi-index entry", 0) for e in self.entries))
 
     @property
     def order(self) -> int:
@@ -136,15 +152,15 @@ class MonomialBasis:
             raise ValueError(f"{mi.entries} has degree > {self.K} or wrong length") from None
 
 
-@cache
 def monomial_basis(n: int, K: int) -> MonomialBasis:
     """All multi-indices of order <= K, strictly increasing in graded-lex
-    order.  Memoised: one basis, and so one index, per (n, K).  A bad n
-    or K raises on every call, since an exception is never memoised."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if K < 0:
-        raise ValueError(f"need K >= 0, got {K}")
+    order.  Memoised: one basis, and so one index, per (n, K), checked
+    before the lookup, so the result never depends on earlier calls."""
+    return _monomial_basis(parse_int(n, "n", 1), parse_int(K, "K", 0))
+
+
+@cache
+def _monomial_basis(n: int, K: int) -> MonomialBasis:
     exps = tuple(MultiIndex(t) for d in range(K + 1) for t in compositions(d, n))
     assert len(exps) == comb(n + K, K)
     return MonomialBasis(n=n, K=K, exponents=exps)
@@ -166,8 +182,7 @@ class PolyVec:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.dimV < 1:
-            raise ValueError(f"need dimV >= 1, got {self.dimV}")
+        object.__setattr__(self, "dimV", parse_int(self.dimV, "dimV", 1))
         _check_length(self.basis, self.dimV, self.coeffs)
         if not all(map(isinstance, self.coeffs, repeat(Fraction))):
             object.__setattr__(self, "coeffs", tuple(parse_rational(c) for c in self.coeffs))
@@ -189,6 +204,14 @@ class PolyVec:
         The zeros, 0.0 and -0.0 alike, become one shared Fraction(0)."""
         zero = Fraction(0)
         return cls._of_fractions(basis, dimV, tuple(Fraction(x) if (x := float(v)) else zero for v in values))
+
+
+def float_columns(polys: Sequence[PolyVec]):
+    """Float coefficient matrix, one column per polynomial.  Int true
+    division is what float() does for a Fraction, bit for bit."""
+    import numpy as np
+
+    return np.array([[c.numerator / c.denominator for c in p.coeffs] for p in polys], dtype=float).T
 
 
 def _check_length(basis: MonomialBasis, dimV: int, coeffs: tuple) -> None:

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -334,6 +335,27 @@ class TestExitCodes:
         assert main(argv + (["--K", "1"] if command == "kernel" else [])) == 2
         assert capsys.readouterr().err == f"error: {path}: {literal} is not a finite JSON number\n"
 
+    @pytest.mark.parametrize(
+        "content,reason",
+        [
+            (b'{"K": \xff}', "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf8", "nested-100000-deep"],
+    )
+    @pytest.mark.parametrize("command", ["check", "points", "kernel", "probe"])
+    def test_unreadable_json_file_exits_2(self, tmp_path, capsys, command, content, reason):
+        # Exit 1 means a verdict mismatch, so an unreadable file used to
+        # pass for one, with a traceback.
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        source = "--config" if command in ("check", "points") else "--op-file"
+        extra = ["--K", "1"] if command == "kernel" else []
+        assert main([command, source, str(path), *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: unreadable JSON: {reason}")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: unreadable JSON: {re.escape(reason)}"):
+            run_config(path)
+
     def test_non_finite_tolerance_in_a_dict_config(self):
         # A dict never passes the JSON reader; the norm test refuses it.
         cfg = _base_config(tolerances={"sigma_rel": float("nan")}, expected="A1")
@@ -385,7 +407,19 @@ class TestExitCodes:
     def test_grad_k_order_zero_reaches_builtin_check(self, capsys):
         code = main(["kernel", "--op", "grad_k", "--n", "2", "--order", "0", "--K", "1"])
         assert code == 2
-        assert "needs an order >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: config field operator: need order >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "stem,n,family_n",
+        [("wavy2d_symgrad_normal", 3, 2), ("wavy3d_symgrad_normal", 2, 3)],
+    )
+    def test_domain_dimension_must_match_its_family(self, tmp_path, capsys, stem, n, family_n):
+        # A sine2d domain with n = 3 used to run in 2D, exit 0 and report
+        # test.domain.n 2 against a config saying 3.
+        cfg = json.loads((_CONFIG_DIR / f"{stem}.json").read_text())
+        cfg["test"]["domain"]["n"] = n
+        assert main(["check", "--config", _write(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == f"error: config field test.domain.n: {family_n} was expected\n"
 
     def test_domain_operator_dimension_mismatch(self, tmp_path, capsys):
         cfg = _base_config()

@@ -104,7 +104,7 @@ class TestDomains:
     )
     def test_non_int_frequency_rejected(self, build, value):
         # A frequency is never truncated: 2.5 used to become 2, True 1.
-        with pytest.raises(ValueError, match=rf"^radial frequencies must be ints, got {value}$"):
+        with pytest.raises(ValueError, match=rf"^a radial frequency must be an int, got {value}$"):
             build()
 
     @pytest.mark.parametrize(
@@ -124,6 +124,21 @@ class TestDomains:
         # disk and "3" a ball.
         with pytest.raises(ValueError, match=rf"^the dimension must be an int, got {value}$"):
             build()
+
+    @pytest.mark.parametrize(
+        "spec,n",
+        [
+            ({"n": 3, "radial": {"family": "sine2d", "c": 2, "a": 1, "m": 2}}, 2),
+            ({"n": 2, "radial": {"family": "sine3d", "c": 2, "a": 1, "m1": 2, "m2": 3}}, 3),
+        ],
+        ids=["sine2d-n3", "sine3d-n2"],
+    )
+    def test_from_json_keeps_the_dimension(self, spec, n):
+        # from_json used to drop n for the wavy families: a sine2d spec
+        # with n = 3 gave a 2D domain, a sine3d spec with n = 2 a 3D one.
+        family = spec["radial"]["family"]
+        with pytest.raises(GeometryError, match=rf"^family {family} requires n = {n}$"):
+            StarDomain.from_json(spec)
 
     @pytest.mark.parametrize(
         "n,radial,key",
@@ -296,7 +311,7 @@ class TestSampleGrids:
         # Nothing is truncated: 4.7 is not 4 points, nor True 1.
         ball2, ball3 = StarDomain.ball(2), StarDomain.ball(3)
         for dom, counts in ((ball2, count), (ball2, [count]), (ball3, [4, count])):
-            with pytest.raises(ValueError, match="grid counts must be ints, got"):
+            with pytest.raises(ValueError, match=rf"^grid count must be an int, got {re.escape(repr(count))}$"):
                 sample_grid(dom, counts)
 
     def test_polar_range_clamped_to_sphere(self):
