@@ -99,8 +99,9 @@ def _field(name: str):
 
 
 def _load_json(path: str | Path):
-    """The JSON value in a file; NaN, Infinity, numbers beyond the float
-    range, text that is not UTF-8 and too deep nesting raise ConfigError."""
+    """The JSON value in a file; text that is not JSON or not UTF-8, NaN,
+    Infinity, numbers beyond the float range and too deep nesting raise
+    ConfigError."""
 
     def finite(text: str) -> float:
         if abs(value := float(text)) < math.inf:
@@ -109,7 +110,7 @@ def _load_json(path: str | Path):
 
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=finite, parse_float=finite)
-    except (UnicodeDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: unreadable JSON: {exc}") from exc
 
 
@@ -538,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:

@@ -43,13 +43,23 @@ each Gaussian coordinate a + ib becomes its residue a + I b (mod P),
 with I a square root of -1 mod P (linalg).  That map is a ring
 homomorphism, so the walk over integer_terms with these residues gives
 the image re + I im (mod P) of the Gaussian-integer symbol.  The screen
-builds it transposed, dimV x dimW, and ranks that short side, since a
-transpose has the same rank.  It has full rank mod P only if re + i im,
-and with it A[xi], has full rank, whatever the denominators of A.  A
-frequency that passes the screen is settled without a Fraction.  Only
-one whose symbol loses rank mod P becomes Fractions, ComplexRationals
-and a SymbolMatrix and goes through exact elimination, so a rank drop
-is always decided exactly.
+builds it transposed, dimV x dimW, keeps the columns of a given list of
+output rows, and looks for dimV of them whose minor is nonzero mod P
+(linalg.pivots_mod_p).  Such a minor is nonzero in re + i im too, so
+A[xi] has full rank, whatever the denominators of A.  Each frequency
+is screened in up to three steps:
+
+1. on the dimV rows of the minor that settled the previous frequency,
+   a dimV x dimV elimination.  That minor is a polynomial in xi that
+   did not vanish there, so it seldom vanishes at the next draw;
+2. if it does vanish mod P, on output_basis, whose rows have the rank
+   of all dimW of them over Q;
+3. if that fails too, by exact elimination: the frequency becomes
+   Fractions, ComplexRationals and a SymbolMatrix.
+
+A frequency settled by step 1 or 2 needs no Fraction, and a rank drop
+is always decided exactly, by step 3.  The remembered minor lives in
+one probe call only.
 """
 
 from __future__ import annotations
@@ -481,11 +491,14 @@ def _witness_from(symbol: SymbolMatrix) -> Witness:
     return Witness(xi=symbol.xi, v=v)
 
 
-def _full_rank_mod_p(A: DiffOperator, xi: Sequence[tuple[int, int]]) -> bool:
-    """True when A[xi] has full column rank mod P, which proves that it
-    has full column rank; False proves nothing.  xi holds the real and
-    imaginary part of each coordinate in turn, as (numerator,
-    denominator) pairs (module docstring)."""
+def _full_rank_mod_p(
+    A: DiffOperator, xi: Sequence[tuple[int, int]], rows: Sequence[int]
+) -> tuple[int, ...] | None:
+    """dimV of the output rows listed in rows whose minor of A[xi] is
+    nonzero mod P, which proves that A[xi] has full column rank; None
+    proves nothing.  xi holds the real and imaginary part of each
+    coordinate in turn, as (numerator, denominator) pairs (module
+    docstring)."""
     z, _ = _scaled(xi)
     P = linalg.P
     residues = [(a + linalg.I * b) % P for a, b in zip(z[::2], z[1::2])]
@@ -498,7 +511,8 @@ def _full_rank_mod_p(A: DiffOperator, xi: Sequence[tuple[int, int]]) -> bool:
                 x = x * r**e % P
         for w, v, m in entries:
             image[v][w] += x * m
-    return linalg.rank_mod_p([[x % P for x in row] for row in image], A.dimW) == A.dimV
+    pivots = linalg.pivots_mod_p([[row[w] for w in rows] for row in image], len(rows))
+    return tuple([rows[c] for c in pivots]) if len(pivots) == A.dimV else None
 
 
 def _rational_draws(rng: random.Random, bound: int, count: int) -> list[tuple[int, int]]:
@@ -541,7 +555,7 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
     of ellipticity, not proof.
     """
     trials = parse_int(trials, "trials", 1)
-    rng = random.Random(seed)
+    rng = random.Random(parse_int(seed, "seed"))
     bound = _PROBE_COEFF_BOUND
     zero, one = (0, 1), (1, 1)
 
@@ -568,13 +582,17 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
 
     elliptic = c_elliptic = True
     witness: Witness | None = None
+    minor: tuple[int, ...] = ()  # the output rows that settled the last screen
     for real, xi in frequencies:
         # With fewer outputs than inputs every symbol is deficient by its
-        # shape; otherwise a full rank mod P settles the frequency.  Only
-        # a frequency that neither settles becomes Fractions.
+        # shape; otherwise a full rank mod P settles the frequency, on the
+        # rows of the last nonzero minor or else on output_basis.  Only a
+        # frequency that neither settles becomes Fractions.
         symbol = None
         if A.dimW >= A.dimV:
-            if _full_rank_mod_p(A, xi):
+            settled = (minor and _full_rank_mod_p(A, xi, minor)) or _full_rank_mod_p(A, xi, A.output_basis)
+            if settled:
+                minor = settled
                 continue
             symbol = exact_symbol(xi)
             if symbol.rank() == A.dimV:

@@ -331,7 +331,7 @@ def interior_points(dom: StarDomain, count: int, seed: int = 0) -> list[np.ndarr
     import numpy as np
 
     count = parse_int(count, "count", 0)
-    rng = random.Random(seed)
+    rng = random.Random(parse_int(seed, "seed"))
     draws = []
     for _ in range(count):
         if dom.n == 2:

@@ -38,6 +38,14 @@ profile (two equal consecutive entries, that is, one trivial block)
 therefore shows that the degree-<= K kernel is the whole kernel of A.
 It also means that no block above the first trivial one needs
 assembly or elimination: kernel_basis and kernel_dim_profile stop there.
+
+A full rank is decided mod P (linalg: a full row or column rank mod P
+is the exact rank).  kernel_basis screens each block with at least as
+many rows as columns first: full column rank mod P makes it the first
+trivial block, so the loop stops without linalg.nullspace.
+kernel_dim_profile takes a block's rank mod P when it equals the block's
+smaller side, its row or column count.  Only a block whose rank drops
+mod P, which proves nothing, goes through exact elimination.
 """
 
 from __future__ import annotations
@@ -205,9 +213,11 @@ def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:
     zero = Fraction(0)
     basis = []
     for _, col, cols, block in _degree_blocks(A, K, A.output_basis):
+        if len(block) >= cols and linalg.rank_mod_p(block, cols) == cols:
+            break  # the first trivial block: so is every higher one (module docstring)
         vectors = linalg.nullspace(block, cols)
         if not vectors:
-            break  # every higher block is trivial too (module docstring)
+            break  # trivial, though its rank dropped mod P
         head, tail = (zero,) * col, (zero,) * (m - col - cols)
         basis.extend(PolyVec._of_fractions(source, A.dimV, head + tuple(v) + tail) for v in vectors)
     return KernelBasis(operator=A, K=K, basis=tuple(basis), m=m, rank=m - len(basis))
@@ -221,7 +231,10 @@ def kernel_dim_profile(A: DiffOperator, K_max: int) -> DimProfile:
     K_max = parse_int(K_max, "K_max", 0)
     nullities = [0] * (K_max + 1)
     for d, (_, _, cols, block) in enumerate(_degree_blocks(A, K_max, A.output_basis)):
-        nullities[d] = cols - linalg.rank(block, cols)
+        rank = linalg.rank_mod_p(block, cols)
+        if rank < min(len(block), cols):
+            rank = linalg.rank(block, cols)
+        nullities[d] = cols - rank
         if not nullities[d]:
             break
     return DimProfile(dims=tuple(accumulate(nullities)))

@@ -12,7 +12,7 @@ deterministic.  A complex matrix comes here realified, as an integer
 matrix (diffop.SymbolMatrix).
 
 Elimination runs in two halves.  The forward half, which rank,
-rank_mod_p and rref share, runs only the updates below each pivot, on
+pivots_mod_p and rref share, runs only the updates below each pivot, on
 rows it owns, and returns the echelon rows with their pivot columns.
 rank counts the pivots.  rref goes on in one of two ways:
 
@@ -35,13 +35,14 @@ is one.
 A modular rank proves full rank cheaply.  P is a prime with
 P = 1 (mod 4) and I a square root of -1 mod P, so a + bi -> a + I b
 (mod P) is a ring homomorphism from the Gaussian integers onto the
-integers mod P.  Minors map to minors, so an integer or Gaussian-integer
-matrix whose image has full column rank mod P has full column rank
-exactly; a rational matrix reaches it with its rows cleared to integers
-first.  rank_mod_p runs the forward half on a copy of the residues and
-reduces each updated row mod P, in place of the gcd: the pivot is a
-unit mod P.  A rank drop mod P proves nothing: only a full-rank answer
-may be taken from rank_mod_p.
+integers mod P.  Minors map to minors, and the rank mod P never exceeds
+the exact rank, so an integer or Gaussian-integer matrix whose rank mod
+P is its row or column count has that full rank exactly; a rational
+matrix reaches it with its rows cleared to integers first.
+pivots_mod_p, and rank_mod_p, which counts its pivots, run the forward
+half on the rows reduced mod P and reduce each updated row mod P, in
+place of the gcd: the pivot is a unit mod P.  A rank drop mod P proves
+nothing: only a full-rank answer may be taken from them.
 """
 
 from __future__ import annotations
@@ -89,8 +90,12 @@ def _forward(
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
-        best = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if best is None:
+        # A loop, not next() over a generator: on the screens' small
+        # matrices the generator cost as much as the updates.
+        for best in range(rank, len(rows)):
+            if rows[best][col]:
+                break
+        else:
             continue
         rows[rank], rows[best] = rows[best], rows[rank]
         pivot_row = rows[rank]
@@ -159,8 +164,15 @@ def nullspace(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> list[li
 
 
 def rank_mod_p(matrix: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank of a matrix of residues (ints in [0, P)) mod P."""
-    return len(_forward([list(r) for r in matrix], ncols, _mod_p)[1])
+    """Rank mod P of an integer matrix."""
+    return len(pivots_mod_p(matrix, ncols))
+
+
+def pivots_mod_p(matrix: Sequence[Sequence[int]], ncols: int) -> list[int]:
+    """The pivot columns of an integer matrix mod P: the first column
+    that is no combination mod P of earlier ones, then the next, up to
+    the rank.  The columns they name have full column rank mod P."""
+    return _forward([_mod_p(r) for r in matrix], ncols, _mod_p)[1]
 
 
 def _mod_p(row: list[int]) -> list[int]:

@@ -340,8 +340,9 @@ class TestExitCodes:
         [
             (b'{"K": \xff}', "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
             (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+            (b"{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
         ],
-        ids=["not-utf8", "nested-100000-deep"],
+        ids=["not-utf8", "nested-100000-deep", "lone-brace"],
     )
     @pytest.mark.parametrize("command", ["check", "points", "kernel", "probe"])
     def test_unreadable_json_file_exits_2(self, tmp_path, capsys, command, content, reason):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import korncert.diffop
+import korncert.linalg
 from korncert.diffop import (
     CR_ONE,
     CR_ZERO,
@@ -444,6 +445,48 @@ class TestProbe:
         assert report.elliptic and report.c_elliptic
         assert report.to_json() == _exact_probe(op, 3, 0)
 
+    def test_probe_screens_the_last_minor_first(self, monkeypatch):
+        # sym_grad on R^3: the first frequency is screened on the 6 rows
+        # of output_basis, and every later one on the 3 rows of the
+        # minor that settled the one before.
+        widths = []
+        real = korncert.linalg.pivots_mod_p
+        monkeypatch.setattr(
+            korncert.linalg, "pivots_mod_p", lambda m, ncols: widths.append(ncols) or real(m, ncols)
+        )
+        op = builtin_operator("sym_grad", 3)
+        assert len(op.output_basis) == 6
+        assert ellipticity_probe(op, trials=4).to_json() == _exact_probe(op, 4, 0)
+        assert widths == [6] + [3] * (2 + 2 * 4 - 1)
+
+    def test_a_vanishing_minor_falls_back_to_output_basis(self):
+        # The gradient of a scalar on R^2 at xi = (0, 1): row 0 is zero,
+        # so the minor on it proves nothing, and output_basis finds row 1.
+        op = custom_operator([((1, 0), [[1], [0]]), ((0, 1), [[0], [1]])], name="grad")
+        xi = [(0, 1), (0, 1), (1, 1), (0, 1)]
+        assert _full_rank_mod_p(op, xi, (0,)) is None
+        assert op.output_basis == (0, 1)
+        assert _full_rank_mod_p(op, xi, op.output_basis) == (1,)
+
+
+# output_basis smaller than dimW: symmetric, deviatoric and higher-order
+# outputs, and a copy of an output row.
+_DEPENDENT_ROWS = [
+    builtin_operator("sym_grad", 2),
+    builtin_operator("sym_grad", 3),
+    builtin_operator("dev_sym_grad", 2),
+    builtin_operator("dev_sym_grad", 3),
+    builtin_operator("grad_k", 2, order=2),
+    custom_operator([((1, 0), [[1, 2], [0, 1], [1, 2]]), ((0, 1), [[0, 1], [3, 0], [0, 1]])]),
+]
+
+
+@pytest.mark.parametrize("op", _DEPENDENT_ROWS, ids=lambda op: f"{op.name}{op.n}")
+def test_probe_matches_exact_rank_loop_on_more_seeds(op):
+    assert len(op.output_basis) < op.dimW
+    for seed in range(10):
+        assert ellipticity_probe(op, trials=3, seed=seed).to_json() == _exact_probe(op, 3, seed), seed
+
 
 @pytest.mark.parametrize("bound", [1, 2, 10**6, 2**61])
 def test_rational_draws_are_the_randint_stream(bound):
@@ -632,10 +675,13 @@ def test_screen_decides_small_symbols_exactly(op, parts):
     # a norm of at most the product of its columns' squared lengths.  The
     # residue map a + ib -> a + I b (mod P) sends a Gaussian integer to 0
     # only when P divides its norm, so below P a nonzero minor stays
-    # nonzero mod P, and the screen's answer is the exact one.
+    # nonzero mod P, and the screen's answer is the exact one, on all
+    # output rows and on output_basis alike: a minor of some of the rows
+    # is a minor of them all.
     columns = zip(zip(*sym.re), zip(*sym.im))
     assert math.prod(sum(x * x + y * y for x, y in zip(*column)) for column in columns) < P
-    assert _full_rank_mod_p(op, xi) == (sym.rank() == op.dimV)
+    for rows in (tuple(range(op.dimW)), op.output_basis):
+        assert (_full_rank_mod_p(op, xi, rows) is not None) == (sym.rank() == op.dimV)
 
 
 # -- property suite ----------------------------------------------------

@@ -4,12 +4,14 @@ bools, floats, strings and None are refused with one message, and so is
 a value below the entry point's minimum."""
 
 import json
+import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from korncert.diffop import builtin_operator, ellipticity_probe
+from korncert.diffop import builtin_operator, custom_operator, ellipticity_probe
 from korncert.geometry import GeometryError, StarDomain, grid_frame, interior_points, line_points, sample_grid
 from korncert.kernel import kernel_basis, kernel_dim_profile, kernel_to_json
 from korncert.polyalg import MultiIndex, PolyVec, _monomial_basis, monomial_basis
@@ -20,6 +22,20 @@ _BALL2, _BALL3 = StarDomain.ball(2), StarDomain.ball(3)
 
 def _wavy3(m1=2, m2=3):
     return StarDomain(n=3, family="sine3d", c=2.0, a=1.0, m1=m1, m2=m2)
+
+
+def _seed_given_to_random(call) -> int:
+    """The seed that call hands random.Random."""
+    seeds = []
+
+    class Spy(random.Random):
+        def seed(self, a=None, version=2):
+            seeds.append(a)
+            super().seed(a, version)
+
+    with mock.patch.object(random, "Random", Spy):
+        call()
+    return seeds[0]
 
 
 # name: (what the messages call the value, its minimum, a call that
@@ -41,6 +57,8 @@ _ENTRY_POINTS = {
     "builtin_operator.n": ("n", 1, lambda v: builtin_operator("grad", v).n),
     "builtin_operator.order": ("order", 1, lambda v: builtin_operator("grad_k", 2, order=v).order),
     "ellipticity_probe": ("trials", 1, lambda v: ellipticity_probe(_OP, trials=v).elliptic_trials),
+    "ellipticity_probe.seed": ("seed", None, lambda v: _seed_given_to_random(lambda: ellipticity_probe(_OP, seed=v))),
+    "interior_points.seed": ("seed", None, lambda v: _seed_given_to_random(lambda: interior_points(_BALL2, 1, v))),
 }
 
 # Where there is no plain minimum: the outcome of a small value.
@@ -48,6 +66,8 @@ _BELOW = {
     "StarDomain.n": (1, GeometryError, r"^only n in \{2, 3\} supported, got 1$"),
     "StarDomain.m1": (np.int64(-1), None, None),  # sin(-m t) = -sin(m t): accepted
     "StarDomain.m2": (np.int64(-1), None, None),
+    "ellipticity_probe.seed": (np.int64(-1), None, None),  # random.Random takes any int
+    "interior_points.seed": (np.int64(-1), None, None),
 }
 
 _INPUTS = {
@@ -129,3 +149,14 @@ def test_kernel_of_a_bool_degree_is_refused():
     with pytest.raises(ValueError, match=r"^K must be an int, got True$"):
         kernel_basis(_OP, True)
     assert kernel_to_json(kernel_basis(_OP, np.int64(1)))["K"] == 1
+
+
+def test_numpy_int_seeds_give_the_same_draws():
+    # One variable and fewer outputs than inputs: the witness is the
+    # first random frequency, so the report shows the seed's draws.
+    op = custom_operator([((1,), [[1, 1]])])
+    report = ellipticity_probe(op, seed=5).to_json()
+    assert ellipticity_probe(op, seed=np.int64(5)).to_json() == report
+    assert ellipticity_probe(op, seed=6).to_json() != report
+    for a, b in zip(interior_points(_BALL2, 4, seed=np.int32(5)), interior_points(_BALL2, 4, seed=5)):
+        assert a.tobytes() == b.tobytes()

@@ -35,7 +35,7 @@ from korncert.kernel import (
     kernel_dim_profile,
     kernel_to_json,
 )
-from korncert.linalg import I, P, nullspace, rank, rank_mod_p, rref
+from korncert.linalg import I, P, nullspace, pivots_mod_p, rank, rank_mod_p, rref
 from korncert.polyalg import PolyVec, format_rational, monomial_basis
 from polyfields import embed, poly
 
@@ -377,9 +377,10 @@ class TestDimProfiles:
 
     def test_no_block_above_the_first_trivial_one_is_eliminated(self, monkeypatch):
         # sym_grad on R^3: block nullities 3, 3, 0; the degree-d block has
-        # 3 * (d+1)(d+2)/2 columns, so blocks 0..2 have 3, 9 and 18.
+        # 3 * (d+1)(d+2)/2 columns, so blocks 0..2 have 3, 9 and 18.  A
+        # block is eliminated exactly or mod P, never both.
         eliminated = []
-        for name in ("rank", "nullspace"):
+        for name in ("rank", "nullspace", "rank_mod_p"):
             real = getattr(korncert.linalg, name)
             monkeypatch.setattr(
                 korncert.linalg,
@@ -393,6 +394,38 @@ class TestDimProfiles:
         eliminated.clear()
         assert kernel_dim_profile(op, 4).dims == (3, 6, 6, 6, 6)
         assert eliminated == [3, 9, 18]
+
+    def test_screened_profile_is_the_exact_rank_profile(self):
+        for op in _operator_grid():
+            K_max = op.order + 3
+            assert kernel_dim_profile(op, K_max).dims == _exact_profile(op, K_max), (op.name, op.n)
+
+    def test_rank_drop_mod_p_falls_back_to_exact_elimination(self, monkeypatch):
+        # d/dx (u1, u2) -> (P u1', u2'): each degree-d block, d >= 1, is
+        # d diag(P, 1), of rank 2 but of rank 1 mod P.
+        op = custom_operator([((1,), [[P, 0], [0, 1]])])
+        calls = []
+        for name in ("rank", "nullspace", "rank_mod_p"):
+            real = getattr(korncert.linalg, name)
+            monkeypatch.setattr(
+                korncert.linalg,
+                name,
+                lambda block, ncols, _real=real, _name=name: calls.append((_name, len(block)))
+                or _real(block, ncols),
+            )
+        assert kernel_dim_profile(op, 3).dims == (2, 2, 2, 2) == _exact_profile(op, 3)
+        # The empty degree-0 block is decided mod P: no rows, rank 0.
+        assert calls == [("rank_mod_p", 0), ("rank_mod_p", 2), ("rank", 2)]
+        calls.clear()
+        assert kernel_basis(op, 3).dim == 2
+        assert calls == [("nullspace", 0), ("rank_mod_p", 2), ("nullspace", 2)]
+
+
+def _exact_profile(op, K_max: int) -> tuple[int, ...]:
+    """Reference: the kernel dimension at each K from the exact rank of
+    the whole coefficient matrix."""
+    sizes = [op.dimV * monomial_basis(op.n, K).size for K in range(K_max + 1)]
+    return tuple(m - rank(coefficient_matrix(op, K), m) for K, m in enumerate(sizes))
 
 
 def _unit_vector_matrix(op, K: int) -> list[list[Fraction]]:
@@ -510,6 +543,39 @@ def test_dependent_output_rows_leave_the_kernel_alone(data):
         got, want = kernel_basis(wider, K), kernel_basis(op, K)
         assert [p.coeffs for p in got.basis] == [p.coeffs for p in want.basis], (op.name, K)
     assert kernel_dim_profile(wider, 4).dims == kernel_dim_profile(op, 4).dims
+
+
+# Mostly small ints; P and 1/P make a block's rank mod P drop below its
+# exact rank, or leave only the 1/P entries mod P.
+_screen_entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), P, Fraction(1, P)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_screened_kernels_are_the_exact_kernels(data):
+    # Custom operators with output rows that combine the earlier ones:
+    # the screened profile is the exact-rank profile, and the kernel
+    # basis is the nullspace of the whole coefficient matrix,
+    # coefficient for coefficient.
+    n, order = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    dim_v, dim_w = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    alphas = [mi.entries for mi in monomial_basis(n, order).exponents if mi.order == order]
+    chosen = data.draw(st.lists(st.sampled_from(alphas), min_size=1, unique=True))
+    row = st.lists(_screen_entries, min_size=dim_v, max_size=dim_v)
+    matrices = data.draw(
+        st.lists(st.lists(row, min_size=dim_w, max_size=dim_w), min_size=len(chosen), max_size=len(chosen))
+        .filter(lambda ms: any(v for m in ms for r in m for v in r))
+    )
+    weights = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim_w, max_size=dim_w), max_size=2))
+    for matrix in matrices:
+        matrix += [[sum(c * r[v] for c, r in zip(ws, matrix)) for v in range(dim_v)] for ws in weights]
+    op = custom_operator(list(zip(chosen, matrices)))
+    K_max = order + 2
+    assert kernel_dim_profile(op, K_max).dims == _exact_profile(op, K_max)
+    for K in range(K_max + 1):
+        m = op.dimV * monomial_basis(n, K).size
+        want = nullspace(coefficient_matrix(op, K), m)
+        assert [list(p.coeffs) for p in kernel_basis(op, K).basis] == want, K
 
 
 def _dense_rref(matrix, ncols):
@@ -644,6 +710,22 @@ def test_elimination_matches_sympy(case):
     assert all(type(x) is Fraction for v in vectors for x in v)
     assert all(next(x for x in v if x) == 1 for v in vectors)
     assert len({id(x) for v in vectors for x in v if not x}) <= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pivots_mod_p_reduce_any_integers(data):
+    # Any ints, reduced or not; on small entries the pivots mod P are
+    # the exact ones, as in the test above.
+    ncols = data.draw(st.integers(1, 6))
+    small = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=5))
+    shifts = data.draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), min_size=len(small), max_size=len(small))
+    )
+    shifted = [[x + k * P for x, k in zip(r, ks)] for r, ks in zip(small, shifts)]
+    pivots = pivots_mod_p(shifted, ncols)
+    assert pivots == pivots_mod_p([[x % P for x in r] for r in small], ncols) == rref(small, ncols)[1]
+    assert rank_mod_p(shifted, ncols) == len(pivots)
 
 
 def _typed(matrix):
