@@ -29,9 +29,10 @@ keywords it uses, so no JSON Schema library is imported.  Unlike JSON
 Schema, it does not count a whole-number float such as 2.0 as an integer.
 
 kernel and probe are exact and load no numpy.  numpy loads on the first
-float call into geometry or normtest, and this module imports numpy,
-hashlib and csv only in the functions that use them, which only check
-and points reach.
+float call into geometry or normtest, and this module imports numpy and
+hashlib only in the functions that use them, which only check and points
+reach.  The plot data writer formats its CSV text itself, with no csv
+module.
 """
 
 from __future__ import annotations
@@ -382,9 +383,12 @@ def emit_plot_data(
     verdict: Verdict,
     outdir: str | Path,
 ) -> dict:
-    """Write boundary.csv (coarse grid geometry) and, when certificates
-    exist, residual.csv (per-certificate trace magnitude on the dense
-    grid).  Floats carry 17 significant digits."""
+    """Write boundary.csv (coarse grid angles, points and outward
+    normals) and, when certificates exist, residual.csv (dense grid
+    angles and per-certificate trace magnitudes); with no certificates,
+    remove a residual.csv an earlier run left in outdir.  Every value is
+    %.17g text, one row per grid point, the last angle varying fastest,
+    with csv.writer's \r\n line ends."""
     return _plot_files(BoundaryGrids(dom, kind, coarse, dense), verdict, outdir)
 
 
@@ -393,44 +397,51 @@ def _plot_files(samples: BoundaryGrids, verdict: Verdict, outdir: str | Path) ->
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     n = samples.dom.n
-    theta_cols = ["theta1"] if n == 2 else ["theta1", "theta2"]
 
     boundary_path = outdir / "boundary.csv"
     _write_csv(
         boundary_path,
-        theta_cols + [f"x{i+1}" for i in range(n)] + [f"nu{i+1}" for i in range(n)],
-        [samples.coarse.thetas, *samples.coarse_frame],
+        [f"x{i+1}" for i in range(n)] + [f"nu{i+1}" for i in range(n)],
+        samples.coarse,
+        samples.coarse_frame,
     )
 
     info: dict = {"boundary": str(boundary_path), "residual": None}
+    residual_path = outdir / "residual.csv"
     if not verdict.certificates:
+        residual_path.unlink(missing_ok=True)
         info["note"] = "no certificates; residual.csv not written"
         return info
 
-    residual_path = outdir / "residual.csv"
     mags = trace_magnitudes(verdict.certificates, samples.kind, *samples.dense_frame)
     _write_csv(
         residual_path,
-        theta_cols + [f"res_{i+1}" for i in range(len(verdict.certificates))],
-        [samples.dense.thetas, mags],
+        [f"res_{i+1}" for i in range(len(verdict.certificates))],
+        samples.dense,
+        [mags],
     )
     info["residual"] = str(residual_path)
     return info
 
 
-def _write_csv(path: Path, header: list[str], blocks: list) -> None:
-    """One header row, then the column blocks side by side, every value
-    as %.17g, with csv.writer's \r\n line ends.  The values need no
-    quoting, so each row is one format string."""
-    import csv
-
+def _write_csv(path: Path, columns: list[str], grid: SampleGrid, blocks: list) -> None:
+    """A header row (theta1[, theta2], then columns), then one row per
+    point of grid: its angles, then the blocks' rows side by side, every
+    value as %.17g, with csv.writer's \r\n line ends.  None of the text
+    needs quoting.  Each axis angle is formatted once and the angle
+    labels are joined into one format string for all the values, so the
+    file is one % and one write."""
     import numpy as np
 
-    rows = np.column_stack([np.asarray(b, dtype=float) for b in blocks]).tolist()
-    line = ",".join([_FLOAT_FMT] * len(header)) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(line % tuple(row) for row in rows)
+    labels = [_FLOAT_FMT % t for t in grid.axes[0].tolist()]
+    for axis in grid.axes[1:]:
+        inner = [_FLOAT_FMT % t for t in axis.tolist()]
+        labels = [f"{outer},{t}" for outer in labels for t in inner]
+    values = np.hstack(blocks)
+    header = [f"theta{k+1}" for k in range(len(grid.axes))] + columns
+    row = "," + ",".join([_FLOAT_FMT] * values.shape[1]) + "\r\n"
+    body = (row.join(labels) + row) % tuple(values.ravel().tolist())
+    path.write_text(",".join(header) + "\r\n" + body, encoding="utf-8", newline="")
 
 
 def _print_run_summary(report: dict) -> None:

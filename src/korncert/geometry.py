@@ -83,16 +83,18 @@ class StarDomain:
             raise GeometryError(f"unknown radial family: {self.family}")
         if expected_n != self.n:
             raise GeometryError(f"family {self.family} requires n = {expected_n}")
-        # The exact minimum of r.  A nonzero frequency m makes sin(m theta)
-        # cover [-1, 1] over [0, 2 pi); in 3D the polar factor over [0, pi]
-        # reaches 1 or -1 as well, so a*s1*s2 covers [-|a|, |a|].  A zero
-        # frequency leaves r = c.
+        if not self.rmin > 0.0:
+            raise GeometryError(f"radial function reaches its minimum {self.rmin:.6g} <= 0")
+
+    @property
+    def rmin(self) -> float:
+        """The exact minimum of r.  A nonzero frequency m makes
+        sin(m theta) cover [-1, 1] over [0, 2 pi); in 3D the polar factor
+        over [0, pi] reaches 1 or -1 as well, so a*s1*s2 covers
+        [-|a|, |a|].  A zero frequency leaves r = c."""
         if self.family == "constant" or self.m1 == 0 or (self.n == 3 and self.m2 == 0):
-            rmin = self.c
-        else:
-            rmin = self.c - abs(self.a)
-        if not rmin > 0.0:
-            raise GeometryError(f"radial function reaches its minimum {rmin:.6g} <= 0")
+            return self.c
+        return self.c - abs(self.a)
 
     # -- constructors ---------------------------------------------------
 
@@ -207,7 +209,9 @@ def _frame(dom: StarDomain, *angles: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     Raises GeometryError when the frame degenerates (e.g. at the 3D
     poles, which grids built by sample_grid never hit) or its length is
-    not finite (an overflow would turn every normal into 0).
+    not finite (an overflow would turn every normal into 0).  The
+    unnormalised normal is at least r^(n-1) long, times sin(theta1) in
+    3D, so the test is relative to rmin^(n-1), not to the domain's size.
     """
     import numpy as np
 
@@ -221,7 +225,10 @@ def _frame(dom: StarDomain, *angles: np.ndarray) -> tuple[np.ndarray, np.ndarray
         (a0, a1, a2), (b0, b1, b2) = tangents
         normals = _rows([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
     lengths = np.sqrt(_row_dots(normals, normals))
-    degenerate = (lengths < _FRAME_TOL) | ~np.isfinite(lengths)
+    # rmin * rmin, as rmin ** 2 raises where it overflows; <= still
+    # refuses a zero normal where the tolerance underflows to 0.
+    tol = _FRAME_TOL * (dom.rmin if dom.n == 2 else dom.rmin * dom.rmin)
+    degenerate = (lengths <= tol) | ~np.isfinite(lengths)
     if degenerate.any():
         at = tuple(float(t.flat[np.argmax(degenerate)]) for t in np.broadcast_arrays(*angles))
         raise GeometryError(f"degenerate tangent frame at theta = {at}")

@@ -617,18 +617,23 @@ class TestPlots:
         assert max(values) < 1e-8
 
     @pytest.mark.parametrize(
-        "radial,counts",
+        "radial,counts,ranges",
         [
-            ({"family": "constant", "c": "3/2"}, [7]),
-            ({"family": "constant", "c": 1}, [4, 4]),
+            ({"family": "constant", "c": "3/2"}, [7], None),
+            ({"family": "constant", "c": 1}, [4, 4], None),
+            ({"family": "constant", "c": 1}, [3], [[-1, 0.5]]),
+            # Unequal counts on a patch pin the row order: last angle fastest.
+            ({"family": "constant", "c": 1}, [3, 5], [[0.25, 2], [-1, 1.5]]),
+            # Values below 1e-4 print in exponent form.
+            ({"family": "constant", "c": "1/100000"}, [2, 3], None),
         ],
-        ids=["2d", "3d"],
+        ids=["2d", "3d", "2d-negative-range", "3d-patch", "3d-small-radius"],
     )
-    def test_csv_bytes_match_per_value_writer(self, tmp_path, radial, counts):
+    def test_csv_bytes_match_per_value_writer(self, tmp_path, radial, counts, ranges):
         n = len(counts) + 1
         dom = StarDomain.from_json({"n": n, "radial": radial})
-        coarse = sample_grid(dom, counts)
-        dense = sample_grid(dom, [8 * c for c in counts])
+        coarse = sample_grid(dom, counts, ranges)
+        dense = sample_grid(dom, [8 * c for c in counts], ranges)
         kind = TraceKind.NORMAL
         verdict = classify(kernel_basis(builtin_operator("sym_grad", n), 1), dom, kind, coarse, dense)
         assert verdict.certificates
@@ -667,6 +672,16 @@ class TestPlots:
         report, code = run_config(str(_CONFIG_DIR / "ball3d_devsymgrad_normal.json"), emit_plots=str(tmp_path))
         assert code == 0 and report["plots"]["residual"] is not None
         assert framed == [16, 1024]
+
+    def test_a1_run_removes_an_earlier_residual_csv(self, tmp_path):
+        report, _ = run_config(_base_config(), emit_plots=str(tmp_path))
+        assert report["plots"]["residual"] is not None
+        cfg = _base_config()
+        cfg["operator"]["builtin"] = "dev_grad"
+        report, _ = run_config(cfg, emit_plots=str(tmp_path))
+        assert report["plots"]["residual"] is None
+        assert not (tmp_path / "residual.csv").exists()
+        assert (tmp_path / "boundary.csv").stat().st_size > 0
 
     def test_no_residual_csv_for_a1(self, tmp_path):
         cfg = _base_config()
@@ -825,6 +840,19 @@ class TestShippedConfigs:
                 points += interior_points(dom, test["interior"]["count"], seed)
             verdict = point_measure_test(kb, points, **tolerances)
         assert report["verdict"] == verdict.to_json()
+
+    @pytest.mark.parametrize("radius", [0.01, "1/10000000"])
+    @pytest.mark.parametrize("stem", sorted(p.stem for p in _CONFIG_DIR.glob("*.json") if p.stem.startswith(("disk", "ball"))))
+    def test_scaled_ball_gives_the_unit_ball_verdict(self, stem, radius):
+        # The frame's degeneracy test is relative to the radius: in R^3 the
+        # unnormalised normal of a ball of radius 1e-7 is about 1e-14 long.
+        cfg = json.loads((_CONFIG_DIR / f"{stem}.json").read_text())
+        unit, _ = run_config(cfg)
+        cfg["test"]["domain"]["radial"]["c"] = radius
+        scaled, code = run_config(cfg)
+        assert code == 0
+        assert scaled["verdict"]["verdict"] == unit["verdict"]["verdict"]
+        assert len(scaled["verdict"]["certificates"]) == len(unit["verdict"]["certificates"])
 
     def test_schema_file_matches_embedded_schema(self):
         # The packaged schema file is the one CONFIG_SCHEMA loads, and it

@@ -238,6 +238,21 @@ class TestNormals:
         with pytest.raises(GeometryError):
             outward_normal(dom, (0.0, 0.3))
 
+    @pytest.mark.parametrize("radius", [1e-2, 1e-7, 1e-30])
+    def test_small_ball_frame_is_the_unit_ball_frame(self, radius):
+        # Degeneracy is judged relative to r^(n-1), which a scaled ball
+        # scales with its normals' unnormalised lengths; the pole of any
+        # ball still degenerates.
+        for n, theta in ((2, 0.3), (3, (0.39269908169872414, 0.39269908169872414))):
+            nu = outward_normal(StarDomain.ball(n, radius), theta)
+            assert np.allclose(nu, outward_normal(StarDomain.ball(n), theta), rtol=0, atol=1e-15)
+        with pytest.raises(GeometryError):
+            outward_normal(StarDomain.ball(3, radius), (0.0, 0.3))
+        dom = StarDomain.sine3d(radius, radius / 2, 2, 3)
+        grid = sample_grid(dom, [8, 8])
+        unit_nus = grid_frame(StarDomain.sine3d(1, 0.5, 2, 3), grid)[1]
+        assert np.allclose(grid_frame(dom, grid)[1], unit_nus, rtol=0, atol=1e-13)
+
     def test_overflowing_frame_degenerates(self):
         # At r = 1e155 the squared normal length overflows to inf, which
         # would scale every normal to 0; at 1e150 it is finite.
