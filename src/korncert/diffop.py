@@ -43,23 +43,29 @@ each Gaussian coordinate a + ib becomes its residue a + I b (mod P),
 with I a square root of -1 mod P (linalg).  That map is a ring
 homomorphism, so the walk over integer_terms with these residues gives
 the image re + I im (mod P) of the Gaussian-integer symbol.  The screen
-builds it transposed, dimV x dimW, keeps the columns of a given list of
-output rows, and looks for dimV of them whose minor is nonzero mod P
-(linalg.pivots_mod_p).  Such a minor is nonzero in re + i im too, so
-A[xi] has full rank, whatever the denominators of A.  Each frequency
-is screened in up to three steps:
+builds it transposed and on a given list of output rows only: a
+dimV x len(rows) matrix, walked from a table of those rows' entries of
+integer_terms (_row_terms).  It looks for dimV of the rows whose minor
+is nonzero mod P (linalg.pivots_mod_p).  Such a minor is nonzero in
+re + i im too, so A[xi] has full rank, whatever the denominators of A.
+Each frequency is screened in up to three steps:
 
 1. on the dimV rows of the minor that settled the previous frequency,
-   a dimV x dimV elimination.  That minor is a polynomial in xi that
-   did not vanish there, so it seldom vanishes at the next draw;
+   a walk over those rows' entries only and a dimV x dimV elimination.
+   That minor is a polynomial in xi that did not vanish there, so it
+   seldom vanishes at the next draw;
 2. if it does vanish mod P, on output_basis, whose rows have the rank
-   of all dimW of them over Q;
+   of all dimW of them over Q, again walking only their entries;
 3. if that fails too, by exact elimination: the frequency becomes
    Fractions, ComplexRationals and a SymbolMatrix.
 
 A frequency settled by step 1 or 2 needs no Fraction, and a rank drop
-is always decided exactly, by step 3.  The remembered minor lives in
-one probe call only.
+is always decided exactly, by step 3.  The remembered minor and the
+table of each screened row list live in one probe call only.
+
+builtin_operator is memoised, like polyalg.monomial_basis: one
+immutable operator per validated (name, n, order), shared by every
+caller.  Nothing else is kept between calls.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Sequence
 
@@ -268,6 +275,9 @@ def _first_order(n: int, entry, name: str) -> DiffOperator:
     return custom_operator(terms, name=name)
 
 
+_BUILTIN_NAMES = ("grad", "div", "sym_grad", "dev_grad", "dev_sym_grad", "grad_k")
+
+
 def builtin_operator(name: str, n: int, order: int | None = None) -> DiffOperator:
     """Construct one of the named operators on R^n.
 
@@ -275,14 +285,24 @@ def builtin_operator(name: str, n: int, order: int | None = None) -> DiffOperato
     takes the gradient order as `order`).  The three symmetric or
     deviatoric variants need n >= 2 (in one variable they collapse).
     Matrix-valued outputs are flattened row-major, so dimW = n^2 for the
-    first-order matrix operators and n^(k+1) for grad_k.
+    first-order matrix operators and n^(k+1) for grad_k.  Memoised: one
+    operator per (name, n, order), checked before the lookup, so the
+    result never depends on earlier calls.
     """
     n = parse_int(n, "n", 1)
-    if name in {"sym_grad", "dev_grad", "dev_sym_grad"} and n < 2:
+    if name in ("sym_grad", "dev_grad", "dev_sym_grad") and n < 2:
         raise ValueError(f"{name} needs n >= 2")
     if name != "grad_k" and order is not None:
         raise ValueError(f"{name} does not take an order argument")
+    if name not in _BUILTIN_NAMES:
+        raise ValueError(f"unknown operator name: {name}")
+    if name == "grad_k":
+        order = parse_int(order, "order", 1)
+    return _builtin_operator(name, n, order)
 
+
+@cache
+def _builtin_operator(name: str, n: int, order: int | None) -> DiffOperator:
     # entry(i, j, k, l) of each first-order matrix operator (_first_order),
     # as its integer numerator over the common denominator 2n.
     numerators = {
@@ -299,21 +319,19 @@ def builtin_operator(name: str, n: int, order: int | None = None) -> DiffOperato
     if name == "div":
         terms = [(_unit_alpha(n, l), [[one if k == l else zero for k in range(n)]]) for l in range(n)]
         return custom_operator(terms, name=name)
-    if name == "grad_k":
-        order = parse_int(order, "order", 1)
-        # Output row (i, j_1..j_k), row-major, holds d_{j_1}..d_{j_k} u_i,
-        # so it belongs to the term whose alpha counts the j's.
-        rows = [
-            (i, tuple(js.count(l) for l in range(n)))
-            for i, *js in itertools.product(range(n), repeat=order + 1)
-        ]
-        alphas = [mi for mi in monomial_basis(n, order).exponents if mi.order == order]
-        terms = []
-        for alpha in alphas:
-            matrix = [[one if k == i and c == alpha.entries else zero for k in range(n)] for i, c in rows]
-            terms.append((alpha, matrix))
-        return custom_operator(terms, name=f"grad_{order}")
-    raise ValueError(f"unknown operator name: {name}")
+    # grad_k.  Output row (i, j_1..j_k), row-major, holds
+    # d_{j_1}..d_{j_k} u_i, so it belongs to the term whose alpha counts
+    # the j's.
+    rows = [
+        (i, tuple(js.count(l) for l in range(n)))
+        for i, *js in itertools.product(range(n), repeat=order + 1)
+    ]
+    alphas = [mi for mi in monomial_basis(n, order).exponents if mi.order == order]
+    terms = []
+    for alpha in alphas:
+        matrix = [[one if k == i and c == alpha.entries else zero for k in range(n)] for i, c in rows]
+        terms.append((alpha, matrix))
+    return custom_operator(terms, name=f"grad_{order}")
 
 
 def operator_from_json(obj: dict) -> DiffOperator:
@@ -491,27 +509,39 @@ def _witness_from(symbol: SymbolMatrix) -> Witness:
     return Witness(xi=symbol.xi, v=v)
 
 
+def _row_terms(A: DiffOperator, rows: Sequence[int]) -> tuple:
+    """integer_terms on the output rows listed in rows: per term, the
+    (coordinate, exponent) pairs of alpha's nonzero entries and the
+    entries (c, v, m) of row w = rows[c]; a term with none is left out."""
+    position = {w: c for c, w in enumerate(rows)}
+    terms = []
+    for alpha, entries in A.integer_terms:
+        kept = tuple((position[w], v, m) for w, v, m in entries if w in position)
+        if kept:
+            terms.append((tuple((i, e) for i, e in enumerate(alpha.entries) if e), kept))
+    return tuple(terms)
+
+
 def _full_rank_mod_p(
-    A: DiffOperator, xi: Sequence[tuple[int, int]], rows: Sequence[int]
+    A: DiffOperator, xi: Sequence[tuple[int, int]], rows: Sequence[int], terms: tuple
 ) -> tuple[int, ...] | None:
     """dimV of the output rows listed in rows whose minor of A[xi] is
     nonzero mod P, which proves that A[xi] has full column rank; None
-    proves nothing.  xi holds the real and imaginary part of each
-    coordinate in turn, as (numerator, denominator) pairs (module
-    docstring)."""
+    proves nothing.  terms is _row_terms(A, rows), and xi holds the real
+    and imaginary part of each coordinate in turn, as (numerator,
+    denominator) pairs (module docstring)."""
     z, _ = _scaled(xi)
     P = linalg.P
     residues = [(a + linalg.I * b) % P for a, b in zip(z[::2], z[1::2])]
-    # The transpose of the symbol's image: dimV rows, one per input.
-    image = [[0] * A.dimW for _ in range(A.dimV)]
-    for alpha, entries in A.integer_terms:
+    # The transpose of the symbol's image on rows: dimV rows, one per input.
+    image = [[0] * len(rows) for _ in range(A.dimV)]
+    for powers, entries in terms:
         x = 1
-        for r, e in zip(residues, alpha.entries):
-            if e:
-                x = x * r**e % P
-        for w, v, m in entries:
-            image[v][w] += x * m
-    pivots = linalg.pivots_mod_p([[row[w] for w in rows] for row in image], len(rows))
+        for i, e in powers:
+            x = x * residues[i] ** e % P
+        for c, v, m in entries:
+            image[v][c] += x * m
+    pivots = linalg.pivots_mod_p(image, len(rows))
     return tuple([rows[c] for c in pivots]) if len(pivots) == A.dimV else None
 
 
@@ -583,6 +613,13 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
     elliptic = c_elliptic = True
     witness: Witness | None = None
     minor: tuple[int, ...] = ()  # the output rows that settled the last screen
+    row_terms: dict[tuple[int, ...], tuple] = {}  # _row_terms of each screened row tuple
+
+    def screen(xi: list[tuple[int, int]], rows: tuple[int, ...]) -> tuple[int, ...] | None:
+        if rows not in row_terms:
+            row_terms[rows] = _row_terms(A, rows)
+        return _full_rank_mod_p(A, xi, rows, row_terms[rows])
+
     for real, xi in frequencies:
         # With fewer outputs than inputs every symbol is deficient by its
         # shape; otherwise a full rank mod P settles the frequency, on the
@@ -590,7 +627,7 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
         # frequency that neither settles becomes Fractions.
         symbol = None
         if A.dimW >= A.dimV:
-            settled = (minor and _full_rank_mod_p(A, xi, minor)) or _full_rank_mod_p(A, xi, A.output_basis)
+            settled = (minor and screen(xi, minor)) or screen(xi, A.output_basis)
             if settled:
                 minor = settled
                 continue

@@ -367,8 +367,11 @@ def line_points(p0: Sequence[float], direction: Sequence[float], count: int, ext
     for name, values in (("p0", p0), ("dir", d)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite, got {values.tolist()}")
-    length = float(np.linalg.norm(d))
-    if length < _FRAME_TOL:
-        raise ValueError("zero direction vector")
+    # The float norm is tested, not dir's entries: any nonzero finite
+    # norm normalises, and one that overflowed to inf would give zeros.
+    with np.errstate(over="ignore", under="ignore"):
+        length = float(np.linalg.norm(d))
+    if not 0 < length < math.inf:
+        raise ValueError(f"the norm of dir must be nonzero and finite, got {length} for {d.tolist()}")
     d = d / length
     return [p0 + t * d for t in np.linspace(-extent, extent, count)]

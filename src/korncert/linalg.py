@@ -40,9 +40,10 @@ the exact rank, so an integer or Gaussian-integer matrix whose rank mod
 P is its row or column count has that full rank exactly; a rational
 matrix reaches it with its rows cleared to integers first.
 pivots_mod_p, and rank_mod_p, which counts its pivots, run the forward
-half on the rows reduced mod P and reduce each updated row mod P, in
-place of the gcd: the pivot is a unit mod P.  A rank drop mod P proves
-nothing: only a full-rank answer may be taken from them.
+half on the rows reduced mod P and build each updated row once, already
+reduced mod P, in place of the gcd: the pivot is a unit mod P.  A rank
+drop mod P proves nothing: only a full-rank answer may be taken from
+them.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 P = 2**61 - 31
 I = 583529827753931384  # I * I = -1 (mod P)
@@ -63,7 +64,7 @@ def rref(
     primitive integer rows, pivot rows first and zero rows last, and the
     pivot column list.  Row i divided by its entry in column pivots[i]
     is row i of the reduced row echelon form."""
-    rows, pivots = _forward(_integer_rows(matrix, ncols), ncols, _primitive)
+    rows, pivots = _forward(_integer_rows(matrix, ncols), ncols)
     if len(pivots) == ncols:  # the identity exit
         units = [[0] * ncols for _ in range(ncols)]
         for col, row in enumerate(units):
@@ -81,12 +82,10 @@ def rref(
     return rows, pivots
 
 
-def _forward(
-    rows: list[list[int]], ncols: int, shrink: Callable[[list[int]], list[int]]
-) -> tuple[list[list[int]], list[int]]:
+def _forward(rows: list[list[int]], ncols: int, mod_p: bool = False) -> tuple[list[list[int]], list[int]]:
     """The forward half, on rows it owns: the updates below each pivot.
-    Each updated row goes through shrink: division by its gcd, or
-    reduction mod P."""
+    Each updated row is divided by its gcd or, with mod_p, built reduced
+    mod P, one list per update."""
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
@@ -103,8 +102,12 @@ def _forward(
         for i in range(rank + 1, len(rows)):
             row = rows[i]
             f = row[col]
-            if f:
-                rows[i] = shrink([p * a - f * b for a, b in zip(row, pivot_row)])
+            if not f:
+                continue
+            if mod_p:
+                rows[i] = [(p * a - f * b) % P for a, b in zip(row, pivot_row)]
+            else:
+                rows[i] = _primitive([p * a - f * b for a, b in zip(row, pivot_row)])
         pivots.append(col)
         rank += 1
         if rank == len(rows):
@@ -134,7 +137,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def rank(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> int:
-    return len(_forward(_integer_rows(matrix, ncols), ncols, _primitive)[1])
+    return len(_forward(_integer_rows(matrix, ncols), ncols)[1])
 
 
 def nullspace(matrix: Sequence[Sequence[int | Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -172,8 +175,4 @@ def pivots_mod_p(matrix: Sequence[Sequence[int]], ncols: int) -> list[int]:
     """The pivot columns of an integer matrix mod P: the first column
     that is no combination mod P of earlier ones, then the next, up to
     the rank.  The columns they name have full column rank mod P."""
-    return _forward([_mod_p(r) for r in matrix], ncols, _mod_p)[1]
-
-
-def _mod_p(row: list[int]) -> list[int]:
-    return [v % P for v in row]
+    return _forward([[v % P for v in row] for row in matrix], ncols, mod_p=True)[1]

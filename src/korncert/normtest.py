@@ -122,7 +122,8 @@ class Verdict:
             "verdict": self.tag,
             "certificates": [
                 {
-                    "coeffs": [float(c) for c in p.coeffs],
+                    # Int true division is float(c), bit for bit (float_columns).
+                    "coeffs": [c.numerator / c.denominator for c in p.coeffs],
                     "pretty": format_poly(p),
                 }
                 for p in self.certificates

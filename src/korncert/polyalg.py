@@ -11,10 +11,10 @@ The coefficient of monomial j for component c lives at index
 j * dimV + c.  A PolyVec is only that coefficient record; linear
 algebra on fields happens on coefficient vectors (kernel.py, normtest.py).
 The monomial tables are memoised: compositions(d, n) is one tuple per
-degree and monomial_basis(n, K) one MonomialBasis per (n, K), index and
-numpy exponent_table included, shared by every caller.  Both are pure
-functions of two small ints with immutable results; nothing else is kept
-between calls.  The public PolyVec constructor coerces ints, strings and
+degree and monomial_basis(n, K) one MonomialBasis per (n, K), index,
+numpy exponent_table and format_poly's labels included, shared by every
+caller.  Both are pure functions of two small ints with immutable
+results; nothing else is kept between calls.  The public PolyVec constructor coerces ints, strings and
 floats to Fractions; the private PolyVec._of_fractions adopts
 coefficients that are Fractions by construction (kernel bases,
 from_floats) and checks only their number.
@@ -144,6 +144,15 @@ class MonomialBasis:
         table = np.array([mi.entries for mi in self.exponents])
         table.flags.writeable = False
         return table
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Each monomial as format_poly prints it after its coefficient,
+        e.g. "*x1^2*x2" (empty for 1), built once."""
+        return tuple(
+            "".join(f"*x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(mi.entries) if e)
+            for mi in self.exponents
+        )
 
     def index_of(self, mi: MultiIndex) -> int:
         try:
@@ -277,16 +286,8 @@ def differentiate(p: PolyVec, alpha: MultiIndex | tuple[int, ...]) -> PolyVec:
 
 def format_poly(p: PolyVec) -> str:
     """Human-readable form, e.g. "(-3/2)*x1^2*x2 e_1", graded-lex term order."""
-    parts = []
-    for j, mi in enumerate(p.basis.exponents):
-        for c in range(p.dimV):
-            q = p.coeffs[j * p.dimV + c]
-            if q == 0:
-                continue
-            factors = "".join(
-                f"*x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mi.entries)
-                if e > 0
-            )
-            parts.append(f"({format_rational(q)}){factors} e_{c + 1}")
-    return " + ".join(parts) if parts else "0"
+    labels, dim_v = p.basis.labels, p.dimV
+    parts = [
+        f"({format_rational(q)}){labels[i // dim_v]} e_{i % dim_v + 1}" for i, q in enumerate(p.coeffs) if q
+    ]
+    return " + ".join(parts) or "0"

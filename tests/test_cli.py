@@ -31,6 +31,8 @@ from korncert.diffop import builtin_operator, ellipticity_probe
 from korncert.geometry import StarDomain, grid_frame, interior_points, line_points, sample_grid
 from korncert.kernel import kernel_basis, kernel_to_json
 from korncert.normtest import TraceKind, classify, point_measure_test, trace_magnitudes
+from korncert.polyalg import PolyVec, monomial_basis
+from polyfields import format_poly_reference
 
 _CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 _SCHEMA_FILE = Path(__file__).resolve().parent.parent / "src" / "korncert" / "config-schema.json"
@@ -404,6 +406,22 @@ class TestExitCodes:
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, test, field):
         assert main(["points", "--config", _write(tmp_path, _base_config(test=test))]) == 2
         assert capsys.readouterr().err == f"error: config field {field}: int too large to convert to float\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_line_direction_with_an_overflowing_norm_exits_2(self, tmp_path, capsys):
+        cfg = _base_config(test=_line_test(dir=[1e308, 1e308]))
+        assert main(["points", "--config", _write(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config field test.lines: the norm of dir must be nonzero and finite, "
+            "got inf for [1e+308, 1e+308]\n"
+        )
+
+    def test_short_line_direction_gives_the_unit_direction_run(self):
+        # Only the config block, which echoes dir, differs.
+        short, code = run_config(_base_config(test=_line_test(dir=[1e-15, 0])))
+        unit, _ = run_config(_base_config(test=_line_test()))
+        assert code == 0
+        assert short["test"] == unit["test"] and short["verdict"] == unit["verdict"]
 
     def test_grad_k_order_zero_reaches_builtin_check(self, capsys):
         code = main(["kernel", "--op", "grad_k", "--n", "2", "--order", "0", "--K", "1"])
@@ -840,6 +858,47 @@ class TestShippedConfigs:
                 points += interior_points(dom, test["interior"]["count"], seed)
             verdict = point_measure_test(kb, points, **tolerances)
         assert report["verdict"] == verdict.to_json()
+
+    @pytest.mark.parametrize("config_path", sorted(_CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_report_strings_are_the_term_by_term_join(self, config_path):
+        # Certificates are adopted from floats, so their JSON coefficients
+        # give back the exact PolyVec.
+        cfg = json.loads(config_path.read_text())
+        report, _ = run_config(cfg)
+        kb = kernel_basis(build_operator(cfg["operator"]), cfg["K"])
+        assert report["kernel"]["basis"] == [format_poly_reference(p) for p in kb.basis]
+        for cert in report["verdict"]["certificates"]:
+            p = PolyVec.from_floats(monomial_basis(kb.operator.n, cfg["K"]), kb.operator.dimV, cert["coeffs"])
+            assert [float(c) for c in p.coeffs] == cert["coeffs"]
+            assert cert["pretty"] == format_poly_reference(p)
+
+    def test_one_process_gives_each_config_its_fresh_process_digest(self):
+        # builtin operators are memoised per process.  Every shipped
+        # config run forward, then in reverse, in one process gives the
+        # digest that a fresh check process prints for it.
+        src = str(Path(korncert.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        paths = [str(p) for p in sorted(_CONFIG_DIR.glob("*.json"))]
+        script = (
+            "import sys\n"
+            "from korncert.cli import run_config\n"
+            "for path in sys.argv[1:] + sys.argv[:0:-1]:\n"
+            "    print(path, run_config(path)[0]['digest'])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *paths], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        one_process = [line.split() for line in proc.stdout.splitlines()]
+        assert [path for path, _ in one_process] == paths + paths[::-1]
+        for path in paths:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "korncert.cli", "check", "--config", path],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert fresh.returncode == 0, fresh.stderr
+            (digest,) = [line.split(":")[1].strip() for line in fresh.stdout.splitlines() if line.startswith("digest")]
+            assert [d for p, d in one_process if p == path] == [digest, digest], path
 
     @pytest.mark.parametrize("radius", [0.01, "1/10000000"])
     @pytest.mark.parametrize("stem", sorted(p.stem for p in _CONFIG_DIR.glob("*.json") if p.stem.startswith(("disk", "ball"))))

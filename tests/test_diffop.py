@@ -21,6 +21,7 @@ from korncert.diffop import (
     SymbolMatrix,
     _full_rank_mod_p,
     _rational_draws,
+    _row_terms,
     apply_operator,
     builtin_operator,
     custom_operator,
@@ -29,7 +30,7 @@ from korncert.diffop import (
     operator_from_tensor4,
     symbol_matrix,
 )
-from korncert.linalg import P
+from korncert.linalg import I, P
 from korncert.polyalg import MultiIndex, PolyVec, differentiate, eval_poly, monomial_basis
 from polyfields import poly
 
@@ -124,6 +125,44 @@ class TestBuiltins:
     )
     def test_builtins_match_their_defining_formulas(self, name, order, n):
         assert builtin_operator(name, n, order).to_json() == _reference_builtin(name, n, order)
+
+    @pytest.mark.parametrize(
+        "name, n, order",
+        [("grad", 3, None), ("div", 2, None), ("sym_grad", 3, None), ("dev_grad", 2, None)]
+        + [("dev_sym_grad", 3, None), ("grad_k", 2, 3), ("grad_k", 1, 1)],
+    )
+    def test_equal_arguments_give_the_identical_operator(self, name, n, order):
+        op = builtin_operator(name, n, order)
+        wide = None if order is None else np.int64(order)
+        assert builtin_operator(name, np.int64(n), wide) is op
+        assert builtin_operator(name, n=n, order=order) is op
+        # The memo hands out what a fresh build gives.
+        assert op == korncert.diffop._builtin_operator.__wrapped__(name, n, order)
+        assert type(op.n) is int
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("grad", True), r"^n must be an int, got True$"),
+            (("grad", 1.0), r"^n must be an int, got 1\.0$"),
+            (("grad_k", 1, True), r"^order must be an int, got True$"),
+            (("grad_k", 1, 1.0), r"^order must be an int, got 1\.0$"),
+            (("grad_k", 1), r"^order must be an int, got None$"),
+            (("curl", 1), r"^unknown operator name: curl$"),
+            (("grad", 1, 1), r"^grad does not take an order argument$"),
+        ],
+    )
+    def test_invalid_arguments_raise_on_every_call_and_stay_out_of_the_memo(self, args, message):
+        # True == 1 and 1.0 == 1 as memo keys, so each check comes first:
+        # a valid (name, 1, ...) already in the memo lets none through.
+        builtin_operator("grad", 1)
+        builtin_operator("grad_k", 1, 1)
+        memo = korncert.diffop._builtin_operator
+        size = memo.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                builtin_operator(*args)
+        assert memo.cache_info().currsize == size
 
 
 def _reference_builtin(name: str, n: int, order: int | None) -> dict:
@@ -464,9 +503,9 @@ class TestProbe:
         # so the minor on it proves nothing, and output_basis finds row 1.
         op = custom_operator([((1, 0), [[1], [0]]), ((0, 1), [[0], [1]])], name="grad")
         xi = [(0, 1), (0, 1), (1, 1), (0, 1)]
-        assert _full_rank_mod_p(op, xi, (0,)) is None
+        assert _full_rank_mod_p(op, xi, (0,), _row_terms(op, (0,))) is None
         assert op.output_basis == (0, 1)
-        assert _full_rank_mod_p(op, xi, op.output_basis) == (1,)
+        assert _full_rank_mod_p(op, xi, op.output_basis, _row_terms(op, op.output_basis)) == (1,)
 
 
 # output_basis smaller than dimW: symmetric, deviatoric and higher-order
@@ -681,7 +720,90 @@ def test_screen_decides_small_symbols_exactly(op, parts):
     columns = zip(zip(*sym.re), zip(*sym.im))
     assert math.prod(sum(x * x + y * y for x, y in zip(*column)) for column in columns) < P
     for rows in (tuple(range(op.dimW)), op.output_basis):
-        assert (_full_rank_mod_p(op, xi, rows) is not None) == (sym.rank() == op.dimV)
+        assert (_full_rank_mod_p(op, xi, rows, _row_terms(op, rows)) is not None) == (sym.rank() == op.dimV)
+
+
+def _pivots_mod_p_reference(matrix, ncols):
+    """Pivot columns mod P by textbook elimination: each pivot row is
+    scaled to a leading one by its inverse mod P."""
+    rows = [[v % P for v in row] for row in matrix]
+    pivots = []
+    for col in range(ncols):
+        found = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
+        if found is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[found] = rows[found], rows[k]
+        inverse = pow(rows[k][col], -1, P)
+        rows[k] = [v * inverse % P for v in rows[k]]
+        for r in range(k + 1, len(rows)):
+            f = rows[r][col]
+            rows[r] = [(a - f * b) % P for a, b in zip(rows[r], rows[k])]
+        pivots.append(col)
+    return pivots
+
+
+def _full_image_screen(op, xi, rows):
+    """Reference screen: the residue image of every integer_terms entry,
+    dimV x dimW, then the columns of the given rows."""
+    d = math.lcm(*(q for _, q in xi))
+    z = [p * (d // q) for p, q in xi]
+    residues = [(a + I * b) % P for a, b in zip(z[::2], z[1::2])]
+    image = [[0] * op.dimW for _ in range(op.dimV)]
+    for alpha, entries in op.integer_terms:
+        x = math.prod(pow(r, e, P) for r, e in zip(residues, alpha.entries)) % P
+        for w, v, m in entries:
+            image[v][w] += x * m
+    pivots = _pivots_mod_p_reference([[row[w] for w in rows] for row in image], len(rows))
+    return tuple(rows[c] for c in pivots) if len(pivots) == op.dimV else None
+
+
+_SCREENED = [
+    builtin_operator(name, n, order)
+    for name, n, order in [
+        *((name, n, None) for name in ("grad", "div") for n in (1, 2, 3)),
+        *((name, n, None) for name in ("sym_grad", "dev_grad", "dev_sym_grad") for n in (2, 3)),
+        ("grad_k", 1, 2),
+        ("grad_k", 2, 1),
+        ("grad_k", 2, 2),
+        ("grad_k", 2, 3),
+        ("grad_k", 3, 2),
+    ]
+] + [
+    _DEPENDENT_ROWS[-1],
+    # Second order, every row in every term, row 3 = row 1 + row 2.
+    custom_operator(
+        [
+            ((2, 0), [[1, 0], [0, 1], [1, 1]]),
+            ((1, 1), [[0, 1], [-1, 0], [-1, 1]]),
+            ((0, 2), [[1, 0], [0, 2], [1, 2]]),
+        ]
+    ),
+    # The wave operator twice: its symbol vanishes where xi_1 = +-xi_2.
+    custom_operator([((2, 0), [[1], [2]]), ((0, 2), [[-1], [-2]])], name="wave"),
+]
+
+# Parts small enough to make minors vanish, or probe-sized ones.
+_screen_parts = st.one_of(
+    st.tuples(st.integers(-2, 2), st.integers(1, 2)),
+    st.tuples(st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    op=st.sampled_from(_SCREENED),
+    real=st.booleans(),
+    parts=st.lists(_screen_parts, min_size=6, max_size=6),
+    picks=st.lists(st.integers(0, 26), min_size=1),
+)
+@example(op=_SCREENED[-1], real=True, parts=[(1, 1), (0, 1), (-1, 1), (0, 1), (0, 1), (0, 1)], picks=[1])
+def test_screen_on_its_rows_matches_the_full_image(op, real, parts, picks):
+    xi = [(0, 1) if real and c % 2 else part for c, part in enumerate(parts[: 2 * op.n])]
+    # The rows in the order picked, each once.
+    picked = tuple(dict.fromkeys(k % op.dimW for k in picks))
+    for rows in (op.output_basis, tuple(range(op.dimW)), picked):
+        assert _full_rank_mod_p(op, xi, rows, _row_terms(op, rows)) == _full_image_screen(op, xi, rows)
 
 
 # -- property suite ----------------------------------------------------

@@ -366,6 +366,24 @@ class TestPointGenerators:
         with pytest.raises(ValueError):
             line_points([0, 0], [0, 0], 3, 1.0)
 
+    @pytest.mark.parametrize("direction", [[1e-15, 0], [2, 0], [1e150, 0]])
+    def test_line_direction_of_any_finite_length_is_normalised(self, direction):
+        # d / |d| is exactly e_1 here, so the points keep the unit
+        # direction's bits.
+        pts = line_points([0.5, 0], direction, 3, 1.0)
+        assert all(np.array_equal(p, q) for p, q in zip(pts, line_points([0.5, 0], [1, 0], 3, 1.0)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "direction, length", [([0, 0], "0.0"), ([1e-200, 0], "0.0"), ([1e308, 1e308], "inf")]
+    )
+    def test_line_direction_norm_must_be_nonzero_and_finite(self, direction, length):
+        # The float norm decides: one that underflows to 0 or overflows
+        # to inf is refused, with no warning, rather than normalised into
+        # zeros or copies of p0.
+        with pytest.raises(ValueError, match=rf"^the norm of dir must be nonzero and finite, got {length} for "):
+            line_points([0, 0], direction, 3, 1.0)
+
     @pytest.mark.parametrize("p0,direction", [([0, 0], [1, 0, 0]), ([0, 0, 0], [1, 0])])
     def test_line_p0_and_dir_of_different_lengths(self, p0, direction):
         with pytest.raises(ValueError, match=r"^p0 and dir must have the same length, got shapes "):

@@ -36,8 +36,8 @@ from korncert.kernel import (
     kernel_to_json,
 )
 from korncert.linalg import I, P, nullspace, pivots_mod_p, rank, rank_mod_p, rref
-from korncert.polyalg import PolyVec, format_rational, monomial_basis
-from polyfields import embed, poly
+from korncert.polyalg import PolyVec, format_poly, format_rational, monomial_basis
+from polyfields import embed, format_poly_reference, poly
 
 _CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -497,6 +497,14 @@ def test_kernel_sweep_coefficients_are_fractions():
             for p in kernel_basis(op, K).basis:
                 assert p.basis is monomial_basis(n, K)
                 assert all(type(c) is Fraction for c in p.coeffs), (name, n, K)
+
+
+def test_format_poly_is_the_term_by_term_join_on_the_kernel_sweep():
+    for name, n, order, degrees in _KERNEL_SWEEP:
+        op = builtin_operator(name, n, order)
+        for K in degrees:
+            for p in kernel_basis(op, K).basis:
+                assert format_poly(p) == format_poly_reference(p), (name, n, K)
 
 
 # -- property suite ----------------------------------------------------
