@@ -367,11 +367,14 @@ def line_points(p0: Sequence[float], direction: Sequence[float], count: int, ext
     for name, values in (("p0", p0), ("dir", d)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite, got {values.tolist()}")
-    # The float norm is tested, not dir's entries: any nonzero finite
-    # norm normalises, and one that overflowed to inf would give zeros.
-    with np.errstate(over="ignore", under="ignore"):
-        length = float(np.linalg.norm(d))
-    if not 0 < length < math.inf:
-        raise ValueError(f"the norm of dir must be nonzero and finite, got {length} for {d.tolist()}")
-    d = d / length
+    if not d.any():
+        raise ValueError(f"dir must be nonzero, got {d.tolist()}")
+    # Scaled by a power of two to a largest entry in [0.5, 1) first, so
+    # the norm neither underflows nor overflows; the scaling is exact, so
+    # a direction whose norm is in range keeps its bits.
+    # Entries far below the largest may still underflow, as they would
+    # in the norm of dir itself.
+    with np.errstate(under="ignore"):
+        d = np.ldexp(d, -math.frexp(float(np.max(np.abs(d))))[1])
+        d = d / np.linalg.norm(d)
     return [p0 + t * d for t in np.linspace(-extent, extent, count)]

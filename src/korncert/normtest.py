@@ -28,7 +28,14 @@ Trace kinds: FULL is the whole vector trace, NORMAL the scalar
 Every trace is evaluated by trace_values: a table of coordinate powers,
 one multiplication per degree, gathered by MonomialBasis.exponent_table,
 then one matrix product of the monomial values with the coefficients;
-a magnitude is its max over components.  Float coefficients come from
+a magnitude is its max over components.  A nullspace needs only the
+singular values and the right singular vectors, so numeric_nullspace
+never forms the left factor U of a tall SVD: it first replaces a
+constraint matrix of thousands of rows by the stacked R factors of
+blocks of at most _QR_BLOCK_ENTRIES entries (TSQR), which have the same
+singular values and right singular vectors.  No LAPACK call is then
+large enough for OpenBLAS to split across threads, whose hand-off can
+cost a scheduler tick per call.  Float coefficients come from
 polyalg.float_columns, a kernel's once, as KernelBasis.unit_columns.  A
 sample set keeps its frames; every other float (traces, spectra,
 verdicts) is recomputed on every call.  The module loads no numpy: each
@@ -53,6 +60,8 @@ if TYPE_CHECKING:
 _SIGMA_REL_DEFAULT = 1e-10
 _TOL_DENSE_DEFAULT = 1e-8
 _SIGN_CUTOFF = 1e-9
+# The most entries one LAPACK call in numeric_nullspace's reduction sees.
+_QR_BLOCK_ENTRIES = 8192
 
 
 class TraceKind(enum.Enum):
@@ -201,13 +210,30 @@ def numeric_nullspace(
     matrix: np.ndarray, sigma_rel: float = _SIGMA_REL_DEFAULT
 ) -> NullspaceResult:
     """SVD nullspace with the relative threshold
-    sigma_i <= sigma_rel * max(sigma_max, 1)."""
+    sigma_i <= sigma_rel * max(sigma_max, 1).
+
+    Only the singular values and the right singular vectors are used, so
+    a tall matrix is first reduced (TSQR): while it has more than
+    block = max(_QR_BLOCK_ENTRIES // d, 2 d) rows, it is zero-padded to
+    whole blocks and replaced by the stacked R factors of its blocks.
+    Each pass keeps R^T R = A^T A and leaves at most q / 2 + d rows; no
+    LAPACK call sees more than _QR_BLOCK_ENTRIES entries for d <= 64, so
+    none is split across BLAS threads and the q x d left factor U of a
+    tall SVD is never formed.  A matrix of at most block rows takes the
+    direct SVD, bit for bit."""
     import numpy as np
 
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise ValueError("empty constraint matrix")
     q, d = matrix.shape
+    block = max(_QR_BLOCK_ENTRIES // d, 2 * d)
+    while q > block:
+        k = -(-q // block)
+        stack = np.zeros((k * block, d))
+        stack[:q] = matrix
+        matrix = np.linalg.qr(stack.reshape(k, block, d), mode="r").reshape(k * d, d)
+        q = k * d
     # Only a wide matrix needs the full V: its extra rows span the
     # directions no constraint touches.
     _, s, vh = np.linalg.svd(matrix, full_matrices=q < d)

@@ -408,20 +408,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: config field {field}: int too large to convert to float\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_line_direction_with_an_overflowing_norm_exits_2(self, tmp_path, capsys):
-        cfg = _base_config(test=_line_test(dir=[1e308, 1e308]))
-        assert main(["points", "--config", _write(tmp_path, cfg)]) == 2
-        assert capsys.readouterr().err == (
-            "error: config field test.lines: the norm of dir must be nonzero and finite, "
-            "got inf for [1e+308, 1e+308]\n"
-        )
-
-    def test_short_line_direction_gives_the_unit_direction_run(self):
-        # Only the config block, which echoes dir, differs.
-        short, code = run_config(_base_config(test=_line_test(dir=[1e-15, 0])))
-        unit, _ = run_config(_base_config(test=_line_test()))
+    @pytest.mark.parametrize("direction, unit", [([1e-15, 0], [1, 0]), ([1e308, 1e308], [1, 1])])
+    def test_line_direction_of_any_finite_length_gives_the_unit_direction_run(self, direction, unit):
+        # Only the config block, which echoes dir, differs; the norm of
+        # [1e308, 1e308] overflows, but dir is scaled by a power of two
+        # before it is normalised.
+        scaled, code = run_config(_base_config(test=_line_test(dir=direction)))
+        ref, _ = run_config(_base_config(test=_line_test(dir=unit)))
         assert code == 0
-        assert short["test"] == unit["test"] and short["verdict"] == unit["verdict"]
+        assert scaled["test"] == ref["test"] and scaled["verdict"] == ref["verdict"]
 
     def test_grad_k_order_zero_reaches_builtin_check(self, capsys):
         code = main(["kernel", "--op", "grad_k", "--n", "2", "--order", "0", "--K", "1"])
@@ -553,10 +548,21 @@ class TestDeterminism:
             for name in ("boundary.csv", "residual.csv"):
                 assert (tmp_path / out / name).stat().st_size > 0, (out, name)
 
-    @pytest.mark.parametrize("stem", ["ball3d_devsymgrad_normal", "axis_line_points"])
-    def test_digest_independent_of_blas_threads(self, stem):
+    @pytest.mark.parametrize(
+        "stem, coarse",
+        [("ball3d_devsymgrad_normal", None), ("axis_line_points", None), ("wavy3d_devsymgrad_normal", [48, 48])],
+        ids=["ball3d_devsymgrad_normal", "axis_line_points", "wavy3d_devsymgrad_normal-coarse-48"],
+    )
+    def test_digest_independent_of_blas_threads(self, tmp_path, stem, coarse):
         # The traces and SVDs go through BLAS, so each thread count runs
-        # in its own process, where the setting takes effect.
+        # in its own process, where the setting takes effect.  The 48 x 48
+        # coarse grid makes a 2304 x 10 matrix, which numeric_nullspace
+        # reduces by block QR before its SVD.
+        config = _CONFIG_DIR / f"{stem}.json"
+        if coarse is not None:
+            cfg = json.loads(config.read_text())
+            cfg["test"]["coarse"]["counts"] = coarse
+            config = Path(_write(tmp_path, cfg))
         src = str(Path(korncert.__file__).resolve().parent.parent)
         digests = set()
         for threads in ("1", "2"):
@@ -567,7 +573,7 @@ class TestDeterminism:
                 "OPENBLAS_NUM_THREADS": threads,
             }
             proc = subprocess.run(
-                [sys.executable, "-m", "korncert.cli", "check", "--config", str(_CONFIG_DIR / f"{stem}.json")],
+                [sys.executable, "-m", "korncert.cli", "check", "--config", str(config)],
                 capture_output=True,
                 text=True,
                 env=env,

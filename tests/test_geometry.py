@@ -366,22 +366,46 @@ class TestPointGenerators:
         with pytest.raises(ValueError):
             line_points([0, 0], [0, 0], 3, 1.0)
 
-    @pytest.mark.parametrize("direction", [[1e-15, 0], [2, 0], [1e150, 0]])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "direction", [[1e-15, 0], [2, 0], [1e150, 0], [1e-160, 0], [1e-200, 0], [5e-324, 0], [1e300, 0]]
+    )
     def test_line_direction_of_any_finite_length_is_normalised(self, direction):
         # d / |d| is exactly e_1 here, so the points keep the unit
-        # direction's bits.
+        # direction's bits, also where |d|^2 is subnormal, underflows or
+        # overflows.
         pts = line_points([0.5, 0], direction, 3, 1.0)
         assert all(np.array_equal(p, q) for p, q in zip(pts, line_points([0.5, 0], [1, 0], 3, 1.0)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "direction, length", [([0, 0], "0.0"), ([1e-200, 0], "0.0"), ([1e308, 1e308], "inf")]
+        "direction, power",
+        [([1, 1], 1023), ([3, -4, 0.5], -1070), ([0.3, -0.7, 1e-5], 600), ([1, 2], -600)],
     )
-    def test_line_direction_norm_must_be_nonzero_and_finite(self, direction, length):
-        # The float norm decides: one that underflows to 0 or overflows
-        # to inf is refused, with no warning, rather than normalised into
-        # zeros or copies of p0.
-        with pytest.raises(ValueError, match=rf"^the norm of dir must be nonzero and finite, got {length} for "):
+    def test_line_points_are_invariant_under_power_of_two_scaling(self, direction, power):
+        # Scaling dir by 2**power is exact; [1, 1] * 2**1023 has the norm
+        # overflow, [3, -4, 0.5] * 2**-1070 subnormal entries and
+        # [1, 2] * 2**-600 a squared norm that underflows.  Each gives the
+        # bits of d / |d| for the unscaled dir, whose norm is in range.
+        p0 = np.array([0, 0.25, 0][: len(direction)])
+        unit = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+        ref = [p0 + t * unit for t in np.linspace(-1.0, 1.0, 3)]
+        scaled = np.ldexp(np.asarray(direction, dtype=float), power)
+        assert np.isfinite(scaled).all() and scaled.any()
+        for d in (direction, scaled):
+            pts = line_points(p0, d, 3, 1.0)
+            assert all(np.array_equal(p, q) for p, q in zip(pts, ref))
+
+    @pytest.mark.parametrize(
+        "direction, message",
+        [([0, 0], r"dir must be nonzero, got \[0.0, 0.0\]"), ([math.inf, 0], "dir must be finite"),
+         ([math.nan, 1], "dir must be finite")],
+        ids=["zero", "inf", "nan"],
+    )
+    def test_line_direction_norm_must_be_nonzero_and_finite(self, direction, message):
+        # Only a zero or non-finite dir is refused: any other has a
+        # nonzero finite norm once scaled by a power of two.
+        with pytest.raises(ValueError, match=f"^{message}"):
             line_points([0, 0], direction, 3, 1.0)
 
     @pytest.mark.parametrize("p0,direction", [([0, 0], [1, 0, 0]), ([0, 0, 0], [1, 0])])

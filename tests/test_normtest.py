@@ -224,6 +224,85 @@ class TestNumericNullspace:
         ) < 1e-8
 
 
+def _planted(seed, q, d, nullity):
+    """A q x d matrix of rank d - nullity, with spread singular values,
+    turned by a random orthogonal matrix on the right."""
+    rng = np.random.default_rng(seed)
+    rank = d - nullity
+    left = rng.standard_normal((q, rank)) * np.logspace(0, -3, rank)
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return left @ rng.standard_normal((rank, d)) @ rotation
+
+
+def _direct_nullspace(matrix, sigma_rel=normtest._SIGMA_REL_DEFAULT):
+    """numeric_nullspace without the reduction: one SVD of the matrix."""
+    q, d = matrix.shape
+    _, s, vh = np.linalg.svd(matrix, full_matrices=q < d)
+    spectrum = np.concatenate([s, np.zeros(max(d - len(s), 0))])
+    mask = spectrum <= sigma_rel * max(float(spectrum[0]), 1.0)
+    return vh[mask].T, spectrum
+
+
+def _assert_matches_direct(matrix):
+    result = numeric_nullspace(matrix)
+    vectors, spectrum = _direct_nullspace(matrix)
+    assert result.dim == vectors.shape[1]
+    assert np.abs(result.singular_values - spectrum).max() <= 1e-12 * spectrum[0]
+    span = result.vectors @ result.vectors.T - vectors @ vectors.T
+    assert np.linalg.norm(span, 2) <= 1e-8
+
+
+class TestTallReduction:
+    """numeric_nullspace reduces a matrix of more than
+    max(_QR_BLOCK_ENTRIES // d, 2 d) rows to stacked block R factors
+    before its SVD; the direct SVD is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(min_value=1, max_value=15),
+        entries=st.integers(min_value=8193, max_value=40000),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_tall_matrix_matches_the_direct_svd(self, d, entries, fraction, seed):
+        q = max(entries // d, 8193 // d + 1)
+        nullity = 1 + round(fraction * (d - 1))
+        _assert_matches_direct(_planted(seed, q, d, nullity))
+
+    @pytest.mark.parametrize(
+        "q,d",
+        [(max(normtest._QR_BLOCK_ENTRIES // d, 2 * d), d) for d in (1, 3, 10, 64, 100)] + [(2, 5), (50, 100)],
+    )
+    def test_matrix_of_at_most_one_block_takes_the_direct_svd(self, q, d):
+        matrix = _planted(d, q, d, d - min(q, d) + 1)
+        result = numeric_nullspace(matrix)
+        vectors, spectrum = _direct_nullspace(matrix)
+        assert np.array_equal(result.vectors, vectors)
+        assert np.array_equal(result.singular_values, spectrum)
+
+    @pytest.mark.parametrize("q,d", [(40000, 1), (9000, 2), (2304, 10), (3000, 6), (5000, 33), (5000, 64)])
+    def test_no_lapack_call_sees_more_than_one_block(self, monkeypatch, q, d):
+        seen = []
+
+        def spy(fn):
+            def call(a, *args, **kwargs):
+                seen.append((fn.__name__, a.shape[-2] * a.shape[-1]))
+                return fn(a, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(np.linalg, "qr", spy(np.linalg.qr))
+        monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd))
+        numeric_nullspace(_planted(q, q, d, 1))
+        assert seen[0][0] == "qr" and seen[-1][0] == "svd"
+        assert max(entries for _, entries in seen) <= normtest._QR_BLOCK_ENTRIES
+
+    def test_wide_blocks_still_shrink(self):
+        # At d = 100 a block has 2 d rows, more than _QR_BLOCK_ENTRIES
+        # entries; each pass must still shorten the matrix.
+        _assert_matches_direct(_planted(7, 5000, 100, 3))
+
+
 class TestClassifyVerdicts:
     def test_dev_grad_disk_normal_is_norm(self):
         op = builtin_operator("dev_grad", 2)
