@@ -12,8 +12,10 @@ positive x3-axis and azimuth theta2 in 3D).  Radial families:
 Construction checks that r is strictly positive through its exact
 minimum: c for balls and for a zero frequency, else c - |a|, since a
 nonzero frequency makes the sine factor (or the product of the two)
-cover [-1, 1].  Every integer passes polyalg.parse_int, and the family
-fixes the dimension.  Points and outward unit normals come from
+cover [-1, 1].  Every integer passes polyalg.parse_int and every real
+number polyalg.parse_real: a domain's c and a, which every constructor
+stores as floats, an angular range bound and a line's extent.  The
+family fixes the dimension.  Points and outward unit normals come from
 analytic tangent frames, never finite differences, computed for a whole
 sample grid at once, one component at a time.  A SampleGrid stores its
 axes, one angle array per coordinate, and a frame runs the trig once
@@ -35,7 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .polyalg import parse_int, parse_rational
+from .polyalg import parse_int, parse_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,19 +49,6 @@ _FRAME_TOL = 1e-14
 
 class GeometryError(RuntimeError):
     """Degenerate geometry: nonpositive radius or a collapsing tangent frame."""
-
-
-class SpecError(ValueError):
-    """An unusable number in a JSON spec; key is its path within the
-    spec, such as radial.c."""
-
-    def __init__(self, key: str, message: str) -> None:
-        super().__init__(message)
-        self.key = key
-
-
-def _scalar(value) -> float:
-    return float(parse_rational(value)) if isinstance(value, str) else float(value)
 
 
 @dataclass(frozen=True)
@@ -76,6 +65,8 @@ class StarDomain:
     def __post_init__(self) -> None:
         for key, what in (("n", "the dimension"), ("m1", "a radial frequency"), ("m2", "a radial frequency")):
             object.__setattr__(self, key, parse_int(getattr(self, key), what))
+        for key in ("c", "a"):
+            object.__setattr__(self, key, parse_real(getattr(self, key), key))
         if self.n not in (2, 3):
             raise GeometryError(f"only n in {{2, 3}} supported, got {self.n}")
         expected_n = {"constant": self.n, "sine2d": 2, "sine3d": 3}.get(self.family)
@@ -100,15 +91,15 @@ class StarDomain:
 
     @classmethod
     def ball(cls, n: int, radius=1) -> "StarDomain":
-        return cls(n=n, family="constant", c=_scalar(radius))
+        return cls(n=n, family="constant", c=radius)
 
     @classmethod
     def sine2d(cls, c, a, m: int) -> "StarDomain":
-        return cls(n=2, family="sine2d", c=_scalar(c), a=_scalar(a), m1=m)
+        return cls(n=2, family="sine2d", c=c, a=a, m1=m)
 
     @classmethod
     def sine3d(cls, c, a, m1: int, m2: int) -> "StarDomain":
-        return cls(n=3, family="sine3d", c=_scalar(c), a=_scalar(a), m1=m1, m2=m2)
+        return cls(n=3, family="sine3d", c=c, a=a, m1=m1, m2=m2)
 
     @classmethod
     def from_json(cls, obj: dict) -> "StarDomain":
@@ -118,20 +109,13 @@ class StarDomain:
             family = radial["family"]
         except (KeyError, TypeError) as exc:
             raise GeometryError(f"malformed domain spec: {exc}") from exc
-
-        def number(key: str, default=None) -> float:
-            value = _scalar(radial[key] if default is None else radial.get(key, default))
-            if not math.isfinite(value):
-                raise SpecError(f"radial.{key}", f"{value} is not a finite number")
-            return value
-
         try:
             if family in ("constant", "ball"):
-                return cls.ball(n, number("c", 1))
+                return cls.ball(n, radial.get("c", 1))
             if family == "sine2d":
-                return cls(n, family, number("c"), number("a"), radial["m"])
+                return cls(n, family, radial["c"], radial["a"], radial["m"])
             if family == "sine3d":
-                return cls(n, family, number("c"), number("a"), radial["m1"], radial["m2"])
+                return cls(n, family, radial["c"], radial["a"], radial["m1"], radial["m2"])
         except KeyError as exc:  # a missing family parameter
             raise GeometryError(f"malformed domain spec: {exc}") from exc
         raise GeometryError(f"unknown radial family: {family}")
@@ -285,23 +269,25 @@ def sample_grid(
     m2 hits the grid Nyquist rate (count2 = 2 m2): the grid then only
     sees sin(pi * offset) and cos(pi * offset) of the resonant mode, and
     a quarter step keeps both quadratures equally far from zero, where
-    aligned or half-step grids zero one of them out exactly.
+    aligned or half-step grids zero one of them out exactly.  counts is
+    one count or any 1-D input (a list, a tuple, a range, an array) of
+    counts, one per angle.
     """
     import numpy as np
 
-    counts_t = tuple(counts) if isinstance(counts, (list, tuple)) else (counts,)
+    # np.ndim copies a list into an array first, which would double the
+    # cost of a small grid, so a list or a tuple skips it.
+    counts_t = tuple(counts) if isinstance(counts, (list, tuple)) or np.ndim(counts) else (counts,)
     if len(counts_t) != dom.n - 1:
         raise ValueError(f"expected {dom.n - 1} counts for n = {dom.n}, got {len(counts_t)}")
     counts_t = tuple(parse_int(c, "grid count", 1) for c in counts_t)
     if ranges is None:
         ranges_t = ((0.0, TWO_PI),) if dom.n == 2 else ((0.0, math.pi), (0.0, TWO_PI))
     else:
-        ranges_t = tuple((float(lo), float(hi)) for lo, hi in ranges)
+        ranges_t = tuple(tuple(parse_real(t, "an angular range bound") for t in (lo, hi)) for lo, hi in ranges)
     if len(ranges_t) != dom.n - 1:
         raise ValueError(f"expected {dom.n - 1} ranges, got {len(ranges_t)}")
     for lo, hi in ranges_t:
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"angular range [{lo}, {hi}] is not finite")
         if not hi > lo:
             raise ValueError(f"empty angular range [{lo}, {hi}]")
     if dom.n == 3:
@@ -357,9 +343,7 @@ def line_points(p0: Sequence[float], direction: Sequence[float], count: int, ext
     import numpy as np
 
     count = parse_int(count, "count", 2)
-    extent = float(extent)  # OverflowError for an integer beyond the float range
-    if not 0 < extent < math.inf:
-        raise ValueError(f"extent must be positive and finite, got {extent}")
+    extent = parse_real(extent, "extent", positive=True)
     p0 = np.asarray(p0, dtype=float)
     d = np.asarray(direction, dtype=float)
     if p0.shape != d.shape:

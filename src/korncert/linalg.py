@@ -14,23 +14,16 @@ matrix (diffop.SymbolMatrix).
 Elimination runs in two halves.  The forward half, which rank,
 pivots_mod_p and rref share, runs only the updates below each pivot, on
 rows it owns, and returns the echelon rows with their pivot columns.
-rank counts the pivots.  rref goes on in one of two ways:
-
-- Identity exit.  When the forward half puts a pivot in every column,
-  the reduced echelon form is the identity over the zero rows, and rref
-  returns exactly that, with no back half.  The degree block at which
-  kernel.kernel_basis stops, the first with no kernel, is such a block.
-- Back half.  Otherwise rref clears the entries above each pivot, from
-  the last pivot row upward, so each pivot row it uses is already
-  cleared above the later pivots.
-
-Either way rref returns primitive integer rows undivided, with their
-pivot columns: nothing divides on its exit.  Dividing a row by its pivot
-gives the reduced echelon form, which is unique, so it does not depend
-on the order of the updates or the scaling of any row.  nullspace forms
-each kernel vector from rref's rows in ints over the lcm of the pivots
-it touches and divides once, by its first nonzero entry, so that entry
-is one.
+rank counts the pivots.  rref's back half then clears the entries above
+each pivot, from the last pivot row upward, so each pivot row it uses is
+already cleared above the later pivots.  rref returns primitive integer
+rows undivided, with their pivot columns: nothing divides on its exit.
+Dividing a row by its pivot gives the reduced echelon form, which is
+unique, so it does not depend on the order of the updates or the scaling
+of any row; a matrix with a pivot in every column comes back as +-e_i
+rows.  nullspace forms each kernel vector from rref's rows in ints over
+the lcm of the pivots it touches and divides once, by its first nonzero
+entry, so that entry is one.
 
 A modular rank proves full rank cheaply.  P is a prime with
 P = 1 (mod 4) and I a square root of -1 mod P, so a + bi -> a + I b
@@ -65,11 +58,6 @@ def rref(
     pivot column list.  Row i divided by its entry in column pivots[i]
     is row i of the reduced row echelon form."""
     rows, pivots = _forward(_integer_rows(matrix, ncols), ncols)
-    if len(pivots) == ncols:  # the identity exit
-        units = [[0] * ncols for _ in range(ncols)]
-        for col, row in enumerate(units):
-            row[col] = 1
-        return units + rows[ncols:], pivots
     # The back half: row k is already clear above every later pivot.
     for k in range(len(pivots) - 1, 0, -1):
         pivot_row, col = rows[k], pivots[k]

@@ -21,6 +21,9 @@ dense grid on a domain's boundary; PointSet, behind point_measure_test,
 is given points with the full trace, one stage, so never A3.
 Certificates are kernel elements with numerically vanishing trace on
 the last set; they are strong numerical evidence, not exact proofs.
+The two tolerances, sigma_rel and tol_dense, pass polyalg.parse_real as
+positive numbers in certify and numeric_nullspace, and the diagnostics
+report them as floats.
 
 Trace kinds: FULL is the whole vector trace, NORMAL the scalar
 (trace . nu), TANGENTIAL the projection trace - (trace . nu) nu.
@@ -52,7 +55,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .geometry import SampleGrid, StarDomain, grid_frame
 from .kernel import KernelBasis
-from .polyalg import MonomialBasis, PolyVec, float_columns, format_poly
+from .polyalg import MonomialBasis, PolyVec, float_columns, format_poly, parse_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -223,6 +226,7 @@ def numeric_nullspace(
     direct SVD, bit for bit."""
     import numpy as np
 
+    sigma_rel = parse_real(sigma_rel, "sigma_rel", positive=True)
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         raise ValueError("empty constraint matrix")
@@ -325,9 +329,8 @@ def certify(
     count per stage."""
     import numpy as np
 
-    if not (0.0 < sigma_rel < np.inf and 0.0 < tol_dense < np.inf):  # NaN fails every comparison
-        name, value = ("tol_dense", tol_dense) if 0.0 < sigma_rel < np.inf else ("sigma_rel", sigma_rel)
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    sigma_rel = parse_real(sigma_rel, "sigma_rel", positive=True)
+    tol_dense = parse_real(tol_dense, "tol_dense", positive=True)
     diagnostics = partial(Diagnostics, sigma_rel=sigma_rel, tol_dense=tol_dense)
     if basis.dim == 0:
         return Verdict(tag="A1", diagnostics=diagnostics(note="trivial kernel; every seminorm is a norm"))

@@ -20,8 +20,10 @@ coefficients that are Fractions by construction (kernel bases,
 from_floats) and checks only their number.
 Besides the basis, the module holds exact differentiation and evaluation
 (exact at rational points, float otherwise), the rational parsing and
-printing shared by the reports, float_columns and parse_int, the one
-integer rule: what operator.index takes but a bool, as a plain int.
+printing shared by the reports, float_columns, and the two scalar rules
+of the package: parse_int, what operator.index takes but a bool, as a
+plain int, and parse_real, a finite real number, as a float.  The three
+scalar parsers raise ValueError for whatever they refuse.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import repeat
-from math import comb
+from math import comb, isfinite, nan
+from numbers import Real
 from typing import Sequence
 
 # Denominators above this print as decimals instead of p/q.  Exact small
@@ -45,13 +48,13 @@ def parse_rational(value: int | str | Fraction | float) -> Fraction:
 
     Strings may be integers ("3"), ratios ("-3/2"), or decimals ("0.1",
     "1e-3"), and are read exactly: "0.1" is 1/10.  Floats keep their
-    exact binary value.  An unparseable string, a zero denominator
-    included, raises ValueError.
+    exact binary value.  A bool, any other type and an unparseable
+    string, a zero denominator included, raise ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise TypeError("boolean is not a rational scalar")
+        raise ValueError("boolean is not a rational scalar")
     if isinstance(value, (int, float)):
         return Fraction(value)
     if isinstance(value, str):
@@ -59,7 +62,7 @@ def parse_rational(value: int | str | Fraction | float) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"cannot interpret {value!r} as a rational scalar")
+    raise ValueError(f"cannot interpret {value!r} as a rational scalar")
 
 
 def parse_int(value, what: str, minimum: int | None = None) -> int:
@@ -74,6 +77,29 @@ def parse_int(value, what: str, minimum: int | None = None) -> int:
         raise ValueError(f"{what} must be an int, got {value!r}")
     if minimum is not None and number < minimum:
         raise ValueError(f"need {what} >= {minimum}, got {number}")
+    return number
+
+
+def parse_real(value, what: str, positive: bool = False) -> float:
+    """value as a finite float: an int but a bool, a float, any other
+    numbers.Real (a Fraction, a numpy real) or a string parse_rational
+    reads.  Anything else, NaN, an infinity, a value beyond the float
+    range and, with positive, a value <= 0 raise ValueError naming what;
+    a value beyond the float range is not echoed."""
+    number = value
+    if type(value) is not float:
+        number = nan  # refused below
+        if isinstance(value, str) or (isinstance(value, Real) and not isinstance(value, bool)):
+            try:
+                number = float(parse_rational(value) if isinstance(value, str) else value)
+            except OverflowError:
+                raise ValueError(f"{what} must be a finite real number, got a value beyond the float range") from None
+            except ValueError:  # an unparseable string
+                pass
+    if not isfinite(number):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    if positive and not number > 0.0:
+        raise ValueError(f"need {what} > 0, got {number!r}")
     return number
 
 

@@ -362,50 +362,51 @@ class TestExitCodes:
     def test_non_finite_tolerance_in_a_dict_config(self):
         # A dict never passes the JSON reader; the norm test refuses it.
         cfg = _base_config(tolerances={"sigma_rel": float("nan")}, expected="A1")
-        with pytest.raises(ConfigError, match=r"^config field test: sigma_rel must be finite and > 0, got nan$"):
+        with pytest.raises(ConfigError, match=r"^config field test: sigma_rel must be a finite real number, got nan$"):
             run_config(cfg)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
     @pytest.mark.parametrize(
-        "place,field",
+        "place,prefix",
         [
-            (lambda cfg, x: cfg["test"]["domain"]["radial"].update(c=x), "test.domain.radial.c"),
+            (lambda cfg, x: cfg["test"]["domain"]["radial"].update(c=x), "test.domain: c"),
             (
                 lambda cfg, x: cfg["test"]["domain"].update(
                     radial={"family": "sine2d", "c": 1, "a": x, "m": 3}
                 ),
-                "test.domain.radial.a",
+                "test.domain: a",
             ),
-            (lambda cfg, x: cfg.update(test=_line_test(extent=x)), "test.lines"),
-            (lambda cfg, x: cfg.update(test=_line_test(p0=[0, x])), "test.lines"),
-            (lambda cfg, x: cfg.update(test=_line_test(dir=[x, 1])), "test.lines"),
-            (lambda cfg, x: cfg.update(test={"kind": "points", "points": [[0.5, 0], [x, 0]]}), "test.points"),
-            (lambda cfg, x: cfg["test"]["coarse"].update(range=[[0, x]]), "test.coarse"),
+            (lambda cfg, x: cfg.update(test=_line_test(extent=x)), "test.lines:"),
+            (lambda cfg, x: cfg.update(test=_line_test(p0=[0, x])), "test.lines:"),
+            (lambda cfg, x: cfg.update(test=_line_test(dir=[x, 1])), "test.lines:"),
+            (lambda cfg, x: cfg.update(test={"kind": "points", "points": [[0.5, 0], [x, 0]]}), "test.points:"),
+            (lambda cfg, x: cfg["test"]["coarse"].update(range=[[0, x]]), "test.coarse:"),
         ],
         ids=["c", "a", "extent", "p0", "dir", "points", "coarse-range"],
     )
-    def test_non_finite_number_in_a_dict_config_names_field(self, place, field, value):
+    def test_non_finite_number_in_a_dict_config_names_field(self, place, prefix, value):
         # A dict config never passes the JSON reader, so the number reaches
         # the library, which refuses it before any geometry or SVD sees it.
+        # prefix is the field, and for a domain the number's name too.
         cfg = _base_config()
         place(cfg, value)
-        with pytest.raises(ConfigError, match=rf"^config field {field}: .*(inf|nan)"):
+        with pytest.raises(ConfigError, match=rf"^config field {prefix} .*(inf|nan)"):
             run_config(cfg)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "test,field",
+        "test,message",
         [
-            ({"kind": "points", "points": [[10**400, 0]]}, "test.points"),
+            ({"kind": "points", "points": [[10**400, 0]]}, "test.points: int too large to convert to float"),
             ({"kind": "points", "lines": [{"p0": [0, 0], "dir": [1, 0], "count": 3, "extent": 10**400}]},
-             "test.lines"),
+             "test.lines: extent must be a finite real number, got a value beyond the float range"),
         ],
         ids=["point", "extent"],
     )
-    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, test, field):
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys, test, message):
         assert main(["points", "--config", _write(tmp_path, _base_config(test=test))]) == 2
-        assert capsys.readouterr().err == f"error: config field {field}: int too large to convert to float\n"
+        assert capsys.readouterr().err == f"error: config field {message}\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("direction, unit", [([1e-15, 0], [1, 0]), ([1e308, 1e308], [1, 1])])

@@ -264,6 +264,19 @@ class TestNormals:
                 outward_normal(dom, 0.3)
         nu = outward_normal(StarDomain.ball(2, 1e150), 0.3)
         assert np.allclose(nu, [math.cos(0.3), math.sin(0.3)], rtol=0, atol=1e-15)
+        # In R^3 the normal is a cross product of length r^2 sin(theta1),
+        # so its square overflows from r of about 1.16e77 on the equator:
+        # 1.2e77 is refused on the shipped ball's 32 x 32 dense grid and
+        # 1e77 is not.
+        dom = StarDomain.ball(3, 1.2e77)
+        with np.errstate(over="ignore"):
+            with pytest.raises(GeometryError):
+                grid_frame(dom, sample_grid(dom, [32, 32]))
+            with pytest.raises(GeometryError):
+                outward_normal(dom, (math.pi / 2, 0.3))
+        grid = sample_grid(StarDomain.ball(3), [32, 32])
+        nus = grid_frame(StarDomain.ball(3, 1e77), grid)[1]
+        assert np.allclose(nus, grid_frame(StarDomain.ball(3), grid)[1], rtol=0, atol=1e-15)
 
     def test_grid_with_a_pole_sample_degenerates(self):
         dom = StarDomain.ball(3)

@@ -116,6 +116,11 @@ def test_numpy_int_domain_writes_plain_json():
         (_BALL2, [12], [np.int32(12)]),
         (_BALL3, [4, 6], [np.int64(4), np.int32(6)]),
         (_wavy3(), (5, 7), (np.int64(5), np.int64(7))),
+        # Any 1-D input is the counts, not only a list or tuple.
+        (_BALL2, [4], np.array([4])),
+        (_BALL3, [4, 4], np.array([4, 4])),
+        (_BALL3, [8, 8], np.full(2, 8)),
+        (_wavy3(), [4, 5], range(4, 6)),
     ],
 )
 def test_numpy_int_counts_give_the_same_frames(dom, counts, numpy_counts):
