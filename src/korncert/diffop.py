@@ -5,8 +5,9 @@ R^n -> R^dimV to fields R^n -> R^dimW through exact rational matrices
 A_alpha.  The module provides the standard first-order vector-field
 operators (gradient, divergence, symmetric / deviatoric gradients), full
 higher gradients, user-supplied term lists or fourth-order coefficient
-tensors, exact application to polynomials, exact symbol matrices at
-complex rational frequencies, and a randomized ellipticity probe.
+tensors, exact application to polynomials, their integer degree blocks,
+exact symbol matrices at complex rational frequencies, and an
+ellipticity probe that proves C-ellipticity or samples the symbol.
 
 Each operator derives one exact integer form from its terms when it is
 built: the lcm s of their denominators (scale) and, per term, the
@@ -18,7 +19,12 @@ side by side into one dimW x (terms * dimV) integer matrix, and keep the
 components w whose rows are no combination of earlier rows, the pivot
 columns of its transpose under linalg.rref.  A dependent component of
 A u is then the same combination of the kept ones for every field u, so
-the kept components alone have the kernel of A.
+the kept components alone have the kernel of A.  The same holds for the
+symbol: each dependent row of A[xi] is that combination of its kept
+rows, so rank A[xi] <= len(output_basis) at every xi.  degree_block
+builds the operator's integer form by degree, the matrix of scale * A
+from degree-d to degree-(d-k) coefficients, on the rows of any list of
+output components; the kernel blocks (kernel.py) and the probe share it.
 
 The symbol takes the same form.  Let d be the lcm of the denominators of
 a complex rational frequency xi, so that z = d xi has Gaussian-integer
@@ -34,9 +40,26 @@ column j up to a real factor, which dividing by the first nonzero
 complex entry removes.
 
 Ellipticity here means the symbol A[xi] is injective for all real
-xi != 0; C-ellipticity extends that to complex xi.  The probe samples
-random rational frequencies, decides each symbol's rank exactly, and on
-a rank drop produces an exact witness pair (xi, v) with A[xi] v = 0.
+xi != 0; C-ellipticity extends that to complex xi.  The probe first
+looks for a proof of C-ellipticity in the degree blocks.  A witness
+A[xi] v = 0 at a complex xi != 0 would make (x . xi)^j v a complex
+kernel field of every degree j, since A (x . xi)^j v is a multiple of
+(x . xi)^(j-k) A[xi] v, and its real or imaginary part a nonzero real
+one.  So a degree block with a trivial kernel, one with full column
+rank mod P, proves A[xi] injective at every complex xi != 0, and with it
+every answer the sampled probe could give: the probe returns that answer
+without drawing.  It searches the blocks from degree k up, assembling
+only those with at least as many rows as columns, until the next one
+would take their columns past _PROOF_BLOCK_COLUMNS.  A C-elliptic
+operator has a finite-dimensional kernel (K. T. Smith, Math. Ann.
+1970), so some block of it is trivial, though maybe past the bound; no
+block of any other operator is.  An operator with fewer rows in
+output_basis than inputs has no injective symbol, so it is neither
+searched nor screened.
+
+Without a proof the probe samples: it draws random rational
+frequencies, decides each symbol's rank exactly, and on a rank drop
+produces an exact witness pair (xi, v) with A[xi] v = 0.
 It keeps each draw as the integer pair (numerator, denominator) it was
 drawn as, and screens it mod a prime first.  With z = d xi as above,
 each Gaussian coordinate a + ib becomes its residue a + I b (mod P),
@@ -75,13 +98,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import comb, lcm, perm
 from typing import Sequence
 
 from . import linalg
 from .polyalg import (
     MultiIndex,
     PolyVec,
+    compositions,
     differentiate,
     format_rational,
     monomial_basis,
@@ -92,6 +116,20 @@ from .polyalg import (
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 _PROBE_COEFF_BOUND = 10**6
+
+# The most columns, summed over the degree blocks it assembles, that
+# ellipticity_probe spends on its search for a proof of C-ellipticity
+# before it samples.  A sum, not a width: in one variable every block has
+# dimV columns, so only a sum ends a search that finds no trivial block,
+# and it keeps a failed search near the cost of one block.  Measured on
+# one CPU, best of 5 x 50 calls, a probe whose first trivial block has 40
+# columns (sym_grad, dev_grad and grad_k of order 2 on R^4) took
+# 0.14-0.54 ms proven against 0.29-0.77 ms sampled, and one with 75-80
+# columns (sym_grad and dev_grad on R^5, dev_sym_grad and grad_k of order
+# 3 on R^4) 0.46-1.8 ms against 0.35-1.1 ms.  Interpolated per operator
+# on a log scale, the two costs cross at 51-67 columns; the bound sits
+# just below.
+_PROOF_BLOCK_COLUMNS = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,6 +411,58 @@ def apply_operator(A: DiffOperator, p: PolyVec) -> PolyVec:
     return PolyVec(target, A.dimW, tuple(coeffs))
 
 
+def degree_block(A: DiffOperator, d: int, outputs: Sequence[int]) -> list[list[int]]:
+    """The degree-d block of the integer operator scale * A: the map from
+    degree-d to degree-(d-k) coefficients, with no rows when d < k.
+
+    Columns are the degree-d monomials times the dimV components, rows
+    the degree-(d-k) monomials times the output components listed in
+    outputs, in the PolyVec layout; only the monomials of these two
+    degrees are built.  Because
+
+        d^alpha x^beta = beta!/(beta - alpha)! x^(beta - alpha)   (beta >= alpha)
+
+    and 0 otherwise, the entry joining component v of x^beta to component
+    w of x^(beta - alpha) is beta!/(beta - alpha)! * A_alpha[w][v], times
+    the scale; every other entry is zero.  No entry is set twice: beta
+    and beta - alpha determine alpha.
+    """
+    n, k = A.n, A.order
+    if d < k:
+        return []
+    target = {gamma: t for t, gamma in enumerate(compositions(d - k, n))}
+    # Each term by its support, the coordinates i it differentiates, with
+    # alpha_i > 0 (only these decide whether beta >= alpha, and only they
+    # change from beta to beta - alpha), and by its entries in the rows
+    # of outputs, each w replaced by its position there.
+    position = {w: i for i, w in enumerate(outputs)}
+    terms = [
+        (
+            [(i, a) for i, a in enumerate(alpha.entries) if a],
+            [(position[w], v, m) for w, v, m in entries if w in position],
+        )
+        for alpha, entries in A.integer_terms
+    ]
+    width = len(outputs)
+    rows = [[0] * (A.dimV * comb(n - 1 + d, d)) for _ in range(width * len(target))]
+    for j, beta in enumerate(compositions(d, n)):
+        col = j * A.dimV
+        for support, entries in terms:
+            gamma = list(beta)
+            factor = 1
+            for i, a in support:
+                b = beta[i]
+                if b < a:
+                    break
+                factor *= perm(b, a)
+                gamma[i] = b - a
+            else:
+                row = target[tuple(gamma)] * width
+                for w, v, m in entries:
+                    rows[row + w][col + v] = factor * m
+    return rows
+
+
 @dataclass(frozen=True)
 class SymbolMatrix:
     """Exact symbol A[xi] = sum_alpha xi^alpha A_alpha at a complex
@@ -568,13 +658,39 @@ def _rational_draws(rng: random.Random, bound: int, count: int) -> list[tuple[in
     return draws
 
 
-def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> EllipticityReport:
-    """Randomized exact-rank test of the symbol.
+def _has_trivial_block(A: DiffOperator) -> bool:
+    """Whether a degree block of scale * A on output_basis, from degree
+    order up, has full column rank mod P, the test kernel_basis stops at:
+    a proof that A is C-elliptic (module docstring).  Only blocks with at
+    least as many rows as columns are assembled, and only while their
+    columns sum to at most _PROOF_BLOCK_COLUMNS."""
+    n, k, width = A.n, A.order, len(A.output_basis)
+    spent = 0  # the columns of the blocks assembled so far
+    d = k
+    while spent + (cols := A.dimV * comb(n - 1 + d, d)) <= _PROOF_BLOCK_COLUMNS:
+        if width * comb(n - 1 + d - k, d - k) >= cols:
+            if linalg.rank_mod_p(degree_block(A, d, A.output_basis), cols) == cols:
+                return True
+            spent += cols
+        d += 1
+    return False
 
-    Real ellipticity evidence: `trials` random rational frequencies, each
-    with numerator and denominator bounded by 10^6, drawn from
-    random.Random(seed) by getrandbits (_rational_draws), which gives the
-    integers randint gives on CPython 3.10-3.12.  Complex evidence
+
+def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> EllipticityReport:
+    """Proof of C-ellipticity, or a randomized exact-rank test of the
+    symbol.
+
+    Proof: a degree block of scale * A with a trivial kernel, found by a
+    search of _PROOF_BLOCK_COLUMNS columns, rules out every witness
+    A[xi] v = 0 (module docstring).  The report is then the one the
+    sampled test would give, elliptic and C-elliptic with no witness, and
+    nothing is drawn.  elliptic_trials and c_elliptic_trials still echo
+    trials, so a report does not show which way it was reached.
+
+    Otherwise, real ellipticity evidence: `trials` random rational
+    frequencies, each with numerator and denominator bounded by 10^6,
+    drawn from random.Random(seed) by getrandbits (_rational_draws), which
+    gives the integers randint gives on CPython 3.10-3.12.  Complex evidence
     additionally checks the deterministic family xi = e_1 + i e_j,
     j = 2..n, before the random complex draws; that family catches the
     classical failures (for the deviatoric symmetric gradient on R^2 it
@@ -582,10 +698,18 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
     exact: full rank is taken from a full rank mod P or from exact
     elimination, a rank drop only from exact elimination, and it yields
     an exact witness.  Full rank at sampled frequencies is only evidence
-    of ellipticity, not proof.
+    of ellipticity, not proof: the partial gradient u -> (d_1 u, d_2 u)
+    on R^3 passes every draw, although its symbol vanishes at e_3.
     """
     trials = parse_int(trials, "trials", 1)
-    rng = random.Random(parse_int(seed, "seed"))
+    seed = parse_int(seed, "seed")
+    # rank A[xi] <= len(output_basis) at every xi (module docstring).
+    deficient = len(A.output_basis) < A.dimV
+    if not deficient and _has_trivial_block(A):
+        return EllipticityReport(
+            elliptic=True, elliptic_trials=trials, c_elliptic=True, c_elliptic_trials=trials
+        )
+    rng = random.Random(seed)
     bound = _PROBE_COEFF_BOUND
     zero, one = (0, 1), (1, 1)
 
@@ -621,12 +745,13 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
         return _full_rank_mod_p(A, xi, rows, row_terms[rows])
 
     for real, xi in frequencies:
-        # With fewer outputs than inputs every symbol is deficient by its
-        # shape; otherwise a full rank mod P settles the frequency, on the
-        # rows of the last nonzero minor or else on output_basis.  Only a
-        # frequency that neither settles becomes Fractions.
+        # With fewer independent outputs than inputs every symbol is
+        # deficient by its shape; otherwise a full rank mod P settles the
+        # frequency, on the rows of the last nonzero minor or else on
+        # output_basis.  Only a frequency that neither settles becomes
+        # Fractions.
         symbol = None
-        if A.dimW >= A.dimV:
+        if not deficient:
             settled = (minor and screen(xi, minor)) or screen(xi, A.output_basis)
             if settled:
                 minor = settled

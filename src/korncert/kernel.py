@@ -12,7 +12,8 @@ A is homogeneous of order k, so it maps degree-d fields to degree-(d-k)
 fields only.  In the graded-lex layout each degree is one contiguous
 column range, the coefficient matrix is block-diagonal by degree, and
 each degree block is assembled and eliminated on its own.  The blocks
-are integer matrices: they are built from the operator's integer form
+are integer matrices: diffop.degree_block builds them, for this module
+and for the ellipticity probe's proof, from the operator's integer form
 (DiffOperator.integer_terms, A scaled by the lcm of its denominators,
 which leaves the kernel alone), so every entry is a falling-factorial
 product times an integer, and linalg.nullspace eliminates the block over
@@ -35,7 +36,8 @@ A homogeneous degree-(d+1) kernel field then has every d_i of it in the
 degree-d kernel, hence zero, so it is a constant of degree >= 1: zero.
 By induction there is no kernel in any degree >= d.  A stabilized
 profile (two equal consecutive entries, that is, one trivial block)
-therefore shows that the degree-<= K kernel is the whole kernel of A.
+therefore shows that the degree-<= K kernel is the whole kernel of A,
+and that A is C-elliptic, which is how diffop's probe proves it.
 It also means that no block above the first trivial one needs
 assembly or elimination: kernel_basis and kernel_dim_profile stop there.
 
@@ -54,12 +56,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import comb, perm
+from math import comb
 from typing import Sequence
 
 from . import linalg
-from .diffop import DiffOperator
-from .polyalg import PolyVec, compositions, float_columns, format_poly, format_rational, monomial_basis, parse_int
+from .diffop import DiffOperator, degree_block
+from .polyalg import PolyVec, float_columns, format_poly, format_rational, monomial_basis, parse_int
 
 
 @dataclass(frozen=True)
@@ -127,62 +129,10 @@ def coefficient_matrix(A: DiffOperator, K: int) -> list[list[Fraction]]:
     return rows
 
 
-def _degree_block(A: DiffOperator, d: int, outputs: Sequence[int]) -> list[list[int]]:
-    """The degree-d block of the integer operator scale * A: the map from
-    degree-d to degree-(d-k) coefficients, with no rows when d < k.
-
-    Columns are the degree-d monomials times the dimV components, rows
-    the degree-(d-k) monomials times the output components listed in
-    outputs, in the PolyVec layout; only the monomials of these two
-    degrees are built.  Because
-
-        d^alpha x^beta = beta!/(beta - alpha)! x^(beta - alpha)   (beta >= alpha)
-
-    and 0 otherwise, the entry joining component v of x^beta to component
-    w of x^(beta - alpha) is beta!/(beta - alpha)! * A_alpha[w][v], times
-    the scale; every other entry is zero.  No entry is set twice: beta
-    and beta - alpha determine alpha.
-    """
-    n, k = A.n, A.order
-    if d < k:
-        return []
-    target = {gamma: t for t, gamma in enumerate(compositions(d - k, n))}
-    # Each term by its support, the coordinates i it differentiates, with
-    # alpha_i > 0 (only these decide whether beta >= alpha, and only they
-    # change from beta to beta - alpha), and by its entries in the rows
-    # of outputs, each w replaced by its position there.
-    position = {w: i for i, w in enumerate(outputs)}
-    terms = [
-        (
-            [(i, a) for i, a in enumerate(alpha.entries) if a],
-            [(position[w], v, m) for w, v, m in entries if w in position],
-        )
-        for alpha, entries in A.integer_terms
-    ]
-    width = len(outputs)
-    rows = [[0] * (A.dimV * comb(n - 1 + d, d)) for _ in range(width * len(target))]
-    for j, beta in enumerate(compositions(d, n)):
-        col = j * A.dimV
-        for support, entries in terms:
-            gamma = list(beta)
-            factor = 1
-            for i, a in support:
-                b = beta[i]
-                if b < a:
-                    break
-                factor *= perm(b, a)
-                gamma[i] = b - a
-            else:
-                row = target[tuple(gamma)] * width
-                for w, v, m in entries:
-                    rows[row + w][col + v] = factor * m
-    return rows
-
-
 def _degree_blocks(A: DiffOperator, K: int, outputs: Sequence[int]):
     """Yield (row offset, column offset, column count, block) for the
     integer degree blocks d = 0..K of A, with the rows of the output
-    components in outputs (_degree_block).
+    components in outputs (diffop.degree_block).
 
     Each block is assembled only when the caller reaches it, so a caller
     that stops early assembles no higher block and builds no monomial of
@@ -192,7 +142,7 @@ def _degree_blocks(A: DiffOperator, K: int, outputs: Sequence[int]):
     for d in range(K + 1):
         row = len(outputs) * comb(n - 1 + d - k, n) if d >= k else 0
         col = A.dimV * comb(n - 1 + d, n)
-        yield row, col, A.dimV * comb(n - 1 + d, d), _degree_block(A, d, outputs)
+        yield row, col, A.dimV * comb(n - 1 + d, d), degree_block(A, d, outputs)
 
 
 def kernel_basis(A: DiffOperator, K: int) -> KernelBasis:

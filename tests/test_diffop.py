@@ -388,6 +388,8 @@ class TestProbe:
     def test_passing_screen_does_no_exact_work(self, monkeypatch):
         ops = [builtin_operator(name, 3) for name in ("grad", "sym_grad", "dev_grad", "dev_sym_grad")]
         ops.append(builtin_operator("grad_k", 2, order=3))
+        # Proven without a draw above; these two are screened.
+        ops += [builtin_operator("sym_grad", 5), builtin_operator("dev_sym_grad", 4)]
         calls = []
 
         class CountedComplexRational(ComplexRational):
@@ -451,8 +453,10 @@ class TestProbe:
         real = SymbolMatrix.rank
         calls = []
         monkeypatch.setattr(SymbolMatrix, "rank", lambda self: calls.append(self) or real(self))
-        report = ellipticity_probe(builtin_operator("sym_grad", 3))
-        assert report.elliptic and report.c_elliptic
+        # Proven, and screened: sym_grad on R^5 is above the search's bound.
+        for n in (3, 5):
+            report = ellipticity_probe(builtin_operator("sym_grad", n))
+            assert report.elliptic and report.c_elliptic
         assert calls == []
         # A rank drop mod P still goes through exact elimination.
         w = ellipticity_probe(builtin_operator("dev_sym_grad", 2)).witness
@@ -460,43 +464,51 @@ class TestProbe:
         assert w.to_json() == {"xi": ["1", "1i"], "v": ["1", "-1i"]}
 
     def test_denominator_divisible_by_p_takes_the_exact_path(self, monkeypatch):
-        # det [[1/P, 1], [1, P]] = 0, so every symbol xi * A is singular;
-        # a residue that dropped the denominator would be [[1, 1], [1, 0]],
-        # which has full rank.
-        op = custom_operator([((1,), [[Fraction(1, P), 1], [1, P]])])
+        # Both terms map (P, -1) to 0, so every symbol is singular, while
+        # their rows side by side are independent: output_basis does not
+        # settle it by shape.  A residue that dropped the denominator
+        # would be [[xi_1 + xi_2, xi_1], [xi_1, 0]], which has full rank
+        # wherever xi_1 != 0.
+        op = custom_operator([((1, 0), [[Fraction(1, P), 1], [1, P]]), ((0, 1), [[1, P], [0, 0]])])
+        assert op.output_basis == (0, 1)
         real = SymbolMatrix.rank
         calls = []
         monkeypatch.setattr(SymbolMatrix, "rank", lambda self: calls.append(self) or real(self))
         report = ellipticity_probe(op, trials=3)
-        assert len(calls) == 6
+        assert len(calls) == 1 + 3 + 3
         assert not report.elliptic and not report.c_elliptic
         assert report.to_json() == _exact_probe(op, 3, 0)
 
     def test_denominator_divisible_by_p_is_screened_mod_p(self, monkeypatch):
-        # The screen reads scale * A, here the identity, so the scale P
-        # costs no exact elimination.
+        # The search and the screen read scale * A, here the identity, so
+        # the scale P costs no exact elimination, proven or, with no block
+        # searched, sampled.
         op = custom_operator([((1,), [[Fraction(1, P), 0], [0, Fraction(1, P)]])])
         real = SymbolMatrix.rank
         calls = []
         monkeypatch.setattr(SymbolMatrix, "rank", lambda self: calls.append(self) or real(self))
-        report = ellipticity_probe(op, trials=3)
-        assert calls == []
-        assert report.elliptic and report.c_elliptic
-        assert report.to_json() == _exact_probe(op, 3, 0)
+        for columns in (korncert.diffop._PROOF_BLOCK_COLUMNS, 0):
+            monkeypatch.setattr(korncert.diffop, "_PROOF_BLOCK_COLUMNS", columns)
+            report = ellipticity_probe(op, trials=3)
+            assert calls == []
+            assert report.elliptic and report.c_elliptic
+            assert report.to_json() == _exact_probe(op, 3, 0)
+            calls.clear()
 
     def test_probe_screens_the_last_minor_first(self, monkeypatch):
-        # sym_grad on R^3: the first frequency is screened on the 6 rows
-        # of output_basis, and every later one on the 3 rows of the
-        # minor that settled the one before.
+        # sym_grad on R^5, whose first trivial block has 75 columns, more
+        # than the search takes: the first frequency is screened on the
+        # 15 rows of output_basis, and every later one on the 5 rows of
+        # the minor that settled the one before.
         widths = []
         real = korncert.linalg.pivots_mod_p
         monkeypatch.setattr(
             korncert.linalg, "pivots_mod_p", lambda m, ncols: widths.append(ncols) or real(m, ncols)
         )
-        op = builtin_operator("sym_grad", 3)
-        assert len(op.output_basis) == 6
+        op = builtin_operator("sym_grad", 5)
+        assert len(op.output_basis) == 15
         assert ellipticity_probe(op, trials=4).to_json() == _exact_probe(op, 4, 0)
-        assert widths == [6] + [3] * (2 + 2 * 4 - 1)
+        assert widths == [15] + [5] * (4 + 2 * 4 - 1)
 
     def test_a_vanishing_minor_falls_back_to_output_basis(self):
         # The gradient of a scalar on R^2 at xi = (0, 1): row 0 is zero,
@@ -507,7 +519,73 @@ class TestProbe:
         assert op.output_basis == (0, 1)
         assert _full_rank_mod_p(op, xi, op.output_basis, _row_terms(op, op.output_basis)) == (1,)
 
+    def test_fewer_independent_outputs_than_inputs_is_deficient_by_shape(self, monkeypatch):
+        # rank A[xi] <= len(output_basis) = 1 < dimV = 2 at every xi,
+        # though dimW = dimV: no frequency needs a rank.
+        op = _REPEATED_ROW
+        assert (op.output_basis, op.dimW, op.dimV) == ((0,), 2, 2)
+        real = SymbolMatrix.rank
+        calls = []
+        monkeypatch.setattr(SymbolMatrix, "rank", lambda self: calls.append(self) or real(self))
+        report = ellipticity_probe(op)
+        assert calls == []
+        assert report.to_json() == _exact_probe(op, 8, 0)
+        assert not report.elliptic and not report.c_elliptic
 
+    def test_the_search_ends_on_its_column_sum(self, monkeypatch):
+        # d/dx (u1, u2) -> (P u1', u2'): in one variable every block has
+        # dimV = 2 columns, and each is d diag(P, 1), of full rank but of
+        # rank 1 mod P.  The search assembles 25 of them, 50 columns,
+        # then samples.
+        op = custom_operator([((1,), [[P, 0], [0, 1]])])
+        degrees = []
+        real = korncert.diffop.degree_block
+        monkeypatch.setattr(
+            korncert.diffop, "degree_block", lambda A, d, rows: degrees.append(d) or real(A, d, rows)
+        )
+        assert korncert.diffop._PROOF_BLOCK_COLUMNS == 50
+        assert ellipticity_probe(op, trials=3).to_json() == _exact_probe(op, 3, 0)
+        assert degrees == list(range(1, 26))
+
+    @pytest.mark.parametrize(
+        "name, n, order, proven",
+        [
+            *((name, n, None, True) for name, n in (("sym_grad", 2), ("sym_grad", 3), ("dev_grad", 2))),
+            *((name, 3, None, True) for name in ("dev_grad", "dev_sym_grad")),
+            ("grad_k", 2, 3, True),
+            ("grad", 1, None, True),
+            ("dev_sym_grad", 2, None, False),
+            ("div", 3, None, False),
+            ("dev_sym_grad", 4, None, False),
+        ],
+    )
+    def test_a_trivial_block_proves_the_report_without_sampling(self, monkeypatch, name, n, order, proven):
+        # The five shipped-config operators, grad_k of order 3 on R^2 and
+        # grad on R^1 have a trivial block of at most 30 columns, so the
+        # probe neither draws nor screens.  dev_sym_grad on R^2 and div on
+        # R^3 are not C-elliptic, and the first trivial block of
+        # dev_sym_grad on R^4 has 80 columns: all three draw, and each one
+        # with as many independent outputs as inputs screens.
+        calls = []
+        for fn in ("_full_rank_mod_p", "_rational_draws"):
+            real = getattr(korncert.diffop, fn)
+            monkeypatch.setattr(
+                korncert.diffop, fn, lambda *args, _real=real, _fn=fn: calls.append(_fn) or _real(*args)
+            )
+        op = builtin_operator(name, n, order)
+        for seed, trials in ((0, 8), (3, 1), (7, 3)):
+            calls.clear()
+            assert ellipticity_probe(op, trials=trials, seed=seed).to_json() == _exact_probe(op, trials, seed)
+            if proven:
+                assert calls == []
+            elif len(op.output_basis) >= op.dimV:
+                assert set(calls) == {"_rational_draws", "_full_rank_mod_p"}
+            else:
+                assert set(calls) == {"_rational_draws"}
+
+
+# Row 1 repeats row 0 in both terms, so output_basis is (0,) though dimW = dimV = 2.
+_REPEATED_ROW = custom_operator([((1, 0), [[1, 2], [1, 2]]), ((0, 1), [[0, 1], [0, 1]])])
 # output_basis smaller than dimW: symmetric, deviatoric and higher-order
 # outputs, and a copy of an output row.
 _DEPENDENT_ROWS = [
@@ -516,6 +594,7 @@ _DEPENDENT_ROWS = [
     builtin_operator("dev_sym_grad", 2),
     builtin_operator("dev_sym_grad", 3),
     builtin_operator("grad_k", 2, order=2),
+    _REPEATED_ROW,
     custom_operator([((1, 0), [[1, 2], [0, 1], [1, 2]]), ((0, 1), [[0, 1], [3, 0], [0, 1]])]),
 ]
 
@@ -626,6 +705,14 @@ def _probe_operators(draw):
 @example(op=builtin_operator("dev_sym_grad", 2), seed=0, trials=8)
 @example(op=builtin_operator("div", 3), seed=1, trials=2)
 @example(op=custom_operator([((2, 0), [[1]]), ((0, 2), [[1]])], name="laplacian"), seed=0, trials=2)
+# Each branch of the search: a proof at once, a proof mod P through the
+# scale, no block within the bound, and square or tall blocks that all
+# have x_3^d in their kernel, so the probe samples, and reports the
+# partial gradient elliptic although e_3 kills its symbol.
+@example(op=builtin_operator("grad", 1), seed=0, trials=8)
+@example(op=custom_operator([((1,), [[Fraction(1, P), 0], [0, Fraction(1, P)]])]), seed=2, trials=3)
+@example(op=builtin_operator("dev_sym_grad", 4), seed=0, trials=8)
+@example(op=custom_operator([((1, 0, 0), [[1], [0]]), ((0, 1, 0), [[0], [1]])]), seed=0, trials=8)
 def test_probe_matches_exact_rank_loop(op, seed, trials):
     report = ellipticity_probe(op, trials=trials, seed=seed)
     assert report.to_json() == _exact_probe(op, trials, seed)

@@ -19,6 +19,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import korncert.diffop
 import korncert.kernel
 import korncert.linalg
 from korncert.cli import build_operator
@@ -286,13 +287,13 @@ class TestKernelContents:
 
     def test_no_block_assembled_above_first_trivial(self, monkeypatch):
         degrees = []
-        build = korncert.kernel._degree_block
+        build = korncert.kernel.degree_block
 
         def traced(A, d, outputs):
             degrees.append(d)
             return build(A, d, outputs)
 
-        monkeypatch.setattr(korncert.kernel, "_degree_block", traced)
+        monkeypatch.setattr(korncert.kernel, "degree_block", traced)
         op = builtin_operator("sym_grad", 3)
         assert kernel_basis(op, 4).dim == 6
         assert degrees == [0, 1, 2]
@@ -320,10 +321,13 @@ class TestKernelContents:
         # profile to K_max = 200 builds the monomials of degrees 0..2
         # only, and no monomial basis at all.
         degrees, bases = [], []
-        for name, calls in (("compositions", degrees), ("monomial_basis", bases)):
-            real = getattr(korncert.kernel, name)
+        for module, name, calls in (
+            (korncert.diffop, "compositions", degrees),
+            (korncert.kernel, "monomial_basis", bases),
+        ):
+            real = getattr(module, name)
             monkeypatch.setattr(
-                korncert.kernel, name, lambda a, b, _real=real, _calls=calls: _calls.append(a) or _real(a, b)
+                module, name, lambda a, b, _real=real, _calls=calls: _calls.append(a) or _real(a, b)
             )
         op = builtin_operator("sym_grad", 3)
         profile = kernel_dim_profile(op, 200)
