@@ -25,6 +25,10 @@ rows, so rank A[xi] <= len(output_basis) at every xi.  degree_block
 builds the operator's integer form by degree, the matrix of scale * A
 from degree-d to degree-(d-k) coefficients, on the rows of any list of
 output components; the kernel blocks (kernel.py) and the probe share it.
+The integer form ends with block_terms, integer_terms on the
+output_basis rows (_row_terms), which degree_block and the probe's
+screens read for those rows; only another row list, coefficient_matrix's,
+derives its table per call.
 
 The symbol takes the same form.  Let d be the lcm of the denominators of
 a complex rational frequency xi, so that z = d xi has Gaussian-integer
@@ -50,7 +54,10 @@ rank mod P, proves A[xi] injective at every complex xi != 0, and with it
 every answer the sampled probe could give: the probe returns that answer
 without drawing.  It searches the blocks from degree k up, assembling
 only those with at least as many rows as columns, until the next one
-would take their columns past _PROOF_BLOCK_COLUMNS.  A C-elliptic
+would take their columns past _PROOF_BLOCK_COLUMNS.  In one variable
+the degree-d block is perm(d, k) times the degree-k one, a product of
+integers far below P and so a unit mod P: every block has the first
+one's rank mod P, and the search assembles that one only.  A C-elliptic
 operator has a finite-dimensional kernel (K. T. Smith, Math. Ann.
 1970), so some block of it is trivial, though maybe past the bound; no
 block of any other operator is.  An operator with fewer rows in
@@ -119,9 +126,8 @@ _PROBE_COEFF_BOUND = 10**6
 
 # The most columns, summed over the degree blocks it assembles, that
 # ellipticity_probe spends on its search for a proof of C-ellipticity
-# before it samples.  A sum, not a width: in one variable every block has
-# dimV columns, so only a sum ends a search that finds no trivial block,
-# and it keeps a failed search near the cost of one block.  Measured on
+# before it samples.  A sum, not a width: it keeps a search that finds no
+# trivial block near the cost of one block at the bound.  Measured on
 # one CPU, best of 5 x 50 calls, a probe whose first trivial block has 40
 # columns (sym_grad, dev_grad and grad_k of order 2 on R^4) took
 # 0.14-0.54 ms proven against 0.29-0.77 ms sampled, and one with 75-80
@@ -179,9 +185,10 @@ CR_ONE = ComplexRational(Fraction(1))
 class DiffOperator:
     """Immutable operator description: terms maps each multi-index of the
     shared order to a dimW x dimV rational matrix.  scale and
-    integer_terms, its integer form, and output_basis, a basis of its
-    output rows (module docstring), are derived from terms and take no
-    part in equality or repr."""
+    integer_terms, its integer form, output_basis, a basis of its output
+    rows, and block_terms, integer_terms on those rows (module
+    docstring), are derived from terms and take no part in equality or
+    repr."""
 
     n: int
     order: int
@@ -194,6 +201,7 @@ class DiffOperator:
         init=False, compare=False, repr=False
     )
     output_basis: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    block_terms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         scale = lcm(*(m.denominator for _, matrix in self.terms for row in matrix for m in row))
@@ -219,6 +227,7 @@ class DiffOperator:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "integer_terms", integer_terms)
         object.__setattr__(self, "output_basis", tuple(linalg.rref(stacked, self.dimW)[1]))
+        object.__setattr__(self, "block_terms", _row_terms(self, self.output_basis))
 
     def describe(self) -> dict:
         return {
@@ -434,15 +443,10 @@ def degree_block(A: DiffOperator, d: int, outputs: Sequence[int]) -> list[list[i
     # Each term by its support, the coordinates i it differentiates, with
     # alpha_i > 0 (only these decide whether beta >= alpha, and only they
     # change from beta to beta - alpha), and by its entries in the rows
-    # of outputs, each w replaced by its position there.
-    position = {w: i for i, w in enumerate(outputs)}
-    terms = [
-        (
-            [(i, a) for i, a in enumerate(alpha.entries) if a],
-            [(position[w], v, m) for w, v, m in entries if w in position],
-        )
-        for alpha, entries in A.integer_terms
-    ]
+    # of outputs, each w replaced by its position there: the operator's
+    # block_terms on output_basis, derived here for any other rows.
+    outputs = tuple(outputs)
+    terms = A.block_terms if outputs == A.output_basis else _row_terms(A, outputs)
     width = len(outputs)
     rows = [[0] * (A.dimV * comb(n - 1 + d, d)) for _ in range(width * len(target))]
     for j, beta in enumerate(compositions(d, n)):
@@ -490,9 +494,12 @@ class SymbolMatrix:
         vec = [ComplexRational.of(x) for x in v]
         if len(vec) != len(self.re[0]):
             raise ValueError("vector length mismatch")
+        # The parts over their common denominator, as ints.
         flat = [c for z in vec for c in (z.re, z.im)]
+        scale = lcm(*(c.denominator for c in flat))
+        ints = [c.numerator * (scale // c.denominator) for c in flat]
         image = [
-            Fraction(sum(a * b for a, b in zip(row, flat)), self.factor) for row in self._realified()
+            Fraction(sum(a * b for a, b in zip(row, ints)), self.factor * scale) for row in self._realified()
         ]
         return tuple(ComplexRational(x, y) for x, y in zip(image[::2], image[1::2]))
 
@@ -509,12 +516,19 @@ class SymbolMatrix:
         vectors = linalg.nullspace(self._realified(), 2 * len(self.re[0]))[::2]
         kernel = []
         for flat in vectors:
-            pairs = list(zip(flat[::2], flat[1::2]))
+            # Over the common denominator of its parts the vector is int
+            # pairs, and the denominator cancels in the quotients.
+            scale = lcm(*(x.denominator for x in flat))
+            ints = [x.numerator * (scale // x.denominator) for x in flat]
+            pairs = list(zip(ints[::2], ints[1::2]))
             c, d = next(z for z in pairs if any(z))
             norm = c * c + d * d
             # (a + bi) / (c + di) = ((ac + bd) + (bc - ad) i) / (c^2 + d^2)
             kernel.append(
-                tuple(ComplexRational((a * c + b * d) / norm, (b * c - a * d) / norm) for a, b in pairs)
+                tuple(
+                    ComplexRational(Fraction(a * c + b * d, norm), Fraction(b * c - a * d, norm))
+                    for a, b in pairs
+                )
             )
         return kernel
 
@@ -602,7 +616,9 @@ def _witness_from(symbol: SymbolMatrix) -> Witness:
 def _row_terms(A: DiffOperator, rows: Sequence[int]) -> tuple:
     """integer_terms on the output rows listed in rows: per term, the
     (coordinate, exponent) pairs of alpha's nonzero entries and the
-    entries (c, v, m) of row w = rows[c]; a term with none is left out."""
+    entries (c, v, m) of row w = rows[c]; a term with none is left out.
+    On output_basis it is the operator's block_terms, which
+    degree_block and the probe's screens share."""
     position = {w: c for c, w in enumerate(rows)}
     terms = []
     for alpha, entries in A.integer_terms:
@@ -663,7 +679,8 @@ def _has_trivial_block(A: DiffOperator) -> bool:
     order up, has full column rank mod P, the test kernel_basis stops at:
     a proof that A is C-elliptic (module docstring).  Only blocks with at
     least as many rows as columns are assembled, and only while their
-    columns sum to at most _PROOF_BLOCK_COLUMNS."""
+    columns sum to at most _PROOF_BLOCK_COLUMNS; in one variable, only
+    the first."""
     n, k, width = A.n, A.order, len(A.output_basis)
     spent = 0  # the columns of the blocks assembled so far
     d = k
@@ -671,6 +688,8 @@ def _has_trivial_block(A: DiffOperator) -> bool:
         if width * comb(n - 1 + d - k, d - k) >= cols:
             if linalg.rank_mod_p(degree_block(A, d, A.output_basis), cols) == cols:
                 return True
+            if n == 1:
+                return False  # every block has this one's rank mod P (module docstring)
             spent += cols
         d += 1
     return False
@@ -694,12 +713,15 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
     additionally checks the deterministic family xi = e_1 + i e_j,
     j = 2..n, before the random complex draws; that family catches the
     classical failures (for the deviatoric symmetric gradient on R^2 it
-    produces the witness xi = (1, i), v = (1, -i)).  Each sampled rank is
-    exact: full rank is taken from a full rank mod P or from exact
-    elimination, a rank drop only from exact elimination, and it yields
-    an exact witness.  Full rank at sampled frequencies is only evidence
-    of ellipticity, not proof: the partial gradient u -> (d_1 u, d_2 u)
-    on R^3 passes every draw, although its symbol vanishes at e_3.
+    produces the witness xi = (1, i), v = (1, -i)).  The real coordinate
+    axes e_1..e_n come last, after the random real draws, so no witness
+    a draw finds moves.  Each sampled rank is exact: full rank is taken
+    from a full rank mod P or from exact elimination, a rank drop only
+    from exact elimination, and it yields an exact witness.  Full rank at
+    sampled frequencies is only evidence of ellipticity, not proof: the
+    axes catch the partial gradient u -> (d_1 u, d_2 u) on R^3, whose
+    symbol vanishes at e_3 though it passes every random draw, but not a
+    symbol that vanishes off the axes and off every draw.
     """
     trials = parse_int(trials, "trials", 1)
     seed = parse_int(seed, "seed")
@@ -733,11 +755,15 @@ def ellipticity_probe(A: DiffOperator, trials: int = 8, seed: int = 0) -> Ellipt
     ]
     frequencies += [(False, rand_xi(2)) for _ in range(trials)]
     frequencies += [(True, rand_xi(1)) for _ in range(trials)]
+    frequencies += [
+        (True, [c for m in range(A.n) for c in (one if m == j else zero, zero)]) for j in range(A.n)
+    ]
 
     elliptic = c_elliptic = True
     witness: Witness | None = None
     minor: tuple[int, ...] = ()  # the output rows that settled the last screen
-    row_terms: dict[tuple[int, ...], tuple] = {}  # _row_terms of each screened row tuple
+    # _row_terms of each screened row tuple
+    row_terms: dict[tuple[int, ...], tuple] = {A.output_basis: A.block_terms}
 
     def screen(xi: list[tuple[int, int]], rows: tuple[int, ...]) -> tuple[int, ...] | None:
         if rows not in row_terms:

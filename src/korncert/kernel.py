@@ -25,9 +25,11 @@ same combination of the kept components' rows, so the block keeps its
 row space, and with it its nullspace and its unique reduced echelon
 form; only coefficient_matrix builds every row.  A block's monomials
 come from polyalg's memoised compositions, one table per degree and
-process.  linalg.nullspace makes every entry of a kernel vector a
-Fraction, so kernel_basis adopts the vectors through the private
-PolyVec._of_fractions, which scans no entry.
+process, and their entries from the operator's block_terms, built
+with it.  linalg.nullspace makes every entry of a kernel vector a
+Fraction, one per distinct value in a block, so kernel_basis adopts the
+vectors through the private PolyVec._of_fractions, which scans no
+entry.
 
 The dimension profile is exact evidence, not a heuristic.  The kernel
 splits by degree, and each partial derivative d_i commutes with A, so it

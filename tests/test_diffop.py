@@ -475,7 +475,8 @@ class TestProbe:
         calls = []
         monkeypatch.setattr(SymbolMatrix, "rank", lambda self: calls.append(self) or real(self))
         report = ellipticity_probe(op, trials=3)
-        assert len(calls) == 1 + 3 + 3
+        # e_1 + i e_2, the complex and the real draws, and the two axes.
+        assert len(calls) == 1 + 3 + 3 + 2
         assert not report.elliptic and not report.c_elliptic
         assert report.to_json() == _exact_probe(op, 3, 0)
 
@@ -498,8 +499,10 @@ class TestProbe:
     def test_probe_screens_the_last_minor_first(self, monkeypatch):
         # sym_grad on R^5, whose first trivial block has 75 columns, more
         # than the search takes: the first frequency is screened on the
-        # 15 rows of output_basis, and every later one on the 5 rows of
-        # the minor that settled the one before.
+        # 15 rows of output_basis, and every later draw on the 5 rows of
+        # the minor that settled the one before.  So is e_1, the first
+        # axis; at each later axis the minor of the axis before vanishes,
+        # and output_basis settles it.
         widths = []
         real = korncert.linalg.pivots_mod_p
         monkeypatch.setattr(
@@ -508,7 +511,7 @@ class TestProbe:
         op = builtin_operator("sym_grad", 5)
         assert len(op.output_basis) == 15
         assert ellipticity_probe(op, trials=4).to_json() == _exact_probe(op, 4, 0)
-        assert widths == [15] + [5] * (4 + 2 * 4 - 1)
+        assert widths == [15] + [5] * (4 + 2 * 4 - 1) + [5] + [5, 15] * 4
 
     def test_a_vanishing_minor_falls_back_to_output_basis(self):
         # The gradient of a scalar on R^2 at xi = (0, 1): row 0 is zero,
@@ -533,19 +536,42 @@ class TestProbe:
         assert not report.elliptic and not report.c_elliptic
 
     def test_the_search_ends_on_its_column_sum(self, monkeypatch):
-        # d/dx (u1, u2) -> (P u1', u2'): in one variable every block has
-        # dimV = 2 columns, and each is d diag(P, 1), of full rank but of
-        # rank 1 mod P.  The search assembles 25 of them, 50 columns,
-        # then samples.
-        op = custom_operator([((1,), [[P, 0], [0, 1]])])
+        # The partial gradient on R^3: every block has x_3^d in its
+        # kernel.  The tall ones, of degrees 2, 3 and 4, take 6 + 10 + 15
+        # = 31 columns; degree 5 would take 21 more, past 50, so the
+        # search ends there and the probe samples.
         degrees = []
         real = korncert.diffop.degree_block
         monkeypatch.setattr(
             korncert.diffop, "degree_block", lambda A, d, rows: degrees.append(d) or real(A, d, rows)
         )
         assert korncert.diffop._PROOF_BLOCK_COLUMNS == 50
+        op = _PARTIAL_GRADIENT
         assert ellipticity_probe(op, trials=3).to_json() == _exact_probe(op, 3, 0)
-        assert degrees == list(range(1, 26))
+        assert degrees == [2, 3, 4]
+
+    def test_a_one_variable_search_assembles_one_block(self, monkeypatch):
+        # d/dx (u1, u2) -> (P u1', u2'): every block is d diag(P, 1), of
+        # full rank but of rank 1 mod P, so the first one settles the
+        # search, within a bound that would admit 25 of them.
+        op = custom_operator([((1,), [[P, 0], [0, 1]])])
+        degrees = []
+        real = korncert.diffop.degree_block
+        monkeypatch.setattr(
+            korncert.diffop, "degree_block", lambda A, d, rows: degrees.append(d) or real(A, d, rows)
+        )
+        report = ellipticity_probe(op, trials=3)
+        assert degrees == [1]
+        assert report.to_json() == _exact_probe(op, 3, 0)
+        assert report.elliptic and report.c_elliptic
+
+    def test_the_coordinate_axes_catch_the_partial_gradient(self):
+        # Its symbol (xi_1, xi_2) vanishes on the x_3 axis, which no
+        # random draw hits: the axes, drawn last, give the witness.
+        report = ellipticity_probe(_PARTIAL_GRADIENT)
+        assert not report.elliptic and not report.c_elliptic
+        assert report.witness.to_json() == {"xi": ["0", "0", "1"], "v": ["1"]}
+        assert report.to_json() == _exact_probe(_PARTIAL_GRADIENT, 8, 0)
 
     @pytest.mark.parametrize(
         "name, n, order, proven",
@@ -584,6 +610,8 @@ class TestProbe:
                 assert set(calls) == {"_rational_draws"}
 
 
+# u -> (d_1 u, d_2 u) on R^3, whose symbol vanishes at e_3.
+_PARTIAL_GRADIENT = custom_operator([((1, 0, 0), [[1], [0]]), ((0, 1, 0), [[0], [1]])])
 # Row 1 repeats row 0 in both terms, so output_basis is (0,) though dimW = dimV = 2.
 _REPEATED_ROW = custom_operator([((1, 0), [[1, 2], [1, 2]]), ((0, 1), [[0, 1], [0, 1]])])
 # output_basis smaller than dimW: symmetric, deviatoric and higher-order
@@ -640,6 +668,7 @@ def _exact_probe(A, trials: int, seed: int) -> dict:
     ]
     frequencies += [(False, rand_xi(2)) for _ in range(trials)]
     frequencies += [(True, rand_xi(1)) for _ in range(trials)]
+    frequencies += [(True, [CR_ONE if m == j else CR_ZERO for m in range(A.n)]) for j in range(A.n)]
     elliptic = c_elliptic = True
     witness = None
     for real, xi in frequencies:
@@ -708,11 +737,11 @@ def _probe_operators(draw):
 # Each branch of the search: a proof at once, a proof mod P through the
 # scale, no block within the bound, and square or tall blocks that all
 # have x_3^d in their kernel, so the probe samples, and reports the
-# partial gradient elliptic although e_3 kills its symbol.
+# partial gradient not elliptic, with the witness e_3 from the axes.
 @example(op=builtin_operator("grad", 1), seed=0, trials=8)
 @example(op=custom_operator([((1,), [[Fraction(1, P), 0], [0, Fraction(1, P)]])]), seed=2, trials=3)
 @example(op=builtin_operator("dev_sym_grad", 4), seed=0, trials=8)
-@example(op=custom_operator([((1, 0, 0), [[1], [0]]), ((0, 1, 0), [[0], [1]])]), seed=0, trials=8)
+@example(op=_PARTIAL_GRADIENT, seed=0, trials=8)
 def test_probe_matches_exact_rank_loop(op, seed, trials):
     report = ellipticity_probe(op, trials=trials, seed=seed)
     assert report.to_json() == _exact_probe(op, trials, seed)

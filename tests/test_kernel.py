@@ -492,6 +492,25 @@ def test_exact_layer_pin():
     assert h.hexdigest() == _EXACT_LAYER_SHA256
 
 
+# The same hash on larger kernels, whose blocks have up to 336 columns:
+# dev_sym_grad on R^5 and R^6 and sym_grad on R^6, all at K = 3, each
+# with its probe report (all three lie past the probe's proof bound, so
+# they are sampled).  Updating only the live columns of each row saves
+# the most work here.
+_LARGE_EXACT_LAYER_SHA256 = "adc230e7fe9864fe0f6df24bdc0498d469f9a7bd22ab82d8d636ab6f5f9c65e2"
+
+
+def test_large_exact_layer_pin():
+    h = hashlib.sha256()
+    for name, n in (("dev_sym_grad", 5), ("dev_sym_grad", 6), ("sym_grad", 6)):
+        op, K = builtin_operator(name, n), 3
+        probe = ellipticity_probe(op).to_json()
+        h.update(json.dumps([op.name, op.n, K, probe], sort_keys=True).encode())
+        for p in kernel_basis(op, K).basis:
+            h.update(json.dumps([format_rational(c) for c in p.coeffs]).encode())
+    assert h.hexdigest() == _LARGE_EXACT_LAYER_SHA256
+
+
 def test_kernel_sweep_coefficients_are_fractions():
     # kernel_basis adopts its vectors without scanning their entries, so
     # each must be a Fraction by construction, not merely equal to one.
@@ -705,6 +724,15 @@ def _matrices(draw):
 @example(case=([[0, -2, 1], [3, 1, 0], [1, Fraction(1, 2), 4]], 3))
 @example(case=([[1, 2], [3, Fraction(-4, 3)], [1, 2], [3, Fraction(-4, 3)]], 2))
 @example(case=([[0], [Fraction(-3, 2)], [5]], 1))
+# The forward and back halves update a row only from a pivot column on,
+# which relies on the row being zero to its left: a zero leading column,
+# a middle column with no pivot (the first again), and duplicate rows
+# that eliminate to zero rows.  The last two also keep a column with no
+# pivot right of a pivot of 2 or 3, so a back half that skipped a row's
+# entries left of the pivot it clears would leave them unscaled.
+@example(case=([[0, 2, 1], [0, -4, 3], [0, 6, Fraction(1, 2)]], 3))
+@example(case=([[1, 1, 1, 1, 1], [0, 0, 2, 1, 3], [Fraction(1, 2), Fraction(1, 2), 3, 2, 1]], 5))
+@example(case=([[2, 1, -1, 3], [2, 1, -1, 3], [0, 0, 3, 1], [2, 1, -1, 3]], 4))
 def test_elimination_matches_sympy(case):
     matrix, ncols = case
     ref = sympy.Matrix(len(matrix), ncols, [sympy.Rational(x) for row in matrix for x in row])
@@ -724,16 +752,29 @@ def test_elimination_matches_sympy(case):
     assert len({id(x) for v in vectors for x in v if not x}) <= 1
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_pivots_mod_p_reduce_any_integers(data):
-    # Any ints, reduced or not; on small entries the pivots mod P are
-    # the exact ones, as in the test above.
-    ncols = data.draw(st.integers(1, 6))
-    small = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=5))
-    shifts = data.draw(
+@st.composite
+def _shifted_matrices(draw):
+    """A small int matrix with 1-6 columns and 0-5 rows, and a multiple
+    of P in [-3P, 3P] to add to each entry."""
+    ncols = draw(st.integers(1, 6))
+    small = draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), max_size=5))
+    shifts = draw(
         st.lists(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), min_size=len(small), max_size=len(small))
     )
+    return small, shifts, ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_shifted_matrices())
+# As in the test above: a zero leading column, a middle column with no
+# pivot, and duplicate rows, each shifted by multiples of P.
+@example(case=([[0, 1, 2], [0, 3, -1], [0, -2, 3]], [[1, 0, -3], [0, 2, 0], [-1, 0, 1]], 3))
+@example(case=([[1, -2, 3], [2, -4, 1], [-1, 2, 2]], [[0, 1, 0], [3, 0, -2], [0, 0, 1]], 3))
+@example(case=([[2, 1, -3], [2, 1, -3], [0, 0, 1]], [[0, 0, 0], [1, -1, 2], [0, 3, 0]], 3))
+def test_pivots_mod_p_reduce_any_integers(case):
+    # Any ints, reduced or not; on small entries the pivots mod P are
+    # the exact ones, as in the test above.
+    small, shifts, ncols = case
     shifted = [[x + k * P for x, k in zip(r, ks)] for r, ks in zip(small, shifts)]
     pivots = pivots_mod_p(shifted, ncols)
     assert pivots == pivots_mod_p([[x % P for x in r] for r in small], ncols) == rref(small, ncols)[1]
